@@ -151,6 +151,57 @@ def _init_spec(args, seed: int) -> InitSpec:
     return InitSpec(args.init, args.gaussian_std, derive_seed(seed, _INIT_TAG))
 
 
+def _needs_teacher(proxies) -> bool:
+    return any(p == "diswot" or p in KD_KINDS for p in proxies)
+
+
+def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relation: bool):
+    """Return a function mapping a descriptor to {proxy: value} at this seed.
+
+    The batch and the teacher forward are made once, here, and only when a
+    requested proxy needs them. Each call builds the student once; nwot runs
+    its own forward and the teacher-based proxies share one activation
+    bundle.
+    """
+    needs_teacher = _needs_teacher(proxies)
+    batch = _make_batch(args, space, seed) if needs_teacher or "nwot" in proxies else None
+    init = _init_spec(args, seed)
+    teacher_bundle = None
+    if needs_teacher:
+        teacher = NetworkInstance(_resolve_teacher(space, args.teacher), space, init)
+        teacher_bundle = teacher.activations(batch.images, batch.labels)
+
+    def scorer(desc) -> dict[str, float]:
+        out = {}
+        student = None
+        bundle = None
+        for proxy in proxies:
+            if proxy in ("params", "flops"):
+                out[proxy] = cost_proxy(proxy, desc, space).value
+                continue
+            if student is None:
+                student = NetworkInstance(desc, space, init)
+            if proxy == "nwot":
+                out[proxy] = nwot_score(student, batch).value
+                continue
+            if bundle is None:
+                bundle = student.activations(batch.images, batch.labels)
+            if proxy == "diswot":
+                out[proxy] = diswot_score_from_bundles(
+                    teacher_bundle,
+                    bundle,
+                    use_semantic=use_semantic,
+                    use_relation=use_relation,
+                    weight_source=args.weight_source,
+                    normalization=args.normalization,
+                ).value
+            else:
+                out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature).value
+        return out
+
+    return scorer
+
+
 # ---------------------------------------------------------------------------
 # score
 
@@ -163,59 +214,19 @@ def cmd_score(args, parser) -> int:
         parser.error("--semantic-only and --relation-only are mutually exclusive")
     seeds = _resolve_seeds(args)
 
-    needs_teacher = any(p == "diswot" or p in KD_KINDS for p in proxies)
-    needs_batch = needs_teacher or "nwot" in proxies
-    teacher_desc = _resolve_teacher(space, args.teacher) if needs_teacher else None
+    teacher_desc = _resolve_teacher(space, args.teacher) if _needs_teacher(proxies) else None
 
-    values: dict[tuple[int, str, int], float] = {}
+    by_seed: dict[int, list[dict[str, float]]] = {}
     for seed in seeds:
-        batch = _make_batch(args, space, seed) if needs_batch else None
-        init = _init_spec(args, seed)
-        teacher_bundle = None
-        if needs_teacher:
-            teacher = NetworkInstance(teacher_desc, space, init)
-            teacher_bundle = teacher.activations(batch.images, batch.labels)
-
-        def score_one(item):
-            index, desc = item
-            out = {}
-            student = None
-            bundle = None
-            for proxy in proxies:
-                if proxy in ("params", "flops"):
-                    out[proxy] = cost_proxy(proxy, desc, space).value
-                    continue
-                if student is None:
-                    student = NetworkInstance(desc, space, init)
-                if proxy == "nwot":
-                    out[proxy] = nwot_score(student, batch).value
-                    continue
-                if bundle is None:
-                    bundle = student.activations(batch.images, batch.labels)
-                if proxy == "diswot":
-                    out[proxy] = diswot_score_from_bundles(
-                        teacher_bundle,
-                        bundle,
-                        use_semantic=not args.relation_only,
-                        use_relation=not args.semantic_only,
-                        weight_source=args.weight_source,
-                        normalization=args.normalization,
-                    ).value
-                else:
-                    out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature).value
-            return index, out
-
+        scorer = _make_scorer(args, space, seed, proxies, not args.relation_only, not args.semantic_only)
         if args.jobs > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(score_one, enumerate(archs)))
+                by_seed[seed] = list(pool.map(scorer, archs))
         else:
-            results = [score_one(item) for item in enumerate(archs)]
-        for index, out in results:
-            for proxy, value in out.items():
-                values[(index, proxy, seed)] = value
+            by_seed[seed] = [scorer(desc) for desc in archs]
 
     rows = [
-        ScoreRow(arch_id(desc), proxy, values[(index, proxy, seed)], True, seed)
+        ScoreRow(arch_id(desc), proxy, by_seed[seed][index][proxy], True, seed)
         for index, desc in enumerate(archs)
         for proxy in proxies
         for seed in seeds
@@ -251,53 +262,19 @@ def cmd_score(args, parser) -> int:
 # search
 
 
-def _make_fitness(args, space, seed: int):
-    name = args.fitness
-    sign = -1.0 if args.minimize else 1.0
-    label = f"-{name}" if args.minimize else name
-
-    if name in ("params", "flops"):
-        def fitness(desc):
-            return ProxyScore(label, sign * cost_proxy(name, desc, space).value, True)
-
-        return fitness
-
-    batch = _make_batch(args, space, seed)
-    init = _init_spec(args, seed)
-    if name == "nwot":
-        def fitness(desc):
-            net = NetworkInstance(desc, space, init)
-            return ProxyScore(label, sign * nwot_score(net, batch).value, True)
-
-        return fitness
-
-    teacher = NetworkInstance(_resolve_teacher(space, args.teacher), space, init)
-    teacher_bundle = teacher.activations(batch.images, batch.labels)
-
-    def fitness(desc):
-        student = NetworkInstance(desc, space, init)
-        bundle = student.activations(batch.images, batch.labels)
-        if name == "diswot":
-            score = diswot_score_from_bundles(
-                teacher_bundle,
-                bundle,
-                weight_source=args.weight_source,
-                normalization=args.normalization,
-            )
-        else:
-            score = kd_distance(name, teacher_bundle, bundle, args.temperature)
-        return ProxyScore(label, sign * score.value, True)
-
-    return fitness
-
-
 def cmd_search(args, parser) -> int:
     space = _build_space(args)
     seeds = _resolve_seeds(args)
     if len(seeds) != 1:
         parser.error("search takes a single --seed")
     seed = seeds[0]
-    fitness = _make_fitness(args, space, seed)
+    name = args.fitness
+    sign = -1.0 if args.minimize else 1.0
+    label = f"-{name}" if args.minimize else name
+    scorer = _make_scorer(args, space, seed, [name], use_semantic=True, use_relation=True)
+
+    def fitness(desc):
+        return ProxyScore(label, sign * scorer(desc)[name], True)
 
     if args.strategy == "evo":
         try:
@@ -372,7 +349,10 @@ def cmd_search(args, parser) -> int:
 
 def cmd_rank(args, parser) -> int:
     seeds = _resolve_seeds(args)
-    rng = stream(derive_seed(seeds[0], _RANK_TAG), 0)
+    if len(seeds) != 1:
+        parser.error("rank takes a single --seed")
+    seed = seeds[0]
+    rng = stream(derive_seed(seed, _RANK_TAG), 0)
     try:
         reports = evaluate_proxy(
             args.scores,
@@ -391,7 +371,7 @@ def cmd_rank(args, parser) -> int:
             "accuracy": str(args.accuracy),
             "sample": args.sample,
             "seeds": args.seeds,
-            "seed": seeds[0],
+            "seed": seed,
         }
         write_report_csv(args.out, reports, config)
     print(format_report_table(reports))
@@ -415,7 +395,6 @@ def _add_scoring_flags(p):
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--data", default=None, help="CIFAR binary file; omit for synthetic images")
     p.add_argument("--data-format", choices=("auto", "cifar10", "cifar100"), default="auto")
-    p.add_argument("--synthetic", action="store_true", help="force synthetic images (the default when --data is absent)")
     p.add_argument("--seed", type=int, nargs="+", action="extend", default=None,
                    help="one or more seeds (env DISWOT_SEED as fallback, else 0)")
     p.add_argument("--init", choices=("kaiming", "gaussian"), default="kaiming")
@@ -464,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--accuracy", required=True, help="accuracy CSV (arch_id,accuracy)")
     rank.add_argument("--sample", type=int, default=None, help="architectures sampled per repetition")
     rank.add_argument("--seeds", type=int, default=None, help="number of sampling repetitions")
-    rank.add_argument("--seed", type=int, nargs="+", action="extend", default=None,
-                      help="rng seed for subsampling")
+    rank.add_argument("--seed", type=int, action="append", default=None,
+                      help="rng seed for subsampling (env DISWOT_SEED as fallback, else 0)")
     rank.add_argument("--out", default=None, help="report CSV path")
     rank.set_defaults(func=cmd_rank)
 

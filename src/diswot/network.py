@@ -1,16 +1,40 @@
-"""Build descriptors into runnable networks and account their cost.
+"""Compile descriptors into flat op plans, run them, and account their cost.
 
-A NetworkInstance is a tree of small layer objects over the kernels module.
-The same tree drives three things so they can never drift apart: the forward
-pass, count_params, and count_flops. Weight tensors are drawn from per-layer
-Philox streams keyed by (init.seed, layer_index) with layer_index assigned in
-construction order, so identical (descriptor, InitSpec) pairs always carry
+A (descriptor, space, input size) triple compiles to a plan: one flat tuple
+of op records over numbered activation slots. Slot 0 holds the input images
+and every op writes a new slot. A skip edge compiles to no op at all; its
+readers use its input slot. The same plan drives the forward pass,
+count_params and count_flops, so the three can never drift apart.
+
+Op kinds:
+
+* conv: no bias, zero padding kernel // 2;
+* bn: batch statistics, unit gamma, zero beta;
+* relu: the forward records its sign pattern for nwot, in plan order;
+* add: residual sums and cell-node sums, left to right;
+* pool: 3x3 average pooling at stride 1;
+* zero: the NB201 "none" edge, an explicit zero array that is still added
+  into its node's sum.
+
+The classifier (global average pool, then a linear layer with zero bias)
+follows the plan.
+
+Weight streams are part of the file format: conv i in plan order draws from
+the Philox stream (init.seed, i) and the classifier from the next index.
+Plan order is network order (the stem, then each block or cell in turn);
+a block's body convs precede its shortcut, a cell's edges follow string
+order. Identical (descriptor, InitSpec) pairs therefore always carry
 bit-identical weights.
+
+Each op also lists the slots it was the last reader of; the forward drops
+them once it has run, so only live activations are held.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,340 +77,119 @@ class ActivationBundle:
     fc_weight_grad: Tensor
 
 
-def _record_relu(x: Tensor, codes: list | None) -> Tensor:
-    out = relu(x)
-    if codes is not None:
-        codes.append(x > 0)
-    return out
-
-
-class _Conv:
-    def __init__(self, cin: int, cout: int, kernel: int, stride: int, padding: int):
-        self.cin, self.cout, self.kernel = cin, cout, kernel
-        self.stride, self.padding = stride, padding
-        self.weight: np.ndarray | None = None
-
-    def param_count(self) -> int:
-        return self.cout * self.cin * self.kernel * self.kernel
-
-    def init_weights(self, spec: InitSpec, index: int):
-        self.weight = init_tensor((self.cout, self.cin, self.kernel, self.kernel), spec, index)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.stride, self.padding)
-
-    def out_hw(self, hw: tuple[int, int]) -> tuple[int, int]:
-        h, w = hw
-        ho = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        wo = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        return ho, wo
-
-    def flops(self, hw: tuple[int, int]) -> int:
-        ho, wo = self.out_hw(hw)
-        return 2 * self.cout * ho * wo * self.cin * self.kernel * self.kernel
-
-
-class _BatchNorm:
-    def __init__(self, channels: int):
-        self.channels = channels
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-
-    def param_count(self) -> int:
-        return 2 * self.channels
-
-    def forward(self, x: Tensor) -> Tensor:
-        return batchnorm_batchstats(x, self.gamma, self.beta)
-
-
-class _Dense:
-    def __init__(self, cin: int, cout: int):
-        self.cin, self.cout = cin, cout
-        self.weight: np.ndarray | None = None
-        self.bias = np.zeros(cout)
-
-    def param_count(self) -> int:
-        return self.cout * self.cin + self.cout
-
-    def init_weights(self, spec: InitSpec, index: int):
-        self.weight = init_tensor((self.cout, self.cin), spec, index)
-
-    def forward(self, features: Tensor) -> Tensor:
-        return linear(features, self.weight, self.bias)
-
-    def flops(self) -> int:
-        return 2 * self.cout * self.cin
-
-
-class _ConvBn:
-    """conv -> batchnorm, the unit both residual block families are made of."""
-
-    def __init__(self, cin, cout, kernel, stride, padding):
-        self.conv = _Conv(cin, cout, kernel, stride, padding)
-        self.bn = _BatchNorm(cout)
-
-    def param_count(self):
-        return self.conv.param_count() + self.bn.param_count()
-
-    def forward(self, x):
-        return self.bn.forward(self.conv.forward(x))
-
-    def out_hw(self, hw):
-        return self.conv.out_hw(hw)
-
-    def flops(self, hw):
-        return self.conv.flops(hw)
-
-    def convs(self):
-        yield self.conv
-
-
-class _BasicBlock:
-    def __init__(self, cin: int, cout: int, stride: int, kernel: int = 3):
-        p = kernel // 2
-        self.body1 = _ConvBn(cin, cout, kernel, stride, p)
-        self.body2 = _ConvBn(cout, cout, kernel, 1, p)
-        self.shortcut = _ConvBn(cin, cout, 1, stride, 0) if (stride != 1 or cin != cout) else None
-
-    def _parts(self):
-        parts = [self.body1, self.body2]
-        if self.shortcut is not None:
-            parts.append(self.shortcut)
-        return parts
-
-    def param_count(self):
-        return sum(p.param_count() for p in self._parts())
-
-    def forward(self, x, codes):
-        y = _record_relu(self.body1.forward(x), codes)
-        y = self.body2.forward(y)
-        s = self.shortcut.forward(x) if self.shortcut is not None else x
-        return _record_relu(residual_add(y, s), codes)
-
-    def out_hw(self, hw):
-        return self.body1.out_hw(hw)
-
-    def flops(self, hw):
-        mid = self.body1.out_hw(hw)
-        total = self.body1.flops(hw) + self.body2.flops(mid)
-        if self.shortcut is not None:
-            total += self.shortcut.flops(hw)
-        return total
-
-    def convs(self):
-        for p in self._parts():
-            yield from p.convs()
-
-
-class _BottleneckBlock:
-    """1x1 reduce -> kxk -> 1x1 expand, mid width max(8, cout // 4)."""
-
-    def __init__(self, cin: int, cout: int, stride: int, kernel: int):
-        mid = max(8, cout // 4)
-        self.body1 = _ConvBn(cin, mid, 1, 1, 0)
-        self.body2 = _ConvBn(mid, mid, kernel, stride, kernel // 2)
-        self.body3 = _ConvBn(mid, cout, 1, 1, 0)
-        self.shortcut = _ConvBn(cin, cout, 1, stride, 0) if (stride != 1 or cin != cout) else None
-
-    def _parts(self):
-        parts = [self.body1, self.body2, self.body3]
-        if self.shortcut is not None:
-            parts.append(self.shortcut)
-        return parts
-
-    def param_count(self):
-        return sum(p.param_count() for p in self._parts())
-
-    def forward(self, x, codes):
-        y = _record_relu(self.body1.forward(x), codes)
-        y = _record_relu(self.body2.forward(y), codes)
-        y = self.body3.forward(y)
-        s = self.shortcut.forward(x) if self.shortcut is not None else x
-        return _record_relu(residual_add(y, s), codes)
-
-    def out_hw(self, hw):
-        return self.body2.out_hw(hw)
-
-    def flops(self, hw):
-        mid1 = self.body1.out_hw(hw)
-        mid2 = self.body2.out_hw(mid1)
-        total = self.body1.flops(hw) + self.body2.flops(mid1) + self.body3.flops(mid2)
-        if self.shortcut is not None:
-            total += self.shortcut.flops(hw)
-        return total
-
-    def convs(self):
-        for p in self._parts():
-            yield from p.convs()
-
-
-class _EdgeZero:
-    def param_count(self):
-        return 0
-
-    def forward(self, x, codes):
-        return np.zeros_like(x)
-
-    def flops(self, hw):
-        return 0
-
-    def convs(self):
-        return iter(())
-
-
-class _EdgeSkip:
-    def param_count(self):
-        return 0
-
-    def forward(self, x, codes):
-        return x
-
-    def flops(self, hw):
-        return 0
-
-    def convs(self):
-        return iter(())
-
-
-class _EdgePool:
-    def param_count(self):
-        return 0
-
-    def forward(self, x, codes):
-        return avg_pool2d(x, 3, 1, 1)
-
-    def flops(self, hw):
-        return 0
-
-    def convs(self):
-        return iter(())
-
-
-class _EdgeConv:
-    """relu -> conv -> batchnorm at stride 1, the cell's learned operation."""
-
-    def __init__(self, channels: int, kernel: int):
-        self.body = _ConvBn(channels, channels, kernel, 1, kernel // 2)
-
-    def param_count(self):
-        return self.body.param_count()
-
-    def forward(self, x, codes):
-        return self.body.forward(_record_relu(x, codes))
-
-    def flops(self, hw):
-        return self.body.flops(hw)
-
-    def convs(self):
-        yield from self.body.convs()
-
-
-def _make_edge(op: str, channels: int):
-    if op == "none":
-        return _EdgeZero()
-    if op == "skip_connect":
-        return _EdgeSkip()
-    if op == "avg_pool_3x3":
-        return _EdgePool()
-    if op == "nor_conv_1x1":
-        return _EdgeConv(channels, 1)
-    if op == "nor_conv_3x3":
-        return _EdgeConv(channels, 3)
-    raise ValueError(f"unknown cell operation {op!r}")
-
-
-class _Cell:
-    """4-node DAG: node j sums its incoming edges from nodes < j."""
-
-    def __init__(self, ops: tuple[str, ...], channels: int):
-        self.edges = [_make_edge(op, channels) for op in ops]
-
-    def param_count(self):
-        return sum(e.param_count() for e in self.edges)
-
-    def forward(self, x, codes):
-        e = self.edges
-        n1 = e[0].forward(x, codes)
-        n2 = e[1].forward(x, codes) + e[2].forward(n1, codes)
-        n3 = e[3].forward(x, codes) + e[4].forward(n1, codes) + e[5].forward(n2, codes)
-        return n3
-
-    def out_hw(self, hw):
-        return hw
-
-    def flops(self, hw):
-        return sum(e.flops(hw) for e in self.edges)
-
-    def convs(self):
-        for e in self.edges:
-            yield from e.convs()
-
-
-class _Stem:
-    def __init__(self, cin, cout, kernel, stride, with_relu: bool):
-        self.body = _ConvBn(cin, cout, kernel, stride, kernel // 2)
-        self.with_relu = with_relu
-
-    def param_count(self):
-        return self.body.param_count()
-
-    def forward(self, x, codes):
-        y = self.body.forward(x)
-        return _record_relu(y, codes) if self.with_relu else y
-
-    def out_hw(self, hw):
-        return self.body.out_hw(hw)
-
-    def flops(self, hw):
-        return self.body.flops(hw)
-
-    def convs(self):
-        yield from self.body.convs()
-
-
-def _build_blocks(desc: ArchDescriptor, space: SearchSpace):
-    """Return (stem, block list, final BN or None, feature width)."""
+class _Op(NamedTuple):
+    kind: str                   # conv | bn | relu | add | pool | zero
+    out: int                    # slot written
+    ins: tuple[int, ...]        # slots read
+    hw: tuple[int, int]         # spatial size of the slot written, per sample
+    shape: tuple[int, ...] = ()  # conv: weight (cout, cin, k, k); bn: (channels,)
+    stride: int = 1
+    frees: tuple[int, ...] = ()  # slots this op reads for the last time
+
+
+class _PlanBuilder:
+    def __init__(self, hw: tuple[int, int]):
+        self.ops: list[_Op] = []
+        self.hw = [hw]  # per slot
+
+    def emit(self, kind: str, ins: tuple[int, ...], hw=None, **fields) -> int:
+        out = len(self.hw)
+        self.hw.append(hw or self.hw[ins[0]])
+        self.ops.append(_Op(kind, out, ins, self.hw[out], **fields))
+        return out
+
+    def relu(self, x: int) -> int:
+        return self.emit("relu", (x,))
+
+    def bn(self, x: int, channels: int) -> int:
+        return self.emit("bn", (x,), shape=(channels,))
+
+    def conv_bn(self, x: int, cin: int, cout: int, kernel: int, stride: int) -> int:
+        h, w = self.hw[x]
+        pad = kernel // 2
+        hw = ((h + 2 * pad - kernel) // stride + 1, (w + 2 * pad - kernel) // stride + 1)
+        y = self.emit("conv", (x,), hw, shape=(cout, cin, kernel, kernel), stride=stride)
+        return self.bn(y, cout)
+
+    def block(self, x: int, cin: int, cout: int, stride: int, kernel: int = 3, bottleneck: bool = False) -> int:
+        """Residual block; a bottleneck is 1x1 reduce, kxk, 1x1 expand at mid width max(8, cout // 4)."""
+        if bottleneck:
+            mid = max(8, cout // 4)
+            y = self.relu(self.conv_bn(x, cin, mid, 1, 1))
+            y = self.relu(self.conv_bn(y, mid, mid, kernel, stride))
+            y = self.conv_bn(y, mid, cout, 1, 1)
+        else:
+            y = self.relu(self.conv_bn(x, cin, cout, kernel, stride))
+            y = self.conv_bn(y, cout, cout, kernel, 1)
+        shortcut = self.conv_bn(x, cin, cout, 1, stride) if (stride != 1 or cin != cout) else x
+        return self.relu(self.emit("add", (y, shortcut)))
+
+    def edge(self, x: int, op: str, channels: int) -> int:
+        if op == "none":
+            return self.emit("zero", (x,))
+        if op == "skip_connect":
+            return x
+        if op == "avg_pool_3x3":
+            return self.emit("pool", (x,))
+        if op == "nor_conv_1x1":
+            return self.conv_bn(self.relu(x), channels, channels, 1, 1)
+        if op == "nor_conv_3x3":
+            return self.conv_bn(self.relu(x), channels, channels, 3, 1)
+        raise ValueError(f"unknown cell operation {op!r}")
+
+    def cell(self, x: int, ops: tuple[str, ...], channels: int) -> int:
+        """4-node DAG: node j sums its incoming edges from nodes < j."""
+        nodes = [x]
+        edges = iter(ops)
+        for j in range(1, 4):
+            total = self.edge(nodes[0], next(edges), channels)
+            for i in range(1, j):
+                total = self.emit("add", (total, self.edge(nodes[i], next(edges), channels)))
+            nodes.append(total)
+        return nodes[3]
+
+    def finish(self) -> tuple[_Op, ...]:
+        last_reader: dict[int, int] = {}
+        for i, op in enumerate(self.ops):
+            for slot in op.ins:
+                last_reader[slot] = i
+        frees: list[list[int]] = [[] for _ in self.ops]
+        for slot, i in last_reader.items():
+            frees[i].append(slot)
+        return tuple(op._replace(frees=tuple(f)) for op, f in zip(self.ops, frees))
+
+
+def _compile(desc: ArchDescriptor, space: SearchSpace, hw: tuple[int, int]) -> tuple[tuple[_Op, ...], int]:
+    """Return (plan, feature width) for inputs of spatial size hw."""
+    b = _PlanBuilder(hw)
     if isinstance(desc, S0Depths):
-        stem = _Stem(3, space.stem_channels, 3, 1, with_relu=True)
-        blocks = []
+        x = b.relu(b.conv_bn(0, 3, space.stem_channels, 3, 1))
         cin = space.stem_channels
         for stage, (cout, depth) in enumerate(zip(space.stage_channels, desc.depths)):
             for i in range(depth):
-                stride = 2 if (stage > 0 and i == 0) else 1
-                blocks.append(_BasicBlock(cin, cout, stride))
+                x = b.block(x, cin, cout, 2 if (stage > 0 and i == 0) else 1)
                 cin = cout
-        return stem, blocks, None, cin
-
-    if isinstance(desc, NB201Cell):
-        stem = _Stem(3, space.stem_channels, 3, 1, with_relu=False)
-        blocks = []
+    elif isinstance(desc, NB201Cell):
+        x = b.conv_bn(0, 3, space.stem_channels, 3, 1)
         cin = space.stem_channels
         for stage, cout in enumerate(space.stage_channels):
             if stage > 0:
-                blocks.append(_BasicBlock(cin, cout, 2))
+                x = b.block(x, cin, cout, 2)
                 cin = cout
             for _ in range(space.cells_per_stage):
-                blocks.append(_Cell(desc.ops, cin))
-        return stem, blocks, _BatchNorm(cin), cin
-
-    if isinstance(desc, S2Config):
-        if space.kind == "s2_imagenet":
-            stem = _Stem(3, desc.stem_channels, 7, 2, with_relu=True)
-        else:
-            stem = _Stem(3, desc.stem_channels, 3, 1, with_relu=True)
-        blocks = []
+                x = b.cell(x, desc.ops, cin)
+        b.relu(b.bn(x, cin))
+    elif isinstance(desc, S2Config):
+        kernel, stride = (7, 2) if space.kind == "s2_imagenet" else (3, 1)
+        x = b.relu(b.conv_bn(0, 3, desc.stem_channels, kernel, stride))
         cin = desc.stem_channels
         for st in desc.stages:
             for i in range(st.depth):
-                stride = st.stride if i == 0 else 1
-                if st.block == "basic":
-                    blocks.append(_BasicBlock(cin, st.channels, stride, st.kernel))
-                else:
-                    blocks.append(_BottleneckBlock(cin, st.channels, stride, st.kernel))
+                x = b.block(x, cin, st.channels, st.stride if i == 0 else 1, st.kernel, st.block == "bottleneck")
                 cin = st.channels
-        return stem, blocks, None, cin
-
-    raise TypeError(f"not an architecture descriptor: {desc!r}")
+    else:
+        raise TypeError(f"not an architecture descriptor: {desc!r}")
+    return b.finish(), cin
 
 
 class NetworkInstance:
@@ -396,60 +199,55 @@ class NetworkInstance:
         self.descriptor = descriptor
         self.space = space
         self.init = init
-        self.stem, self.blocks, self.final_bn, feature_width = _build_blocks(descriptor, space)
-        self.fc = _Dense(feature_width, space.num_classes)
-        index = 0
-        for conv in self._conv_layers():
-            conv.init_weights(init, index)
-            index += 1
-        self.fc.init_weights(init, index)
-
-    def _conv_layers(self):
-        yield from self.stem.convs()
-        for b in self.blocks:
-            yield from b.convs()
+        self._plan, feature_width = _compile(descriptor, space, (space.input_hw, space.input_hw))
+        # conv weight or bn (gamma, beta), keyed by the op's output slot
+        self._params: dict[int, object] = {}
+        convs = [op for op in self._plan if op.kind == "conv"]
+        for index, op in enumerate(convs):
+            self._params[op.out] = init_tensor(op.shape, init, index)
+        for op in self._plan:
+            if op.kind == "bn":
+                self._params[op.out] = (np.ones(op.shape), np.zeros(op.shape))
+        self._fc_weight = init_tensor((space.num_classes, feature_width), init, len(convs))
+        self._fc_bias = np.zeros(space.num_classes)
 
     def named_weights(self):
         """All trainable tensors (conv/FC weights, BN affine, FC bias)."""
-        for i, conv in enumerate(self._conv_layers()):
-            yield f"conv{i}.weight", conv.weight
-        for i, bn in enumerate(self._bn_layers()):
-            yield f"bn{i}.gamma", bn.gamma
-            yield f"bn{i}.beta", bn.beta
-        yield "fc.weight", self.fc.weight
-        yield "fc.bias", self.fc.bias
-
-    def _bn_layers(self):
-        def walk(obj):
-            if isinstance(obj, _BatchNorm):
-                yield obj
-            elif isinstance(obj, _ConvBn):
-                yield obj.bn
-            elif isinstance(obj, (_BasicBlock, _BottleneckBlock)):
-                for p in obj._parts():
-                    yield from walk(p)
-            elif isinstance(obj, _Cell):
-                for e in obj.edges:
-                    if isinstance(e, _EdgeConv):
-                        yield from walk(e.body)
-            elif isinstance(obj, _Stem):
-                yield from walk(obj.body)
-
-        yield from walk(self.stem)
-        for b in self.blocks:
-            yield from walk(b)
-        if self.final_bn is not None:
-            yield self.final_bn
+        convs = [op for op in self._plan if op.kind == "conv"]
+        for i, op in enumerate(convs):
+            yield f"conv{i}.weight", self._params[op.out]
+        bns = [op for op in self._plan if op.kind == "bn"]
+        for i, op in enumerate(bns):
+            gamma, beta = self._params[op.out]
+            yield f"bn{i}.gamma", gamma
+            yield f"bn{i}.beta", beta
+        yield "fc.weight", self._fc_weight
+        yield "fc.bias", self._fc_bias
 
     def _forward(self, images: Tensor, codes: list | None):
-        x = self.stem.forward(images, codes)
-        for b in self.blocks:
-            x = b.forward(x, codes)
-        if self.final_bn is not None:
-            x = _record_relu(self.final_bn.forward(x), codes)
-        pre_gap = x
+        slots = {0: images}
+        for op in self._plan:
+            x = slots[op.ins[0]]
+            if op.kind == "conv":
+                y = conv2d(x, self._params[op.out], op.stride, op.shape[2] // 2)
+            elif op.kind == "bn":
+                y = batchnorm_batchstats(x, *self._params[op.out])
+            elif op.kind == "relu":
+                y = relu(x)
+                if codes is not None:
+                    codes.append(x > 0)
+            elif op.kind == "add":
+                y = residual_add(x, slots[op.ins[1]])
+            elif op.kind == "pool":
+                y = avg_pool2d(x, 3, 1, 1)
+            else:
+                y = np.zeros_like(x)
+            for slot in op.frees:
+                del slots[slot]
+            slots[op.out] = y
+        pre_gap = y
         features = global_avg_pool(pre_gap)
-        logits = self.fc.forward(features)
+        logits = linear(features, self._fc_weight, self._fc_bias)
         return pre_gap, features, logits
 
     def forward(self, images: Tensor) -> Tensor:
@@ -459,7 +257,7 @@ class NetworkInstance:
     def activations(self, images: Tensor, labels: np.ndarray) -> ActivationBundle:
         pre_gap, features, logits = self._forward(images, None)
         grad = fc_weight_grad(features, logits, labels)
-        return ActivationBundle(features, pre_gap, logits, self.fc.weight, grad)
+        return ActivationBundle(features, pre_gap, logits, self._fc_weight, grad)
 
     def relu_codes(self, images: Tensor) -> np.ndarray:
         """Binary activation pattern per sample, concatenated over every ReLU."""
@@ -471,11 +269,10 @@ class NetworkInstance:
 
 def count_params(desc: ArchDescriptor, space: SearchSpace) -> int:
     """Exact trainable parameter count (convs, BN affine pairs, FC incl. bias)."""
-    stem, blocks, final_bn, feature_width = _build_blocks(desc, space)
-    total = stem.param_count() + sum(b.param_count() for b in blocks)
-    if final_bn is not None:
-        total += final_bn.param_count()
-    return total + _Dense(feature_width, space.num_classes).param_count()
+    plan, feature_width = _compile(desc, space, (space.input_hw, space.input_hw))
+    total = sum(math.prod(op.shape) for op in plan if op.kind == "conv")
+    total += sum(2 * op.shape[0] for op in plan if op.kind == "bn")
+    return total + (feature_width + 1) * space.num_classes
 
 
 def count_flops(desc: ArchDescriptor, space: SearchSpace, input_shape: tuple[int, ...] | None = None) -> int:
@@ -488,20 +285,13 @@ def count_flops(desc: ArchDescriptor, space: SearchSpace, input_shape: tuple[int
         input_shape = (3, space.input_hw, space.input_hw)
     if len(input_shape) == 4:
         batch = input_shape[0]
-        hw = (input_shape[2], input_shape[3])
     elif len(input_shape) == 3:
         batch = 1
-        hw = (input_shape[1], input_shape[2])
     else:
         raise ValueError(f"input_shape must be (C,H,W) or (B,C,H,W), got {input_shape}")
-    stem, blocks, _, feature_width = _build_blocks(desc, space)
-    total = stem.flops(hw)
-    hw = stem.out_hw(hw)
-    for b in blocks:
-        total += b.flops(hw)
-        hw = b.out_hw(hw)
-    total += _Dense(feature_width, space.num_classes).flops()
-    return batch * total
+    plan, feature_width = _compile(desc, space, (input_shape[-2], input_shape[-1]))
+    total = sum(2 * math.prod(op.shape) * op.hw[0] * op.hw[1] for op in plan if op.kind == "conv")
+    return batch * (total + 2 * space.num_classes * feature_width)
 
 
 def satisfies_constraints(desc: ArchDescriptor, space: SearchSpace) -> bool:

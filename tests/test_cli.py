@@ -268,6 +268,26 @@ def test_rank_sample_and_seeds_in_metadata(tmp_path):
     assert rows[0].split(",")[5] == "10"  # n_archs column
 
 
+@pytest.mark.parametrize("seed_args", [["--seed", "0", "1"], ["--seed", "0", "--seed", "1"]])
+def test_rank_two_seeds_exit_2(tmp_path, seed_args):
+    score_paths, acc_path = write_rank_fixture(tmp_path, n=10, seeds=(0,))
+    with pytest.raises(SystemExit) as exc:
+        run(["rank", "--scores", str(score_paths[0]), "--accuracy", str(acc_path), *seed_args])
+    assert exc.value.code == 2
+
+
+def test_rank_seed_env_fallback(tmp_path, monkeypatch):
+    score_paths, acc_path = write_rank_fixture(tmp_path, n=20, seeds=(0,))
+    common = ["rank", "--scores", str(score_paths[0]), "--accuracy", str(acc_path),
+              "--sample", "10", "--seeds", "3"]
+    out_flag = tmp_path / "flag.csv"
+    out_env = tmp_path / "env.csv"
+    assert run(common + ["--seed", "5", "--out", str(out_flag)]) == 0
+    monkeypatch.setenv("DISWOT_SEED", "5")
+    assert run(common + ["--out", str(out_env)]) == 0
+    assert out_env.read_bytes() == out_flag.read_bytes()
+
+
 def test_rank_missing_file_exit_1(tmp_path, capsys):
     acc = tmp_path / "acc.csv"
     acc.write_text("arch_id,accuracy\na,1\nb,2\nc,3\n")

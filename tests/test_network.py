@@ -1,11 +1,20 @@
 """Network building, parameter/FLOP accounting, and forward-pass tests."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from diswot.arch import (
     Constraints,
     S0Depths,
+    S2Config,
+    S2Stage,
     enumerate_s0,
     max_descriptor,
     nb201_space,
@@ -16,6 +25,7 @@ from diswot.arch import (
     with_constraints,
 )
 from diswot.data import synth_batch
+from diswot.metrics import diswot_score_from_bundles, kd_distance, nwot_score
 from diswot.network import (
     NetworkInstance,
     count_flops,
@@ -243,3 +253,86 @@ def test_teacher_template_larger_than_space():
     net = NetworkInstance(teacher, space, InitSpec(seed=0))
     out = net.forward(synth_batch(2, 3, 32, 32, 100, seed=7).images)
     assert out.shape == (2, 100)
+
+
+# ---------------------------------------------------------------------------
+# exact outputs and memory
+
+
+def _s2(*stages):
+    return S2Config(16, tuple(S2Stage(*st) for st in stages))
+
+
+# (diswot, nwot, cc, params, flops) at batch 4, seed 0, against the space's
+# max descriptor as teacher. Recorded with the earlier nested layer-object
+# network code, so they pin the op plan to the same weight-stream order,
+# ReLU-code order and cell summation order.
+EXACT = [
+    (s0_space, S0Depths(1, 3, 5),
+     (-0.020646710272948544, 45.979143821444936, -0.12928238923979762, 416948, 326551552)),
+    (nb201_space, parse_nb201("|none~0|+|skip_connect~0|avg_pool_3x3~1|+|nor_conv_1x1~0|nor_conv_3x3~1|none~2|"),
+     (-0.12881991433501466, 44.988689124518416, -0.03100511140565368, 181914, 188093440)),
+    (nb201_space, parse_nb201("|skip_connect~0|+|nor_conv_3x3~0|none~1|+|avg_pool_3x3~0|skip_connect~1|nor_conv_1x1~2|"),
+     (-0.1291257568086392, 46.19006109650968, -0.16782076007378816, 181914, 188093440)),
+    (nb201_space, parse_nb201("|avg_pool_3x3~0|+|none~0|nor_conv_1x1~1|+|skip_connect~0|avg_pool_3x3~1|skip_connect~2|"),
+     (-0.1186339233345251, 43.68452851208152, -0.04796165262071144, 84698, 74847232)),
+    (s2_cifar_space, _s2(("basic", 3, 16, 1, 1), ("basic", 3, 32, 1, 2), ("basic", 5, 32, 1, 1),
+                         ("basic", 3, 64, 1, 2), ("basic", 3, 64, 1, 2), ("basic", 7, 128, 1, 1)),
+     (-0.14119504284072704, 44.61208117534215, -0.008915025694162979, 1421402, 370026496)),
+    (s2_cifar_space, _s2(("bottleneck", 3, 16, 2, 1), ("basic", 5, 24, 1, 2), ("bottleneck", 3, 32, 1, 1),
+                         ("bottleneck", 7, 48, 1, 2), ("basic", 3, 64, 2, 2), ("bottleneck", 5, 96, 1, 1)),
+     (-0.14909591842786182, 45.46462553283066, -0.031490036282239495, 206314, 97476096)),
+]
+
+
+def _exact_values() -> list[list]:
+    out = []
+    teachers = {}
+    for make_space, desc, _ in EXACT:
+        space = make_space()
+        batch = synth_batch(4, 3, 32, 32, space.num_classes, seed=0)
+        if make_space not in teachers:
+            teacher = NetworkInstance(max_descriptor(space), space, InitSpec(seed=0))
+            teachers[make_space] = teacher.activations(batch.images, batch.labels)
+        net = NetworkInstance(desc, space, InitSpec(seed=0))
+        bundle = net.activations(batch.images, batch.labels)
+        out.append([
+            diswot_score_from_bundles(teachers[make_space], bundle).value,
+            nwot_score(net, batch).value,
+            kd_distance("cc", teachers[make_space], bundle).value,
+            count_params(desc, space),
+            count_flops(desc, space, (4, 3, 32, 32)),
+        ])
+    return out
+
+
+@pytest.fixture(scope="module")
+def exact_values():
+    # Computed in a child with BLAS on one thread: with more threads, the
+    # last bits of the s2 matmuls depend on the thread count.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")])
+    code = "import json, test_network; print(json.dumps(test_network._exact_values()))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+@pytest.mark.parametrize("i", range(len(EXACT)), ids=[f"{m.__name__}-{i}" for i, (m, _, _) in enumerate(EXACT)])
+def test_exact_scores_and_costs(exact_values, i):
+    assert exact_values[i] == list(EXACT[i][2])
+
+
+def test_activations_release_dead_slots():
+    # The forward keeps only live activations: 6.6 MiB here, against about
+    # 46 MiB when every intermediate of the 7-7-7 net is held to the end.
+    net = NetworkInstance(S0Depths(7, 7, 7), s0_space(), InitSpec(seed=0))
+    batch = synth_batch(4, 3, 32, 32, 100, seed=0)
+    tracemalloc.start()
+    try:
+        net.activations(batch.images, batch.labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
