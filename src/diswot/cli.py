@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -161,7 +162,8 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
     The batch and the teacher forward are made once, here, and only when a
     requested proxy needs them. Each call builds the student once; nwot runs
     its own forward and the teacher-based proxies share one activation
-    bundle.
+    bundle. A non-finite value raises ValueError naming the proxy and the
+    architecture.
     """
     needs_teacher = _needs_teacher(proxies)
     batch = _make_batch(args, space, seed) if needs_teacher or "nwot" in proxies else None
@@ -197,6 +199,9 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
                 ).value
             else:
                 out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature).value
+        for proxy, value in out.items():
+            if not math.isfinite(value):
+                raise ValueError(f"proxy {proxy} gave {value} for architecture {arch_id(desc)}")
         return out
 
     return scorer
@@ -272,9 +277,15 @@ def cmd_search(args, parser) -> int:
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
     scorer = _make_scorer(args, space, seed, [name], use_semantic=True, use_relation=True)
+    # Weights depend only on the descriptor's plan and the init seed, so the
+    # fitness is a pure function of the descriptor and a memo is exact.
+    memo: dict[str, float] = {}
 
     def fitness(desc):
-        return ProxyScore(label, sign * scorer(desc)[name], True)
+        key = arch_id(desc)
+        if key not in memo:
+            memo[key] = sign * scorer(desc)[name]
+        return ProxyScore(label, memo[key], True)
 
     if args.strategy == "evo":
         try:

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from diswot.arch import S0Depths, enumerate_s0, s0_space
+from diswot import cli
+from diswot.arch import S0Depths, arch_id, enumerate_s0, s0_space
 from diswot.cli import main
 from diswot.data import read_scores_csv
+from diswot.metrics import ProxyScore
 from diswot.network import count_params
 
 
@@ -136,6 +138,17 @@ def test_score_config_echo_excludes_jobs(tmp_path):
     assert config["space"] == "s0"
 
 
+def test_score_rejects_non_finite_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "nwot_score", lambda student, batch: ProxyScore("nwot", float("nan"), True))
+    out = tmp_path / "x.csv"
+    code = run(["score", "--space", "s0", "--arch", "1-3-5", "--proxy", "nwot",
+                "--batch-size", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "1-3-5" in err and "nwot" in err
+    assert not out.exists()
+
+
 def test_score_nb201_space(tmp_path):
     out = tmp_path / "n.csv"
     cell = "|skip_connect~0|+|nor_conv_1x1~0|skip_connect~1|+|none~0|skip_connect~1|nor_conv_1x1~2|"
@@ -211,6 +224,28 @@ def test_search_diswot_fitness_smoke(tmp_path):
                 "--topk", "2", "--seed", "0", "--out", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_search_builds_each_student_once(tmp_path, monkeypatch):
+    built = []
+    network_instance = cli.NetworkInstance
+
+    def recording(desc, space, init):
+        built.append(arch_id(desc))
+        return network_instance(desc, space, init)
+
+    monkeypatch.setattr(cli, "NetworkInstance", recording)
+    summary = tmp_path / "s.json"
+    code = run(["search", "--space", "s0", "--fitness", "diswot", "--teacher", "resnet56",
+                "--batch-size", "2", "--population", "6", "--iters", "24", "--topk", "2",
+                "--seed", "0", "--out", str(tmp_path / "s.jsonl"), "--summary", str(summary)])
+    assert code == 0
+    teacher, students = built[0], built[1:]
+    assert teacher == "9-9-9"
+    assert len(students) == len(set(students))
+    evaluations = json.loads(summary.read_text())["evaluations"]
+    assert evaluations == 6 + 24  # every fitness call counts, repeats included
+    assert len(students) < evaluations
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Correlation coefficient and proxy-evaluation tests."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -88,6 +89,44 @@ def test_tied_inputs_match_oracles():
             continue
         assert kendall_tau(x, y) == pytest.approx(oracles.kendall_naive(x, y), abs=1e-15)
         assert spearman(x, y) == pytest.approx(oracles.spearman_naive(x, y), abs=1e-12)
+
+
+def test_kendall_heavy_ties_exact():
+    # The concordance is an exact integer count, so no tolerance is needed.
+    rng = np.random.default_rng(7)
+    for m in (2, 3, 17, 64, 65, 128, 199, 200):
+        for levels in (2, 5, m):
+            x = rng.integers(0, levels, size=m).astype(float)
+            y = rng.integers(0, max(2, levels // 2), size=m).astype(float)
+            if len(set(x)) < 2 or len(set(y)) < 2:
+                continue
+            assert kendall_tau(x, y) == oracles.kendall_naive(x, y)
+
+
+def test_average_ranks_tied_match_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        m = int(rng.integers(1, 61))
+        x = rng.integers(0, int(rng.integers(1, 10)), size=m).astype(float)
+        np.testing.assert_array_equal(average_ranks(x), oracles.ranks_naive(x))
+
+
+def test_kendall_full_nb201_size_in_bounded_memory():
+    # All 15 625 NB201 cells, rounded like a real accuracy table, so both
+    # columns are heavily tied; pairwise sign matrices would need ~7 GiB.
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(9)
+    accs = np.round(np.clip(rng.normal(85.0, 8.0, 15625), 10.0, 94.5), 2)
+    scores = np.round(accs + rng.normal(0.0, 6.0, 15625), 1)
+    tracemalloc.start()
+    try:
+        tau_b = kendall_tau(accs, scores, tie_correction=True)
+        average_ranks(scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau_b == pytest.approx(scipy_stats.kendalltau(accs, scores).statistic, abs=1e-12)
+    assert peak <= 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
