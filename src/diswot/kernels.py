@@ -9,7 +9,7 @@ fc_weight_grad.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 Tensor = np.ndarray
 
@@ -18,8 +18,23 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     """Cross-correlate x [B,Cin,H,W] with weight [Cout,Cin,k,k], zero padded.
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1. No bias.
-    Implemented as im2col: gather k*k windows with a strided view, then one
-    matmul against the flattened kernels.
+    Implemented as im2col: the column matrix [B*Ho*Wo, Cin*k*k] has rows
+    ordered (b, oy, ox) and columns (c, ky, kx), and one matmul against the
+    flattened kernels follows. The result is a [B,Cout,Ho,Wo] view of an
+    NHWC-ordered buffer.
+
+    A padded input is copied into a zeroed buffer with np.pad's memory
+    order. For k > 1 indexed gathers (np.take) fill the C-contiguous column
+    matrix; the per-sample offsets are the outer sum of a row offset
+    (oy, ox) and a column offset (c, ky, kx). The index covers only as many
+    output rows as keep it no larger than the conv output, and is reused
+    for the next rows by shifting the sample it reads, so the gather never
+    holds more memory than the matmul after it. A 1x1 kernel needs no gather:
+    its rows are strided samples of the input, channels innermost, which a
+    reshape copies in long runs. Where the strided window view already is
+    the matrix without a copy (a single sample, or a 1x1 output map), BLAS
+    gets that view. BLAS thus always sees the matrix, values and memory
+    layout, of the strided-window im2col, so every output bit stays the same.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.shape} and {weight.shape}")
@@ -34,15 +49,45 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ValueError(f"input has {cin} channels but weight expects {cin_w}")
     if stride < 1 or padding < 0:
         raise ValueError(f"bad stride/padding: {stride}, {padding}")
-    if h + 2 * padding < k or w + 2 * padding < k:
-        raise ValueError(f"padded input {h + 2 * padding}x{w + 2 * padding} smaller than kernel {k}")
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if hp < k or wp < k:
+        raise ValueError(f"padded input {hp}x{wp} smaller than kernel {k}")
 
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
+    m, kk = b * ho * wo, cin * k * k
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    _, _, ho, wo, _, _ = windows.shape
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, cin * k * k)
-    out = cols @ weight.reshape(cout, cin * k * k).T
+        src = np.zeros((b, cin, hp, wp), dtype=x.dtype, order="F" if x.flags.fnc else "C")
+        src[:, :, padding:padding + h, padding:padding + w] = x
+    else:
+        src = x
+    sb, sc, sy, sx = src.strides
+    windows = as_strided(
+        src, (b, ho, wo, cin, k, k), (sb, sy * stride, sx * stride, sc, sy, sx), writeable=False
+    )
+    if k == 1:
+        patches = windows.reshape(m, kk)
+    else:
+        try:
+            patches = windows.reshape(m, kk, copy=False)
+        except ValueError:
+            # ny output rows per index: ny * wo * kk <= b * ho * wo * cout.
+            ny = min(ho, max(1, b * ho * cout // kk))
+            rows = np.add.outer(np.arange(ny) * (stride * wp), np.arange(wo) * stride)
+            cols = np.add.outer(np.arange(cin) * (hp * wp), np.add.outer(np.arange(k) * wp, np.arange(k)))
+            idx = np.add.outer(rows.ravel(), cols.ravel())
+            flat = src.reshape(b, -1)
+            patches = np.empty((b, ho * wo, kk), dtype=src.dtype)
+            for i in range(b):
+                for y0 in range(0, ho, ny):
+                    n = min(ny, ho - y0)
+                    dst = patches[i, y0 * wo:(y0 + n) * wo]
+                    # "clip" writes straight into dst ("raise" buffers it); every index is in range.
+                    np.take(flat[i, y0 * stride * wp:], idx[:n * wo], out=dst, mode="clip")
+            patches = patches.reshape(m, kk)
+            del idx, flat
+    del src, windows
+    out = patches @ weight.reshape(cout, kk).T
     return out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
 
 
@@ -56,6 +101,8 @@ def batchnorm_batchstats(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e
     Mean and variance (population, ddof=0) are taken over batch and spatial
     axes together. There are no running statistics: scoring always sees
     freshly initialized networks, so train-mode statistics are the contract.
+    The tensor is centred once; each statistic is an np.add.reduce sum
+    divided by the count, the arithmetic of ndarray.mean and ndarray.var.
     """
     if x.ndim != 4:
         raise ValueError(f"batchnorm expects [B,C,H,W], got shape {x.shape}")
@@ -64,9 +111,10 @@ def batchnorm_batchstats(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e
         raise ValueError("batch statistics need more than one value per channel")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(f"gamma/beta must have shape ({c},)")
-    mean = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
-    xhat = (x - mean) / np.sqrt(var + eps)
+    n = b * h * w
+    xhat = x - np.add.reduce(x, axis=(0, 2, 3), keepdims=True) / n
+    var = np.add.reduce(xhat * xhat, axis=(0, 2, 3), keepdims=True) / n
+    xhat /= np.sqrt(var + eps)
     return gamma.reshape(1, c, 1, 1) * xhat + beta.reshape(1, c, 1, 1)
 
 

@@ -181,13 +181,15 @@ def nwot_from_codes(codes: Tensor, eps: float = 1e-6) -> float:
 
     K[i, j] counts the units where samples i and j are both active or both
     inactive; eps regularizes rank-deficient kernels (duplicate codes).
+    With n_i active units in row i, that count is U - n_i - n_j + 2 A_i.A_j.
+    Every term is an integer below 2**53, so the kernel is exact.
     """
-    b = codes.shape[0]
+    b, units = codes.shape
     if b < 2:
         raise ValueError("nwot needs a batch of at least 2 samples")
     active = codes.astype(np.float64)
-    inactive = 1.0 - active
-    kernel = active @ active.T + inactive @ inactive.T
+    n_active = active.sum(axis=1)
+    kernel = units - n_active[:, None] - n_active[None, :] + 2.0 * (active @ active.T)
     kernel = kernel + eps * np.eye(b)
     _, logdet = np.linalg.slogdet(kernel)
     return float(logdet)

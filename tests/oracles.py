@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +37,34 @@ def conv2d_naive(x, w, stride=1, padding=0):
                                 acc += xp[bi, ci, i * stride + u, j * stride + v] * w[co, ci, u, v]
                     out[bi, co, i, j] = acc
     return out
+
+
+def conv2d_sliding_window(x, w, stride=1, padding=0):
+    """im2col through a strided window view; the bit-exact reference.
+
+    Pads with np.pad, copies the (b, oy, ox) x (c, ky, kx) windows into a
+    C-contiguous matrix by reshape and does one matmul, returning the
+    [B,Cout,Ho,Wo] view of the NHWC-ordered product. Any conv2d that feeds
+    BLAS the same matrix must match it byte for byte.
+    """
+    b, cin, _, _ = x.shape
+    cout, _, k, _ = w.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    _, _, ho, wo, _, _ = windows.shape
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, cin * k * k)
+    out = cols @ w.reshape(cout, cin * k * k).T
+    return out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+
+
+def batchnorm_two_pass(x, gamma, beta, eps=1e-5):
+    """Batch-statistics normalisation via ndarray.mean and ndarray.var."""
+    c = x.shape[1]
+    mean = x.mean(axis=(0, 2, 3), keepdims=True)
+    var = x.var(axis=(0, 2, 3), keepdims=True)
+    xhat = (x - mean) / np.sqrt(var + eps)
+    return gamma.reshape(1, c, 1, 1) * xhat + beta.reshape(1, c, 1, 1)
 
 
 def softmax_naive(z):
@@ -247,6 +276,13 @@ def nwot_naive(codes, eps=1e-6):
     k = k + eps * np.eye(b)
     sign, logdet = np.linalg.slogdet(k)
     return logdet
+
+
+def nwot_kernel_two_product(codes):
+    """Agreement kernel as A A^T + (1-A)(1-A)^T over float64 copies."""
+    active = np.asarray(codes).astype(np.float64)
+    inactive = 1.0 - active
+    return active @ active.T + inactive @ inactive.T
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diswot.kernels import (
@@ -19,7 +19,7 @@ from diswot.kernels import (
     softmax_cross_entropy,
 )
 
-from oracles import conv2d_naive, fc_grad_fd
+from oracles import batchnorm_two_pass, conv2d_naive, conv2d_sliding_window, fc_grad_fd
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,45 @@ def test_conv_oracle_fuzz(b, cin, cout, hw, k, stride, padding, seed):
     want = conv2d_naive(x, w, stride=stride, padding=padding)
     np.testing.assert_allclose(got, want, atol=1e-10)
     assert np.isfinite(got).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(1, 5),
+    cin=st.integers(1, 40),
+    cout=st.integers(1, 40),
+    h=st.integers(1, 20),
+    w=st.integers(1, 20),
+    k=st.sampled_from([1, 3, 5, 7]),
+    stride=st.integers(1, 2),
+    padding=st.integers(0, 3),
+    nhwc=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_conv_and_batchnorm_bit_identical_to_reference(b, cin, cout, h, w, k, stride, padding, nhwc, seed):
+    # Scores are pinned to the last bit (test_exact_scores_and_costs), so the
+    # kernels must reproduce the window-view im2col and the two-pass batch
+    # statistics exactly: same bytes and same memory layout, for C-contiguous
+    # NCHW inputs and for the NHWC-memory views that conv2d itself returns.
+    assume(h + 2 * padding >= k and w + 2 * padding >= k)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, cin, h, w))
+    if nhwc:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    weight = rng.standard_normal((cout, cin, k, k))
+    got = conv2d(x, weight, stride=stride, padding=padding)
+    want = conv2d_sliding_window(x, weight, stride=stride, padding=padding)
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
+    for t in (x, got):
+        if t.shape[0] * t.shape[2] * t.shape[3] <= 1:
+            continue
+        c = t.shape[1]
+        gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
+        got_bn = batchnorm_batchstats(t, gamma, beta)
+        want_bn = batchnorm_two_pass(t, gamma, beta)
+        assert got_bn.tobytes() == want_bn.tobytes()
+        assert got_bn.strides == want_bn.strides
 
 
 # ---------------------------------------------------------------------------

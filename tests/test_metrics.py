@@ -374,6 +374,29 @@ def test_nwot_duplicate_samples_score_below_distinct():
     assert s_dup < s_comp
 
 
+def _nwot_two_product(codes, eps=1e-6):
+    kernel = oracles.nwot_kernel_two_product(codes) + eps * np.eye(codes.shape[0])
+    return float(np.linalg.slogdet(kernel)[1])
+
+
+def test_nwot_kernel_exact_against_two_product_formula():
+    from diswot.metrics import nwot_from_codes
+
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        b = int(rng.integers(2, 9))
+        u = int(rng.integers(1, 3000))
+        codes = rng.random((b, u)) < rng.uniform(0.05, 0.95)
+        codes[:, rng.random(u) < 0.1] = True  # all-active columns
+        codes[:, rng.random(u) < 0.1] = False  # all-inactive columns
+        if trial % 3 == 0:
+            codes[1] = codes[0]  # duplicate rows
+        assert nwot_from_codes(codes) == _nwot_two_product(codes)
+    net = NetworkInstance(S0Depths(1, 1, 1), s0_space(), InitSpec(seed=3))
+    codes = net.relu_codes(synth_batch(4, 3, 32, 32, 100, seed=3).images)
+    assert nwot_from_codes(codes) == _nwot_two_product(codes)
+
+
 def test_nwot_sample_order_invariance():
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 3, 1), space, InitSpec(seed=1))

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diswot.arch import (
     Constraints,
@@ -336,3 +338,31 @@ def test_activations_release_dead_slots():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+# s2_imagenet is left out: its largest descriptor, the teacher here, holds
+# about 1.7 GB of float64 weights.
+FINITE_SPACES = {"s0": s0_space, "nb201": nb201_space, "s2_cifar": s2_cifar_space}
+
+
+@pytest.fixture(scope="module")
+def finite_teachers():
+    out = {}
+    for name, make_space in FINITE_SPACES.items():
+        space = make_space()
+        batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=5)
+        teacher = NetworkInstance(max_descriptor(space), space, InitSpec(seed=5))
+        out[name] = (space, batch, teacher.activations(batch.images, batch.labels))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(FINITE_SPACES)), seed=st.integers(0, 2**32 - 1))
+def test_proxies_finite_for_sampled_descriptors(finite_teachers, name, seed):
+    space, batch, teacher_bundle = finite_teachers[name]
+    desc = sample_random(space, stream(seed, 0))
+    net = NetworkInstance(desc, space, InitSpec(seed=seed))
+    bundle = net.activations(batch.images, batch.labels)
+    assert np.isfinite(diswot_score_from_bundles(teacher_bundle, bundle).value)
+    assert np.isfinite(nwot_score(net, batch).value)
+    assert np.isfinite(kd_distance("cc", teacher_bundle, bundle).value)
