@@ -34,16 +34,17 @@ from .arch import (
 )
 from .data import load_cifar_batch, synth_batch, ScoreRow, write_report_csv, write_scores_csv
 from .metrics import (
+    COST_PROXIES,
+    DISWOT,
     FC_WEIGHT_GRADS,
     FC_WEIGHTS,
     KD_KINDS,
     MATRIX_L2,
-    ProxyScore,
+    NWOT,
     ROW_L2,
-    cost_proxy,
     diswot_score_from_bundles,
     kd_distance,
-    nwot_score,
+    nwot_from_codes,
 )
 from .network import NetworkInstance
 from .rankstats import MissingArchError, evaluate_proxy, format_report_table
@@ -51,7 +52,7 @@ from .rng import InitSpec, derive_seed, stream
 from .search import EvoConfig, evolve, random_search
 
 SPACE_CHOICES = ("s0", "nb201", "s2_cifar", "s2_imagenet")
-PROXY_CHOICES = ("diswot", "nwot", "params", "flops") + KD_KINDS
+PROXY_CHOICES = (DISWOT, NWOT, *COST_PROXIES, *KD_KINDS)
 
 # Child-seed tags: batch synthesis, weight init, rank subsampling.
 _BATCH_TAG = 0x42415443
@@ -152,8 +153,27 @@ def _init_spec(args, seed: int) -> InitSpec:
     return InitSpec(args.init, args.gaussian_std, derive_seed(seed, _INIT_TAG))
 
 
+def _scoring_config(args, space) -> dict:
+    """The config fields that score and search share; callers add their own."""
+    return {
+        "space": space.kind,
+        "num_classes": space.num_classes,
+        "batch_size": args.batch_size,
+        "data": args.data,
+        "data_format": args.data_format,
+        "init": args.init,
+        "gaussian_std": args.gaussian_std,
+        "temperature": args.temperature,
+        "weight_source": args.weight_source,
+        "normalization": args.normalization,
+        "max_params": args.max_params,
+        "max_flops": args.max_flops,
+        "max_depth": args.max_depth,
+    }
+
+
 def _needs_teacher(proxies) -> bool:
-    return any(p == "diswot" or p in KD_KINDS for p in proxies)
+    return any(p == DISWOT or p in KD_KINDS for p in proxies)
 
 
 def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relation: bool):
@@ -166,7 +186,7 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
     architecture.
     """
     needs_teacher = _needs_teacher(proxies)
-    batch = _make_batch(args, space, seed) if needs_teacher or "nwot" in proxies else None
+    batch = _make_batch(args, space, seed) if needs_teacher or NWOT in proxies else None
     init = _init_spec(args, seed)
     teacher_bundle = None
     if needs_teacher:
@@ -178,17 +198,17 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
         student = None
         bundle = None
         for proxy in proxies:
-            if proxy in ("params", "flops"):
-                out[proxy] = cost_proxy(proxy, desc, space).value
+            if proxy in COST_PROXIES:
+                out[proxy] = float(COST_PROXIES[proxy](desc, space))
                 continue
             if student is None:
                 student = NetworkInstance(desc, space, init)
-            if proxy == "nwot":
-                out[proxy] = nwot_score(student, batch).value
+            if proxy == NWOT:
+                out[proxy] = nwot_from_codes(student.relu_codes(batch.images))
                 continue
             if bundle is None:
                 bundle = student.activations(batch.images, batch.labels)
-            if proxy == "diswot":
+            if proxy == DISWOT:
                 out[proxy] = diswot_score_from_bundles(
                     teacher_bundle,
                     bundle,
@@ -196,9 +216,9 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
                     use_relation=use_relation,
                     weight_source=args.weight_source,
                     normalization=args.normalization,
-                ).value
+                )
             else:
-                out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature).value
+                out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature)
         for proxy, value in out.items():
             if not math.isfinite(value):
                 raise ValueError(f"proxy {proxy} gave {value} for architecture {arch_id(desc)}")
@@ -214,9 +234,11 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
 def cmd_score(args, parser) -> int:
     space = _build_space(args)
     archs = _resolve_archs(space, args, parser)
-    proxies = args.proxy or ["diswot"]
+    proxies = args.proxy or [DISWOT]
     if args.semantic_only and args.relation_only:
         parser.error("--semantic-only and --relation-only are mutually exclusive")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     seeds = _resolve_seeds(args)
 
     teacher_desc = _resolve_teacher(space, args.teacher) if _needs_teacher(proxies) else None
@@ -237,26 +259,14 @@ def cmd_score(args, parser) -> int:
         for seed in seeds
     ]
     config = {
+        **_scoring_config(args, space),
         "command": "score",
-        "space": space.kind,
-        "num_classes": space.num_classes,
         "archs": [arch_id(d) for d in archs],
         "proxies": proxies,
         "teacher": arch_id(teacher_desc) if teacher_desc is not None else None,
-        "batch_size": args.batch_size,
-        "data": args.data,
-        "data_format": args.data_format,
         "seeds": seeds,
-        "init": args.init,
-        "gaussian_std": args.gaussian_std,
-        "temperature": args.temperature,
-        "weight_source": args.weight_source,
-        "normalization": args.normalization,
         "semantic_only": args.semantic_only,
         "relation_only": args.relation_only,
-        "max_params": args.max_params,
-        "max_flops": args.max_flops,
-        "max_depth": args.max_depth,
     }
     write_scores_csv(args.out, rows, config)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -285,7 +295,7 @@ def cmd_search(args, parser) -> int:
         key = arch_id(desc)
         if key not in memo:
             memo[key] = sign * scorer(desc)[name]
-        return ProxyScore(label, memo[key], True)
+        return memo[key]
 
     if args.strategy == "evo":
         try:
@@ -312,44 +322,32 @@ def cmd_search(args, parser) -> int:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
     config = {
+        **_scoring_config(args, space),
         "command": "search",
-        "space": space.kind,
-        "num_classes": space.num_classes,
         "strategy": args.strategy,
         "fitness": args.fitness,
         "minimize": args.minimize,
         "teacher": args.teacher,
-        "batch_size": args.batch_size,
-        "data": args.data,
-        "data_format": args.data_format,
         "seed": seed,
-        "init": args.init,
-        "gaussian_std": args.gaussian_std,
-        "temperature": args.temperature,
-        "weight_source": args.weight_source,
-        "normalization": args.normalization,
         "population": args.population,
         "iters": args.iters,
         "sample_ratio": args.sample_ratio,
         "topk": args.topk,
         "budget": args.budget,
-        "max_params": args.max_params,
-        "max_flops": args.max_flops,
-        "max_depth": args.max_depth,
     }
     best_desc, best_score = state.best
     summary = {
         "config": config,
         "best_arch": arch_id(best_desc),
         "best_desc": descriptor_to_json(best_desc, space),
-        "best_score": best_score.value,
-        "fitness_name": best_score.proxy_name,
+        "best_score": best_score,
+        "fitness_name": label,
         "evaluations": state.evaluations,
-        "iterations": len(state.history),
+        "iterations": len(state.log),
     }
     summary_path = Path(args.summary) if args.summary else out.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(f"best {arch_id(best_desc)} score {best_score.value:.17g} after {state.evaluations} evaluations")
+    print(f"best {arch_id(best_desc)} score {best_score:.17g} after {state.evaluations} evaluations")
     print(f"wrote {out} and {summary_path}")
     return 0
 
@@ -438,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(search)
     _add_scoring_flags(search)
     search.add_argument("--strategy", choices=("evo", "random"), default="evo")
-    search.add_argument("--fitness", choices=PROXY_CHOICES, default="diswot")
+    search.add_argument("--fitness", choices=PROXY_CHOICES, default=DISWOT)
     search.add_argument("--minimize", action="store_true", help="negate the fitness (e.g. smallest params)")
     search.add_argument("--population", type=int, default=20)
     search.add_argument("--iters", type=int, default=100)

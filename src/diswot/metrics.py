@@ -1,21 +1,19 @@
 """Training-free proxy scores over activation bundles.
 
-Every proxy returns a ProxyScore whose value is oriented so that higher is
-better: the two similarity metrics and the KD distances are stored negated
-(they measure teacher-student distance, and the best student minimizes it),
-while nwot/params/flops are positive as computed.
+Every proxy returns a plain float oriented so that higher is better: diswot
+and the KD distances are negated (they measure teacher-student distance, and
+the best student minimizes it), while nwot/params/flops are positive as
+computed. The proxy names live here only: DISWOT, NWOT, the keys of
+COST_PROXIES and KD_KINDS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .arch import ArchDescriptor, SearchSpace
 from .kernels import Tensor, log_softmax, softmax
-from .network import ActivationBundle, NetworkInstance, count_flops, count_params
-from .rng import InitSpec, stream
+from .network import ActivationBundle, count_flops, count_params
+from .rng import stream
 
 ROW_L2 = "row_l2"
 MATRIX_L2 = "matrix_l2"
@@ -24,35 +22,18 @@ _NORMALIZATIONS = (ROW_L2, MATRIX_L2)
 FC_WEIGHTS = "fc_weights"
 FC_WEIGHT_GRADS = "fc_weight_grads"
 
-KD_KINDS = ("kd_kl", "fitnets", "at", "sp", "cc", "rkd", "nst", "pkt")
+DISWOT = "diswot"
+NWOT = "nwot"
+
+# Capacity proxies: (descriptor, space) -> int count.
+COST_PROXIES = {"params": count_params, "flops": count_flops}
 
 # Stream key for the fixed FitNets feature projection; spells "FitS".
 _FITNETS_ALIGN_SEED = 0x46697453
 
 
-@dataclass(frozen=True)
-class GradCamMaps:
-    """Per-class localization maps, one flattened H*W row per class."""
-
-    maps: Tensor
-    source: str
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    gram: Tensor
-    normalization: str
-
-
-@dataclass(frozen=True)
-class ProxyScore:
-    proxy_name: str
-    value: float
-    higher_is_better: bool
-
-
-def gradcam_maps(bundle: ActivationBundle, weight_source: str = FC_WEIGHTS) -> GradCamMaps:
-    """Class-weighted batch-mean activation maps.
+def gradcam_maps(bundle: ActivationBundle, weight_source: str = FC_WEIGHTS) -> Tensor:
+    """Class-weighted batch-mean activation maps, one flattened H*W row per class.
 
     Row n is sum_c w[n, c] * mean_over_batch(pre_gap_map[:, c]) flattened,
     with w either the classifier weight or its cross-entropy gradient.
@@ -67,10 +48,10 @@ def gradcam_maps(bundle: ActivationBundle, weight_source: str = FC_WEIGHTS) -> G
     if w.shape[1] != c:
         raise ValueError(f"weight has {w.shape[1]} columns but the map has {c} channels")
     mean_map = bundle.pre_gap_map.mean(axis=0).reshape(c, h * width)
-    return GradCamMaps(w @ mean_map, weight_source)
+    return w @ mean_map
 
 
-def similarity_matrix(rows: Tensor, normalization: str = ROW_L2) -> SimilarityMatrix:
+def similarity_matrix(rows: Tensor, normalization: str = ROW_L2) -> Tensor:
     """Normalized Gram matrix of the flattened rows.
 
     row_l2 rescales each row of the Gram matrix to unit L2 norm (zero rows
@@ -88,7 +69,7 @@ def similarity_matrix(rows: Tensor, normalization: str = ROW_L2) -> SimilarityMa
         norm = np.linalg.norm(gram)
         if norm > 0:
             gram = gram / norm
-    return SimilarityMatrix(gram, normalization)
+    return gram
 
 
 def matrix_mean_sq_diff(a: Tensor, b: Tensor) -> float:
@@ -98,15 +79,15 @@ def matrix_mean_sq_diff(a: Tensor, b: Tensor) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def semantic_similarity(teacher: GradCamMaps, student: GradCamMaps, normalization: str = ROW_L2) -> float:
-    """Distance between the class-correlation structures of the two map sets."""
-    if teacher.maps.shape[0] != student.maps.shape[0]:
+def semantic_similarity(teacher_maps: Tensor, student_maps: Tensor, normalization: str = ROW_L2) -> float:
+    """Distance between the class-correlation structures of two gradcam_maps results."""
+    if teacher_maps.shape[0] != student_maps.shape[0]:
         raise ValueError(
-            f"class counts differ: {teacher.maps.shape[0]} vs {student.maps.shape[0]}"
+            f"class counts differ: {teacher_maps.shape[0]} vs {student_maps.shape[0]}"
         )
-    g_t = similarity_matrix(teacher.maps, normalization)
-    g_s = similarity_matrix(student.maps, normalization)
-    return matrix_mean_sq_diff(g_t.gram, g_s.gram)
+    g_t = similarity_matrix(teacher_maps, normalization)
+    g_s = similarity_matrix(student_maps, normalization)
+    return matrix_mean_sq_diff(g_t, g_s)
 
 
 def relation_similarity(teacher_feat: Tensor, student_feat: Tensor, normalization: str = ROW_L2) -> float:
@@ -121,7 +102,7 @@ def relation_similarity(teacher_feat: Tensor, student_feat: Tensor, normalizatio
         )
     a_t = similarity_matrix(teacher_feat, normalization)
     a_s = similarity_matrix(student_feat, normalization)
-    return matrix_mean_sq_diff(a_t.gram, a_s.gram)
+    return matrix_mean_sq_diff(a_t, a_s)
 
 
 def diswot_score_from_bundles(
@@ -131,7 +112,7 @@ def diswot_score_from_bundles(
     use_relation: bool = True,
     weight_source: str = FC_WEIGHTS,
     normalization: str = ROW_L2,
-) -> ProxyScore:
+) -> float:
     """Negated sum of the semantic and relation distances; higher is better."""
     if not (use_semantic or use_relation):
         raise ValueError("at least one of use_semantic/use_relation must be on")
@@ -142,38 +123,7 @@ def diswot_score_from_bundles(
         total += semantic_similarity(t_maps, s_maps, normalization)
     if use_relation:
         total += relation_similarity(teacher.pre_gap_map, student.pre_gap_map, normalization)
-    return ProxyScore("diswot", -total, True)
-
-
-def diswot_score(
-    teacher: NetworkInstance,
-    student_desc: ArchDescriptor,
-    space: SearchSpace,
-    batch,
-    init: InitSpec,
-    use_semantic: bool = True,
-    use_relation: bool = True,
-    weight_source: str = FC_WEIGHTS,
-    normalization: str = ROW_L2,
-    teacher_bundle: ActivationBundle | None = None,
-) -> ProxyScore:
-    """Build the student at random init and score it against the teacher.
-
-    Pass teacher_bundle to reuse one teacher forward across many candidates
-    (the result is identical to recomputing it here).
-    """
-    if teacher_bundle is None:
-        teacher_bundle = teacher.activations(batch.images, batch.labels)
-    student = NetworkInstance(student_desc, space, init)
-    student_bundle = student.activations(batch.images, batch.labels)
-    return diswot_score_from_bundles(
-        teacher_bundle,
-        student_bundle,
-        use_semantic=use_semantic,
-        use_relation=use_relation,
-        weight_source=weight_source,
-        normalization=normalization,
-    )
+    return -total
 
 
 def nwot_from_codes(codes: Tensor, eps: float = 1e-6) -> float:
@@ -193,11 +143,6 @@ def nwot_from_codes(codes: Tensor, eps: float = 1e-6) -> float:
     kernel = kernel + eps * np.eye(b)
     _, logdet = np.linalg.slogdet(kernel)
     return float(logdet)
-
-
-def nwot_score(net: NetworkInstance, batch) -> ProxyScore:
-    """Score a network by the ReLU sign-agreement kernel across the batch."""
-    return ProxyScore("nwot", nwot_from_codes(net.relu_codes(batch.images)), True)
 
 
 def _row_l2_normalize(rows: Tensor) -> Tensor:
@@ -228,7 +173,7 @@ def _kd_kl(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
     return float(_kl_rows(p, log_softmax(zt, axis=1), log_softmax(zs, axis=1)).mean())
 
 
-def _fitnets(t: ActivationBundle, s: ActivationBundle) -> float:
+def _fitnets(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
     ft = t.penultimate_features
     fs = s.penultimate_features
     if fs.shape[1] != ft.shape[1]:
@@ -241,7 +186,7 @@ def _attention_rows(pre_gap: Tensor) -> Tensor:
     return _row_l2_normalize(att.reshape(att.shape[0], -1))
 
 
-def _at(t: ActivationBundle, s: ActivationBundle) -> float:
+def _at(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
     if t.pre_gap_map.shape[2:] != s.pre_gap_map.shape[2:]:
         raise ValueError(
             f"attention maps need equal spatial dims, got {t.pre_gap_map.shape[2:]}"
@@ -251,13 +196,17 @@ def _at(t: ActivationBundle, s: ActivationBundle) -> float:
     return float((diff**2).sum(axis=1).mean())
 
 
+def _sp(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
+    return relation_similarity(t.pre_gap_map, s.pre_gap_map)
+
+
 def _correlation_matrix(features: Tensor) -> Tensor:
     centered = features - features.mean(axis=1, keepdims=True)
     unit = _row_l2_normalize(centered)
     return unit @ unit.T
 
 
-def _cc(t: ActivationBundle, s: ActivationBundle) -> float:
+def _cc(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
     rt = _correlation_matrix(t.penultimate_features)
     rs = _correlation_matrix(s.penultimate_features)
     return matrix_mean_sq_diff(rt, rs)
@@ -269,13 +218,13 @@ def _pairwise_distances(features: Tensor) -> Tensor:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def _rkd(t: ActivationBundle, s: ActivationBundle) -> float:
+def _rkd(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
     dt = _pairwise_distances(t.penultimate_features)
     ds = _pairwise_distances(s.penultimate_features)
     return matrix_mean_sq_diff(dt, ds)
 
 
-def _nst(t: ActivationBundle, s: ActivationBundle) -> float:
+def _nst(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
     if t.pre_gap_map.shape[2:] != s.pre_gap_map.shape[2:]:
         raise ValueError(
             f"channel maps need equal spatial dims, got {t.pre_gap_map.shape[2:]}"
@@ -296,7 +245,7 @@ def _pkt_probabilities(features: Tensor) -> Tensor:
     return k / k.sum(axis=1, keepdims=True)
 
 
-def _pkt(t: ActivationBundle, s: ActivationBundle) -> float:
+def _pkt(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
     pt = _pkt_probabilities(t.penultimate_features)
     ps = _pkt_probabilities(s.penultimate_features)
     logp = np.log(np.maximum(pt, 1e-300))
@@ -304,71 +253,56 @@ def _pkt(t: ActivationBundle, s: ActivationBundle) -> float:
     return float(_kl_rows(pt, logp, logq).mean())
 
 
+# Each distance takes (teacher, student, temperature); only kd_kl reads the
+# temperature.
+_KD_DISTANCES = {
+    "kd_kl": _kd_kl,
+    "fitnets": _fitnets,
+    "at": _at,
+    "sp": _sp,
+    "cc": _cc,
+    "rkd": _rkd,
+    "nst": _nst,
+    "pkt": _pkt,
+}
+KD_KINDS = tuple(_KD_DISTANCES)
+
+
 def kd_distance(
     kind: str,
     teacher: ActivationBundle,
     student: ActivationBundle,
     temperature: float = 1.0,
-) -> ProxyScore:
-    """Distillation-distance proxies, returned as negated distances.
+) -> float:
+    """Distillation-distance proxy of one of KD_KINDS, negated; higher is better.
 
-    kind is one of kd_kl, fitnets, at, sp, cc, rkd, nst, pkt; temperature
-    only affects kd_kl.
+    temperature only affects kd_kl.
     """
     kind = kind.lower()
-    if kind not in KD_KINDS:
+    if kind not in _KD_DISTANCES:
         raise ValueError(f"unknown kd distance kind {kind!r}")
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if teacher.penultimate_features.shape[0] != student.penultimate_features.shape[0]:
         raise ValueError("teacher and student bundles come from different batch sizes")
-    if kind == "kd_kl":
-        dist = _kd_kl(teacher, student, temperature)
-    elif kind == "fitnets":
-        dist = _fitnets(teacher, student)
-    elif kind == "at":
-        dist = _at(teacher, student)
-    elif kind == "sp":
-        dist = relation_similarity(teacher.pre_gap_map, student.pre_gap_map)
-    elif kind == "cc":
-        dist = _cc(teacher, student)
-    elif kind == "rkd":
-        dist = _rkd(teacher, student)
-    elif kind == "nst":
-        dist = _nst(teacher, student)
-    else:
-        dist = _pkt(teacher, student)
-    return ProxyScore(kind, -dist, True)
-
-
-def cost_proxy(kind: str, desc: ArchDescriptor, space: SearchSpace) -> ProxyScore:
-    """params or flops as a (higher-is-better) capacity proxy."""
-    kind = kind.lower()
-    if kind == "params":
-        return ProxyScore("params", float(count_params(desc, space)), True)
-    if kind == "flops":
-        return ProxyScore("flops", float(count_flops(desc, space)), True)
-    raise ValueError(f"unknown cost proxy {kind!r}")
+    return -_KD_DISTANCES[kind](teacher, student, temperature)
 
 
 __all__ = [
-    "GradCamMaps",
-    "SimilarityMatrix",
-    "ProxyScore",
     "ROW_L2",
     "MATRIX_L2",
     "FC_WEIGHTS",
     "FC_WEIGHT_GRADS",
+    "DISWOT",
+    "NWOT",
+    "COST_PROXIES",
     "KD_KINDS",
     "gradcam_maps",
     "similarity_matrix",
     "matrix_mean_sq_diff",
     "semantic_similarity",
     "relation_similarity",
-    "diswot_score",
     "diswot_score_from_bundles",
     "nwot_from_codes",
-    "nwot_score",
     "kd_distance",
-    "cost_proxy",
 ]

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .arch import ArchDescriptor, SearchSpace, arch_id, mutate
-from .metrics import ProxyScore
 from .network import sample_random, satisfies_constraints
 from .rng import stream
 
 # Loop-decision stream id, far above any candidate serial.
 _LOOP_STREAM = 1 << 63
 
-Fitness = Callable[[ArchDescriptor], ProxyScore]
+# Maps a descriptor to a score; higher is better.
+Fitness = Callable[[ArchDescriptor], float]
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class EvoConfig:
     sample_ratio: float
     topk: int
     master_seed: int = 0
-    retry_mutation: bool = False
 
     def __post_init__(self):
         if self.population_size < 1:
@@ -59,25 +58,24 @@ class EvoConfig:
 
 @dataclass
 class SearchState:
-    population: list[tuple[ArchDescriptor, ProxyScore]]
-    history: list[float]
-    best: tuple[ArchDescriptor, ProxyScore]
+    population: list[tuple[ArchDescriptor, float]]
+    best: tuple[ArchDescriptor, float]
     evaluations: int
     log: list[dict] = field(default_factory=list)
 
 
-def get_topk(pool: list[tuple[ArchDescriptor, ProxyScore]], k: int) -> list[tuple[ArchDescriptor, ProxyScore]]:
+def get_topk(pool: list[tuple[ArchDescriptor, float]], k: int) -> list[tuple[ArchDescriptor, float]]:
     """The k highest-scoring members; ties keep earlier pool order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(pool, key=lambda member: -member[1].value)
+    ranked = sorted(pool, key=lambda member: -member[1])
     return ranked[:k]
 
 
-def _log_record(iteration: int, best: tuple[ArchDescriptor, ProxyScore], evaluations: int) -> dict:
+def _log_record(iteration: int, best: tuple[ArchDescriptor, float], evaluations: int) -> dict:
     return {
         "iter": iteration,
-        "best_score": best[1].value,
+        "best_score": best[1],
         "best_arch": arch_id(best[0]),
         "evals": evaluations,
     }
@@ -86,7 +84,7 @@ def _log_record(iteration: int, best: tuple[ArchDescriptor, ProxyScore], evaluat
 def evolve(space: SearchSpace, fitness: Fitness, cfg: EvoConfig) -> SearchState:
     """Run exactly cfg.max_iterations evolution steps; fully seeded."""
     loop_rng = stream(cfg.master_seed, _LOOP_STREAM)
-    population: list[tuple[ArchDescriptor, ProxyScore]] = []
+    population: list[tuple[ArchDescriptor, float]] = []
     evaluations = 0
     serial = 0
 
@@ -97,8 +95,7 @@ def evolve(space: SearchSpace, fitness: Fitness, cfg: EvoConfig) -> SearchState:
         evaluations += 1
         population.append((desc, score))
 
-    best = max(population, key=lambda member: member[1].value)
-    history: list[float] = []
+    best = max(population, key=lambda member: member[1])
     log: list[dict] = []
 
     for iteration in range(cfg.max_iterations):
@@ -111,25 +108,19 @@ def evolve(space: SearchSpace, fitness: Fitness, cfg: EvoConfig) -> SearchState:
         child_rng = stream(cfg.master_seed, serial)
         serial += 1
         child = mutate(parent[0], space, child_rng)
-        if cfg.retry_mutation and not satisfies_constraints(child, space):
-            for _ in range(100):
-                child = mutate(parent[0], space, child_rng)
-                if satisfies_constraints(child, space):
-                    break
 
         if satisfies_constraints(child, space):
             score = fitness(child)
             evaluations += 1
             population.append((child, score))
-            worst = min(range(len(population)), key=lambda i: population[i][1].value)
+            worst = min(range(len(population)), key=lambda i: population[i][1])
             population.pop(worst)
-            if score.value > best[1].value:
+            if score > best[1]:
                 best = (child, score)
 
-        history.append(best[1].value)
         log.append(_log_record(iteration, best, evaluations))
 
-    return SearchState(population, history, best, evaluations, log)
+    return SearchState(population, best, evaluations, log)
 
 
 def random_search(space: SearchSpace, fitness: Fitness, budget: int, seed: int = 0) -> SearchState:
@@ -140,16 +131,14 @@ def random_search(space: SearchSpace, fitness: Fitness, budget: int, seed: int =
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    population: list[tuple[ArchDescriptor, ProxyScore]] = []
-    history: list[float] = []
+    population: list[tuple[ArchDescriptor, float]] = []
     log: list[dict] = []
-    best: tuple[ArchDescriptor, ProxyScore] | None = None
+    best: tuple[ArchDescriptor, float] | None = None
     for serial in range(budget):
         desc = sample_random(space, stream(seed, serial))
         score = fitness(desc)
         population.append((desc, score))
-        if best is None or score.value > best[1].value:
+        if best is None or score > best[1]:
             best = (desc, score)
-        history.append(best[1].value)
         log.append(_log_record(serial, best, serial + 1))
-    return SearchState(population, history, best, budget, log)
+    return SearchState(population, best, budget, log)

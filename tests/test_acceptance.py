@@ -26,8 +26,7 @@ from diswot.cli import main as cli_main
 from diswot.data import ScoreRow, write_scores_csv
 from diswot.kernels import fc_weight_grad, global_avg_pool
 from diswot.metrics import (
-    ProxyScore,
-    cost_proxy,
+    COST_PROXIES,
     gradcam_maps,
     kd_distance,
     relation_similarity,
@@ -186,7 +185,7 @@ def test_04_metrics_match_brute_force():
             "pkt": oracles.pkt_naive(t.penultimate_features, s.penultimate_features),
         }
         for kind, want in wanted.items():
-            check(-kd_distance(kind, t, s, temperature=rho).value, want)
+            check(-kd_distance(kind, t, s, temperature=rho), want)
 
     _report(
         f"PASS 04 similarity metrics vs brute force: "
@@ -263,8 +262,8 @@ def test_05_invariance_fuzzing():
             s.fc_weight,
             s.fc_weight_grad,
         )
-        before = kd_distance("kd_kl", t, s, temperature=rho).value
-        after = kd_distance("kd_kl", t2, s2, temperature=rho).value
+        before = kd_distance("kd_kl", t, s, temperature=rho)
+        after = kd_distance("kd_kl", t2, s2, temperature=rho)
         if not math.isclose(before, after, rel_tol=1e-9, abs_tol=1e-12):
             failures["shift_kd"] += 1
 
@@ -280,7 +279,7 @@ def test_05_invariance_fuzzing():
             s_bundle = ActivationBundle(
                 features, t.pre_gap_map, t.logits, t.fc_weight, t.fc_weight_grad
             )
-            return kd_distance("rkd", t, s_bundle).value
+            return kd_distance("rkd", t, s_bundle)
 
         before = rkd_against(fs)
         after = rkd_against(moved)
@@ -304,18 +303,18 @@ def test_06_evolution_recovers_exhaustive_optimum():
 
     for kind in ("params", "flops"):
         def fitness(desc, kind=kind):
-            return ProxyScore(f"-{kind}", -cost_proxy(kind, desc, space).value, True)
+            return -float(COST_PROXIES[kind](desc, space))
 
-        optimum = max(fitness(d).value for d in enumerate_s0())
+        optimum = max(fitness(d) for d in enumerate_s0())
         for seed in range(10):
             cfg = EvoConfig(
                 population_size=16, max_iterations=500, sample_ratio=0.5, topk=5, master_seed=seed
             )
             state = evolve(space, fitness, cfg)
-            assert state.best[1].value == optimum, (kind, seed, state.best)
+            assert state.best[1] == optimum, (kind, seed, state.best)
 
     def neg_params(desc):
-        return ProxyScore("-params", -cost_proxy("params", desc, space).value, True)
+        return -float(COST_PROXIES["params"](desc, space))
 
     evo_best, rand_best = [], []
     for seed in range(100, 120):
@@ -324,8 +323,8 @@ def test_06_evolution_recovers_exhaustive_optimum():
         )
         state = evolve(space, neg_params, cfg)
         paired = random_search(space, neg_params, budget=state.evaluations, seed=seed)
-        evo_best.append(state.best[1].value)
-        rand_best.append(paired.best[1].value)
+        evo_best.append(state.best[1])
+        rand_best.append(paired.best[1])
     assert statistics.median(evo_best) >= statistics.median(rand_best)
 
     elapsed = time.perf_counter() - start

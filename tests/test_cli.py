@@ -9,7 +9,6 @@ from diswot import cli
 from diswot.arch import S0Depths, arch_id, enumerate_s0, s0_space
 from diswot.cli import main
 from diswot.data import read_scores_csv
-from diswot.metrics import ProxyScore
 from diswot.network import count_params
 
 
@@ -107,6 +106,15 @@ def test_score_missing_arch_flag_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_score_jobs_below_one_exit_2(tmp_path, jobs):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--jobs", jobs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_score_bad_data_path_exit_1(tmp_path, capsys):
     code = run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "diswot",
                 "--data", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "x.csv")])
@@ -139,7 +147,7 @@ def test_score_config_echo_excludes_jobs(tmp_path):
 
 
 def test_score_rejects_non_finite_value(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "nwot_score", lambda student, batch: ProxyScore("nwot", float("nan"), True))
+    monkeypatch.setattr(cli, "nwot_from_codes", lambda codes: float("nan"))
     out = tmp_path / "x.csv"
     code = run(["score", "--space", "s0", "--arch", "1-3-5", "--proxy", "nwot",
                 "--batch-size", "2", "--out", str(out)])

@@ -8,12 +8,11 @@ from diswot.data import synth_batch
 from diswot.kernels import fc_weight_grad, global_avg_pool
 from diswot.metrics import (
     KD_KINDS,
-    diswot_score,
     diswot_score_from_bundles,
     gradcam_maps,
     kd_distance,
     matrix_mean_sq_diff,
-    nwot_score,
+    nwot_from_codes,
     relation_similarity,
     semantic_similarity,
     similarity_matrix,
@@ -59,7 +58,7 @@ def test_gradcam_zero_activations():
         fc_weight_grad=bundle.fc_weight_grad,
     )
     maps = gradcam_maps(zeroed)
-    np.testing.assert_array_equal(maps.maps, np.zeros_like(maps.maps))
+    np.testing.assert_array_equal(maps, np.zeros_like(maps))
 
 
 def test_gradcam_one_hot_selects_channel():
@@ -75,7 +74,7 @@ def test_gradcam_one_hot_selects_channel():
         fc_weight_grad=w,
     )
     maps = gradcam_maps(bundle)
-    np.testing.assert_allclose(maps.maps[0], pre_gap.mean(axis=0)[2].reshape(-1), atol=1e-12)
+    np.testing.assert_allclose(maps[0], pre_gap.mean(axis=0)[2].reshape(-1), atol=1e-12)
 
 
 def test_gradcam_linear_in_weights():
@@ -94,16 +93,16 @@ def test_gradcam_linear_in_weights():
             fc_weight_grad=w,
         )
 
-    m1 = gradcam_maps(with_weight(w1)).maps
-    m2 = gradcam_maps(with_weight(w2)).maps
-    m12 = gradcam_maps(with_weight(w1 + w2)).maps
+    m1 = gradcam_maps(with_weight(w1))
+    m2 = gradcam_maps(with_weight(w2))
+    m12 = gradcam_maps(with_weight(w1 + w2))
     np.testing.assert_allclose(m12, m1 + m2, atol=1e-12)
 
 
 def test_gradcam_matches_oracle():
     rng = RNG(3)
     bundle = make_bundle(rng, b=3, c=5, hw=2, n=4)
-    got = gradcam_maps(bundle).maps
+    got = gradcam_maps(bundle)
     want = oracles.gradcam_naive(bundle.pre_gap_map, bundle.fc_weight)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -113,11 +112,9 @@ def test_gradcam_grad_source():
     bundle = make_bundle(rng)
     maps_w = gradcam_maps(bundle, weight_source="fc_weights")
     maps_g = gradcam_maps(bundle, weight_source="fc_weight_grads")
-    assert maps_w.source == "fc_weights"
-    assert maps_g.source == "fc_weight_grads"
-    assert not np.allclose(maps_w.maps, maps_g.maps)
+    assert not np.allclose(maps_w, maps_g)
     want = oracles.gradcam_naive(bundle.pre_gap_map, bundle.fc_weight_grad)
-    np.testing.assert_allclose(maps_g.maps, want, atol=1e-12)
+    np.testing.assert_allclose(maps_g, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +129,7 @@ def test_semantic_hand_example():
 
 
 def gradcam_like(rows):
-    from diswot.metrics import GradCamMaps
-
-    return GradCamMaps(maps=np.asarray(rows, dtype=np.float64), source="fc_weights")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def test_semantic_identical_is_zero():
@@ -178,7 +173,7 @@ def test_relation_batch_mismatch():
 def test_similarity_matrix_row_l2_unit_rows():
     rng = RNG(11)
     sm = similarity_matrix(rng.standard_normal((5, 7)))
-    norms = np.sqrt((sm.gram ** 2).sum(axis=1))
+    norms = np.sqrt((sm ** 2).sum(axis=1))
     np.testing.assert_allclose(norms, np.ones(5), atol=1e-12)
 
 
@@ -186,7 +181,7 @@ def test_similarity_matrix_zero_row_stays_zero():
     rows = np.zeros((3, 4))
     rows[0] = [1.0, 0.0, 0.0, 0.0]
     sm = similarity_matrix(rows)
-    np.testing.assert_array_equal(sm.gram[1], np.zeros(3))
+    np.testing.assert_array_equal(sm[1], np.zeros(3))
 
 
 def test_matrix_l2_normalization_scale_invariant():
@@ -259,7 +254,7 @@ def test_kd_distance_oracle_agreement_100_bundles():
         t = make_bundle(rng, b=b, c=ct, hw=hw, n=n)
         s = make_bundle(rng, b=b, c=cs, hw=hw, n=n)
 
-        got = {k: -kd_distance(k, t, s, rho).value for k in KD_KINDS}
+        got = {k: -kd_distance(k, t, s, rho) for k in KD_KINDS}
 
         proj = None if cs == ct else _fitnets_projection(cs, ct)
         want = {
@@ -284,9 +279,7 @@ def test_kd_distance_zero_on_identical_bundles():
     rng = RNG(15)
     t = make_bundle(rng, b=3, c=4, hw=2, n=5)
     for kind in KD_KINDS:
-        score = kd_distance(kind, t, t, 2.0)
-        assert score.value == pytest.approx(0.0, abs=1e-12), kind
-        assert score.higher_is_better
+        assert kd_distance(kind, t, t, 2.0) == pytest.approx(0.0, abs=1e-12), kind
 
 
 def test_kd_kl_shift_invariance():
@@ -300,7 +293,7 @@ def test_kd_kl_shift_invariance():
         fc_weight=t.fc_weight,
         fc_weight_grad=t.fc_weight_grad,
     )
-    assert kd_distance("kd_kl", t, shifted, 4.0).value == pytest.approx(0.0, abs=1e-10)
+    assert kd_distance("kd_kl", t, shifted, 4.0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_rkd_isometry_invariance():
@@ -314,7 +307,7 @@ def test_rkd_isometry_invariance():
         fc_weight=t.fc_weight,
         fc_weight_grad=t.fc_weight_grad,
     )
-    assert kd_distance("rkd", t, rotated, 1.0).value == pytest.approx(0.0, abs=1e-10)
+    assert kd_distance("rkd", t, rotated, 1.0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_kd_distance_validation():
@@ -345,14 +338,12 @@ def test_nwot_matches_naive_kernel():
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 1, 1), space, InitSpec(seed=0))
     batch = synth_batch(4, 3, 32, 32, 100, seed=0)
-    got = nwot_score(net, batch).value
     codes = net.relu_codes(batch.images)
+    got = nwot_from_codes(codes)
     assert got == pytest.approx(oracles.nwot_naive(codes), abs=1e-8)
 
 
 def test_nwot_complementary_codes_closed_form():
-    from diswot.metrics import nwot_from_codes
-
     u = 10
     codes = np.zeros((2, u), dtype=bool)
     codes[0, :] = True
@@ -361,8 +352,6 @@ def test_nwot_complementary_codes_closed_form():
 
 
 def test_nwot_duplicate_samples_score_below_distinct():
-    from diswot.metrics import nwot_from_codes
-
     u = 12
     dup = np.zeros((2, u), dtype=bool)
     dup[:, :6] = True  # identical codes: singular kernel
@@ -380,8 +369,6 @@ def _nwot_two_product(codes, eps=1e-6):
 
 
 def test_nwot_kernel_exact_against_two_product_formula():
-    from diswot.metrics import nwot_from_codes
-
     rng = np.random.default_rng(13)
     for trial in range(60):
         b = int(rng.integers(2, 9))
@@ -401,12 +388,9 @@ def test_nwot_sample_order_invariance():
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 3, 1), space, InitSpec(seed=1))
     batch = synth_batch(5, 3, 32, 32, 100, seed=1)
-    base = nwot_score(net, batch).value
+    base = nwot_from_codes(net.relu_codes(batch.images))
     perm = np.random.default_rng(2).permutation(5)
-    images = batch.images[perm]
-    codes = net.relu_codes(images)
-    from diswot.metrics import nwot_from_codes
-
+    codes = net.relu_codes(batch.images[perm])
     assert nwot_from_codes(codes) == pytest.approx(base, abs=1e-8)
 
 
@@ -419,10 +403,10 @@ def test_diswot_zero_for_identical_twin():
     batch = synth_batch(4, 3, 32, 32, 100, seed=3)
     init = InitSpec(seed=5)
     teacher = NetworkInstance(S0Depths(3, 3, 3), space, init)
-    score = diswot_score(teacher, S0Depths(3, 3, 3), space, batch, init)
-    assert score.value == pytest.approx(0.0, abs=1e-12)
-    assert score.higher_is_better
-    assert score.proxy_name == "diswot"
+    twin = NetworkInstance(S0Depths(3, 3, 3), space, init)
+    t_bundle = teacher.activations(batch.images, batch.labels)
+    s_bundle = twin.activations(batch.images, batch.labels)
+    assert diswot_score_from_bundles(t_bundle, s_bundle) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_diswot_relation_only_composition():
@@ -432,9 +416,9 @@ def test_diswot_relation_only_composition():
     full = diswot_score_from_bundles(t, s)
     ms_only = diswot_score_from_bundles(t, s, use_relation=False)
     mr_only = diswot_score_from_bundles(t, s, use_semantic=False)
-    assert full.value == pytest.approx(ms_only.value + mr_only.value, abs=1e-12)
+    assert full == pytest.approx(ms_only + mr_only, abs=1e-12)
     mr = relation_similarity(t.pre_gap_map, s.pre_gap_map)
-    assert mr_only.value == pytest.approx(-mr, abs=1e-15)
+    assert mr_only == pytest.approx(-mr, abs=1e-15)
     with pytest.raises(ValueError):
         diswot_score_from_bundles(t, s, use_semantic=False, use_relation=False)
 
@@ -460,7 +444,7 @@ def test_diswot_exhaustive_argmax_is_stable():
             for d2 in (1, 7):
                 net = NetworkInstance(S0Depths(d1, d2, 1), space, init)
                 sb = net.activations(batch.images, batch.labels)
-                vals.append(diswot_score_from_bundles(tb, sb).value)
+                vals.append(diswot_score_from_bundles(tb, sb))
         return vals
 
     a = run_once()

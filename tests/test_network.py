@@ -27,7 +27,7 @@ from diswot.arch import (
     with_constraints,
 )
 from diswot.data import synth_batch
-from diswot.metrics import diswot_score_from_bundles, kd_distance, nwot_score
+from diswot.metrics import diswot_score_from_bundles, kd_distance, nwot_from_codes
 from diswot.network import (
     NetworkInstance,
     count_flops,
@@ -265,25 +265,34 @@ def _s2(*stages):
     return S2Config(16, tuple(S2Stage(*st) for st in stages))
 
 
-# (diswot, nwot, cc, params, flops) at batch 4, seed 0, against the space's
-# max descriptor as teacher. Recorded with the earlier nested layer-object
-# network code, so they pin the op plan to the same weight-stream order,
-# ReLU-code order and cell summation order.
+# (diswot, nwot, cc, params, flops, *EXACT_KD) at batch 4, seed 0, against
+# the space's max descriptor as teacher. The first five were recorded with the
+# earlier nested layer-object network code, so they pin the op plan to the
+# same weight-stream order, ReLU-code order and cell summation order. The KD
+# distances were recorded through the if/elif dispatch of kd_distance that
+# the name-to-function table replaced.
+EXACT_KD = ("kd_kl", "fitnets", "at", "sp", "rkd", "nst", "pkt")
 EXACT = [
     (s0_space, S0Depths(1, 3, 5),
-     (-0.020646710272948544, 45.979143821444936, -0.12928238923979762, 416948, 326551552)),
+     (-0.020646710272948544, 45.979143821444936, -0.12928238923979762, 416948, 326551552,
+      -5.966526090861178, -0.17789705545288598, -0.12083369106270986, -0.0011088103092201976, -2.1966601550482006, -0.018482784776087946, -8.641888827988892e-06)),
     (nb201_space, parse_nb201("|none~0|+|skip_connect~0|avg_pool_3x3~1|+|nor_conv_1x1~0|nor_conv_3x3~1|none~2|"),
-     (-0.12881991433501466, 44.988689124518416, -0.03100511140565368, 181914, 188093440)),
+     (-0.12881991433501466, 44.988689124518416, -0.03100511140565368, 181914, 188093440,
+      -0.14317286251647396, -0.008743105991456564, -0.3815389634223747, -0.003380515551560239, -0.01040611241533632, -0.043159208156335616, -6.6356326224003e-06)),
     (nb201_space, parse_nb201("|skip_connect~0|+|nor_conv_3x3~0|none~1|+|avg_pool_3x3~0|skip_connect~1|nor_conv_1x1~2|"),
-     (-0.1291257568086392, 46.19006109650968, -0.16782076007378816, 181914, 188093440)),
+     (-0.1291257568086392, 46.19006109650968, -0.16782076007378816, 181914, 188093440,
+      -0.15372853609123552, -0.02532373907840313, -0.317158681253073, -0.003684371909501795, -1.0074259618569965, -0.038649378745845814, -0.0007491487841685949)),
     (nb201_space, parse_nb201("|avg_pool_3x3~0|+|none~0|nor_conv_1x1~1|+|skip_connect~0|avg_pool_3x3~1|skip_connect~2|"),
-     (-0.1186339233345251, 43.68452851208152, -0.04796165262071144, 84698, 74847232)),
+     (-0.1186339233345251, 43.68452851208152, -0.04796165262071144, 84698, 74847232,
+      -0.41217840757217317, -0.054877974763027026, -0.4210719824445561, -0.006732135777583571, -3.5739000087834754, -0.048051293743846396, -0.00302937327330193)),
     (s2_cifar_space, _s2(("basic", 3, 16, 1, 1), ("basic", 3, 32, 1, 2), ("basic", 5, 32, 1, 1),
                          ("basic", 3, 64, 1, 2), ("basic", 3, 64, 1, 2), ("basic", 7, 128, 1, 1)),
-     (-0.14119504284072704, 44.61208117534215, -0.008915025694162979, 1421402, 370026496)),
+     (-0.14119504284072704, 44.61208117534215, -0.008915025694162979, 1421402, 370026496,
+      -0.4829341132310774, -1.4846788485981073, -0.06671016749235943, -0.012765713944084035, -1.9770738907743226, -0.016619861414406856, -6.058039452649126e-05)),
     (s2_cifar_space, _s2(("bottleneck", 3, 16, 2, 1), ("basic", 5, 24, 1, 2), ("bottleneck", 3, 32, 1, 1),
                          ("bottleneck", 7, 48, 1, 2), ("basic", 3, 64, 2, 2), ("bottleneck", 5, 96, 1, 1)),
-     (-0.14909591842786182, 45.46462553283066, -0.031490036282239495, 206314, 97476096)),
+     (-0.14909591842786182, 45.46462553283066, -0.031490036282239495, 206314, 97476096,
+      -1.1569694111572661, -1.4795263610563996, -0.18931149763867278, -0.02167353722939237, -2.0878007365390285, -0.029401195455962453, -0.00016881136428899322)),
 ]
 
 
@@ -299,11 +308,12 @@ def _exact_values() -> list[list]:
         net = NetworkInstance(desc, space, InitSpec(seed=0))
         bundle = net.activations(batch.images, batch.labels)
         out.append([
-            diswot_score_from_bundles(teachers[make_space], bundle).value,
-            nwot_score(net, batch).value,
-            kd_distance("cc", teachers[make_space], bundle).value,
+            diswot_score_from_bundles(teachers[make_space], bundle),
+            nwot_from_codes(net.relu_codes(batch.images)),
+            kd_distance("cc", teachers[make_space], bundle),
             count_params(desc, space),
             count_flops(desc, space, (4, 3, 32, 32)),
+            *(kd_distance(kind, teachers[make_space], bundle) for kind in EXACT_KD),
         ])
     return out
 
@@ -363,6 +373,6 @@ def test_proxies_finite_for_sampled_descriptors(finite_teachers, name, seed):
     desc = sample_random(space, stream(seed, 0))
     net = NetworkInstance(desc, space, InitSpec(seed=seed))
     bundle = net.activations(batch.images, batch.labels)
-    assert np.isfinite(diswot_score_from_bundles(teacher_bundle, bundle).value)
-    assert np.isfinite(nwot_score(net, batch).value)
-    assert np.isfinite(kd_distance("cc", teacher_bundle, bundle).value)
+    assert np.isfinite(diswot_score_from_bundles(teacher_bundle, bundle))
+    assert np.isfinite(nwot_from_codes(net.relu_codes(batch.images)))
+    assert np.isfinite(kd_distance("cc", teacher_bundle, bundle))

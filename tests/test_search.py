@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from diswot.arch import Constraints, S0Depths, enumerate_s0, s0_space, with_constraints
-from diswot.metrics import ProxyScore
 from diswot.network import count_params, satisfies_constraints
 from diswot.search import EvoConfig, evolve, get_topk, random_search
 
 
 def neg_params_fitness(space):
     def fitness(desc):
-        return ProxyScore("-params", -float(count_params(desc, space)), True)
+        return -float(count_params(desc, space))
 
     return fitness
 
@@ -22,7 +21,7 @@ def exhaustive_optimum(space, fitness):
         if not satisfies_constraints(desc, space):
             continue
         score = fitness(desc)
-        if best is None or score.value > best[1].value:
+        if best is None or score > best[1]:
             best = (desc, score)
     return best
 
@@ -32,27 +31,24 @@ def exhaustive_optimum(space, fitness):
 
 
 def test_topk_stable_tie_break():
-    pool = [("a", ProxyScore("f", 3.0, True)),
-            ("b", ProxyScore("f", 1.0, True)),
-            ("c", ProxyScore("f", 3.0, True)),
-            ("d", ProxyScore("f", 2.0, True))]
+    pool = [("a", 3.0), ("b", 1.0), ("c", 3.0), ("d", 2.0)]
     top = get_topk(pool, 2)
     assert [t[0] for t in top] == ["a", "c"]
 
 
 def test_topk_whole_pool_sorted():
-    pool = [(i, ProxyScore("f", v, True)) for i, v in enumerate([1.0, 5.0, 3.0])]
+    pool = list(enumerate([1.0, 5.0, 3.0]))
     top = get_topk(pool, 3)
-    assert [t[1].value for t in top] == [5.0, 3.0, 1.0]
+    assert [t[1] for t in top] == [5.0, 3.0, 1.0]
 
 
 def test_topk_k1_is_argmax():
-    pool = [(i, ProxyScore("f", v, True)) for i, v in enumerate([1.0, 5.0, 3.0])]
+    pool = list(enumerate([1.0, 5.0, 3.0]))
     assert get_topk(pool, 1)[0][0] == 1
 
 
 def test_topk_small_pool_returns_all():
-    pool = [(0, ProxyScore("f", 1.0, True))]
+    pool = [(0, 1.0)]
     assert len(get_topk(pool, 10)) == 1
 
 
@@ -89,16 +85,17 @@ def test_evolve_finds_exhaustive_optimum():
     best_desc, best_score = state.best
     want_desc, want_score = exhaustive_optimum(space, fitness)
     assert best_desc == want_desc == S0Depths(1, 1, 1)
-    assert best_score.value == want_score.value
+    assert best_score == want_score
 
 
 def test_evolve_history_monotone_and_sized():
     space = s0_space()
     cfg = EvoConfig(population_size=8, max_iterations=50, sample_ratio=0.5, topk=3, master_seed=11)
     state = evolve(space, neg_params_fitness(space), cfg)
-    assert len(state.history) == 50
-    assert all(b >= a for a, b in zip(state.history, state.history[1:]))
-    assert state.history[-1] == state.best[1].value
+    best_scores = [rec["best_score"] for rec in state.log]
+    assert len(best_scores) == 50
+    assert all(b >= a for a, b in zip(best_scores, best_scores[1:]))
+    assert best_scores[-1] == state.best[1]
 
 
 def test_evolve_determinism():
@@ -107,7 +104,7 @@ def test_evolve_determinism():
     a = evolve(space, neg_params_fitness(space), cfg)
     b = evolve(space, neg_params_fitness(space), cfg)
     assert a.best[0] == b.best[0]
-    assert a.history == b.history
+    assert a.log == b.log
     assert [p[0] for p in a.population] == [p[0] for p in b.population]
 
 
@@ -134,7 +131,7 @@ def test_evolve_maximizing_fitness_respects_cap():
     space = with_constraints(s0_space(), Constraints(max_params=500_000))
 
     def fitness(desc):
-        return ProxyScore("params", float(count_params(desc, space)), True)
+        return float(count_params(desc, space))
 
     cfg = EvoConfig(population_size=16, max_iterations=400, sample_ratio=0.5, topk=5, master_seed=13)
     state = evolve(space, fitness, cfg)
@@ -142,19 +139,8 @@ def test_evolve_maximizing_fitness_respects_cap():
         (count_params(d, space) for d in enumerate_s0() if count_params(d, space) <= 500_000),
         reverse=True,
     )
-    assert state.best[1].value <= 500_000
-    assert state.best[1].value >= feasible[2]
-
-
-def test_evolve_retry_mutation_mode():
-    space = with_constraints(s0_space(), Constraints(max_params=300_000))
-    cfg = EvoConfig(
-        population_size=8, max_iterations=40, sample_ratio=0.5, topk=3,
-        master_seed=5, retry_mutation=True,
-    )
-    state = evolve(space, neg_params_fitness(space), cfg)
-    for desc, _ in state.population:
-        assert count_params(desc, space) <= 300_000
+    assert state.best[1] <= 500_000
+    assert state.best[1] >= feasible[2]
 
 
 def test_evolve_log_records():
@@ -164,7 +150,7 @@ def test_evolve_log_records():
     assert len(state.log) == 10
     rec = state.log[0]
     assert set(rec) == {"iter", "best_score", "best_arch", "evals"}
-    assert state.log[-1]["best_score"] == state.best[1].value
+    assert state.log[-1]["best_score"] == state.best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +161,8 @@ def test_random_search_budget_one():
     space = s0_space()
     state = random_search(space, neg_params_fitness(space), budget=1, seed=0)
     assert state.evaluations == 1
-    assert len(state.history) == 1
-    assert state.best[1].value == state.history[0]
+    assert len(state.log) == 1
+    assert state.best[1] == state.log[0]["best_score"]
 
 
 def test_random_search_large_budget_finds_optimum():
@@ -190,7 +176,7 @@ def test_random_search_determinism():
     a = random_search(space, neg_params_fitness(space), budget=50, seed=9)
     b = random_search(space, neg_params_fitness(space), budget=50, seed=9)
     assert a.best[0] == b.best[0]
-    assert a.history == b.history
+    assert a.log == b.log
 
 
 def test_random_search_budget_validation():
@@ -207,6 +193,6 @@ def test_evolve_beats_or_ties_random_at_equal_budget():
         cfg = EvoConfig(population_size=16, max_iterations=84, sample_ratio=0.5, topk=5, master_seed=seed)
         state = evolve(space, fitness, cfg)
         paired = random_search(space, fitness, budget=state.evaluations, seed=seed)
-        evo_best.append(state.best[1].value)
-        rand_best.append(paired.best[1].value)
+        evo_best.append(state.best[1])
+        rand_best.append(paired.best[1])
     assert np.median(evo_best) >= np.median(rand_best)
