@@ -225,10 +225,6 @@ def make_space(kind: str, **kwargs) -> SearchSpace:
     return factory(**kwargs)
 
 
-def with_constraints(space: SearchSpace, constraints: Constraints) -> SearchSpace:
-    return replace(space, constraints=constraints)
-
-
 # ---------------------------------------------------------------------------
 # NB201 string format
 

@@ -46,7 +46,7 @@ from .metrics import (
     kd_distance,
     nwot_from_codes,
 )
-from .network import NetworkInstance
+from .network import NetworkInstance, PrefixCache
 from .rankstats import MissingArchError, evaluate_proxy, format_report_table
 from .rng import InitSpec, derive_seed, stream
 from .search import EvoConfig, evolve, random_search
@@ -177,23 +177,39 @@ def _needs_teacher(proxies) -> bool:
 
 
 def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relation: bool):
-    """Return a function mapping a descriptor to {proxy: value} at this seed.
+    """Return (scorer, caches) at this seed.
 
-    The batch and the teacher forward are made once, here, and only when a
-    requested proxy needs them. Each call builds the student once; nwot runs
-    its own forward and the teacher-based proxies share one activation
-    bundle. A non-finite value raises ValueError naming the proxy and the
-    architecture.
+    scorer(desc, cache) maps a descriptor to {proxy: value}. caches is an
+    endless iterator of PrefixCache objects over the batch (None when no
+    proxy runs a forward); the first one holds the teacher's forward. Give
+    each thread its own and pass it to every call the thread makes, in
+    order, so that a student resumes from the stage-boundary activations of
+    the network scored before it. ReLU codes are recorded only when nwot is
+    requested, and then the nwot forward is a full cache hit on the
+    student's own activations. The batch and the teacher forward are made
+    once, here, and only when a requested proxy needs them. Each call builds
+    the student once. A non-finite value raises ValueError naming the proxy
+    and the architecture.
     """
     needs_teacher = _needs_teacher(proxies)
     batch = _make_batch(args, space, seed) if needs_teacher or NWOT in proxies else None
     init = _init_spec(args, seed)
+
+    def new_cache():
+        return None if batch is None else PrefixCache(batch.images, init, record_codes=NWOT in proxies)
+
+    def caches():
+        yield first
+        while True:
+            yield new_cache()
+
+    first = new_cache()
     teacher_bundle = None
     if needs_teacher:
         teacher = NetworkInstance(_resolve_teacher(space, args.teacher), space, init)
-        teacher_bundle = teacher.activations(batch.images, batch.labels)
+        teacher_bundle = teacher.activations(batch.images, batch.labels, cache=first)
 
-    def scorer(desc) -> dict[str, float]:
+    def scorer(desc, cache) -> dict[str, float]:
         out = {}
         student = None
         bundle = None
@@ -204,10 +220,10 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
             if student is None:
                 student = NetworkInstance(desc, space, init)
             if proxy == NWOT:
-                out[proxy] = nwot_from_codes(student.relu_codes(batch.images))
+                out[proxy] = nwot_from_codes(student.relu_codes(batch.images, cache=cache))
                 continue
             if bundle is None:
-                bundle = student.activations(batch.images, batch.labels)
+                bundle = student.activations(batch.images, batch.labels, cache=cache)
             if proxy == DISWOT:
                 out[proxy] = diswot_score_from_bundles(
                     teacher_bundle,
@@ -224,7 +240,7 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
                 raise ValueError(f"proxy {proxy} gave {value} for architecture {arch_id(desc)}")
         return out
 
-    return scorer
+    return scorer, caches()
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +259,21 @@ def cmd_score(args, parser) -> int:
 
     teacher_desc = _resolve_teacher(space, args.teacher) if _needs_teacher(proxies) else None
 
+    def score_run(scorer, descs, cache):
+        return [scorer(desc, cache) for desc in descs]
+
     by_seed: dict[int, list[dict[str, float]]] = {}
     for seed in seeds:
-        scorer = _make_scorer(args, space, seed, proxies, not args.relation_only, not args.semantic_only)
+        scorer, caches = _make_scorer(args, space, seed, proxies, not args.relation_only, not args.semantic_only)
         if args.jobs > 1:
+            # Each thread scores one contiguous run of archs through its own
+            # cache, so neighbours that share a prefix stay together.
+            bounds = [len(archs) * i // args.jobs for i in range(args.jobs + 1)]
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                by_seed[seed] = list(pool.map(scorer, archs))
+                runs = [pool.submit(score_run, scorer, archs[a:b], next(caches)) for a, b in zip(bounds, bounds[1:])]
+                by_seed[seed] = [out for run in runs for out in run.result()]
         else:
-            by_seed[seed] = [scorer(desc) for desc in archs]
+            by_seed[seed] = score_run(scorer, archs, next(caches))
 
     rows = [
         ScoreRow(arch_id(desc), proxy, by_seed[seed][index][proxy], True, seed)
@@ -286,7 +309,8 @@ def cmd_search(args, parser) -> int:
     name = args.fitness
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
-    scorer = _make_scorer(args, space, seed, [name], use_semantic=True, use_relation=True)
+    scorer, caches = _make_scorer(args, space, seed, [name], use_semantic=True, use_relation=True)
+    cache = next(caches)
     # Weights depend only on the descriptor's plan and the init seed, so the
     # fitness is a pure function of the descriptor and a memo is exact.
     memo: dict[str, float] = {}
@@ -294,7 +318,7 @@ def cmd_search(args, parser) -> int:
     def fitness(desc):
         key = arch_id(desc)
         if key not in memo:
-            memo[key] = sign * scorer(desc)[name]
+            memo[key] = sign * scorer(desc, cache)[name]
         return memo[key]
 
     if args.strategy == "evo":

@@ -179,23 +179,6 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
-def softmax_cross_entropy(logits: Tensor, labels: Tensor) -> float:
-    """Mean cross-entropy of integer labels under softmax(logits).
-
-    logits [B,N], labels int [B] with values in [0, N).
-    """
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be [B,N], got shape {logits.shape}")
-    b, n = logits.shape
-    labels = np.asarray(labels)
-    if labels.shape != (b,):
-        raise ValueError(f"labels must have shape ({b},)")
-    if labels.min() < 0 or labels.max() >= n:
-        raise ValueError(f"labels must lie in [0, {n})")
-    logp = log_softmax(logits, axis=1)
-    return float(-logp[np.arange(b), labels].mean())
-
-
 def fc_weight_grad(features: Tensor, logits: Tensor, labels: Tensor) -> Tensor:
     """Gradient of mean softmax cross-entropy w.r.t. the classifier weight.
 

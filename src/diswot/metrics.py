@@ -28,6 +28,9 @@ NWOT = "nwot"
 # Capacity proxies: (descriptor, space) -> int count.
 COST_PROXIES = {"params": count_params, "flops": count_flops}
 
+# Size of the float64 copy of one column chunk of ReLU codes in nwot_from_codes.
+_NWOT_CHUNK_BYTES = 8 << 20
+
 # Stream key for the fixed FitNets feature projection; spells "FitS".
 _FITNETS_ALIGN_SEED = 0x46697453
 
@@ -132,14 +135,20 @@ def nwot_from_codes(codes: Tensor, eps: float = 1e-6) -> float:
     K[i, j] counts the units where samples i and j are both active or both
     inactive; eps regularizes rank-deficient kernels (duplicate codes).
     With n_i active units in row i, that count is U - n_i - n_j + 2 A_i.A_j.
-    Every term is an integer below 2**53, so the kernel is exact.
+    Every term and every partial sum is an integer below 2**53, so the kernel
+    is exact, and summing A.A^T over column chunks of _NWOT_CHUNK_BYTES
+    float64 bytes gives the same bits as one product.
     """
     b, units = codes.shape
     if b < 2:
         raise ValueError("nwot needs a batch of at least 2 samples")
-    active = codes.astype(np.float64)
-    n_active = active.sum(axis=1)
-    kernel = units - n_active[:, None] - n_active[None, :] + 2.0 * (active @ active.T)
+    n_active = np.count_nonzero(codes, axis=1).astype(np.float64)
+    agree = np.zeros((b, b))
+    step = max(1, _NWOT_CHUNK_BYTES // (8 * b))
+    for start in range(0, units, step):
+        active = codes[:, start:start + step].astype(np.float64)
+        agree += active @ active.T
+    kernel = units - n_active[:, None] - n_active[None, :] + 2.0 * agree
     kernel = kernel + eps * np.eye(b)
     _, logdet = np.linalg.slogdet(kernel)
     return float(logdet)

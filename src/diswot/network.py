@@ -26,8 +26,12 @@ a block's body convs precede its shortcut, a cell's edges follow string
 order. Identical (descriptor, InitSpec) pairs therefore always carry
 bit-identical weights.
 
-Each op also lists the slots it was the last reader of; the forward drops
-them once it has run, so only live activations are held.
+The forward drops each slot once its last reader has run, so only live
+activations are held.
+
+A forward given a PrefixCache resumes from the stage-boundary activations
+of the previous forward through that cache, where the two plans share a
+prefix, and draws conv weights only for the ops it runs.
 """
 
 from __future__ import annotations
@@ -84,7 +88,6 @@ class _Op(NamedTuple):
     hw: tuple[int, int]         # spatial size of the slot written, per sample
     shape: tuple[int, ...] = ()  # conv: weight (cout, cin, k, k); bn: (channels,)
     stride: int = 1
-    frees: tuple[int, ...] = ()  # slots this op reads for the last time
 
 
 class _PlanBuilder:
@@ -148,15 +151,17 @@ class _PlanBuilder:
             nodes.append(total)
         return nodes[3]
 
-    def finish(self) -> tuple[_Op, ...]:
-        last_reader: dict[int, int] = {}
-        for i, op in enumerate(self.ops):
-            for slot in op.ins:
-                last_reader[slot] = i
-        frees: list[list[int]] = [[] for _ in self.ops]
-        for slot, i in last_reader.items():
-            frees[i].append(slot)
-        return tuple(op._replace(frees=tuple(f)) for op, f in zip(self.ops, frees))
+
+def _last_reads(plan: tuple[_Op, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per op, the slots it reads for the last time."""
+    last_reader: dict[int, int] = {}
+    for i, op in enumerate(plan):
+        for slot in op.ins:
+            last_reader[slot] = i
+    frees: list[list[int]] = [[] for _ in plan]
+    for slot, i in last_reader.items():
+        frees[i].append(slot)
+    return tuple(tuple(f) for f in frees)
 
 
 def _compile(desc: ArchDescriptor, space: SearchSpace, hw: tuple[int, int]) -> tuple[tuple[_Op, ...], int]:
@@ -189,49 +194,141 @@ def _compile(desc: ArchDescriptor, space: SearchSpace, hw: tuple[int, int]) -> t
                 cin = st.channels
     else:
         raise TypeError(f"not an architecture descriptor: {desc!r}")
-    return b.finish(), cin
+    return tuple(b.ops), cin
+
+
+def _stage_ends(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> frozenset[int]:
+    """Indices of the ops after which a stage ends or the plan does.
+
+    A stage ends where the op's output is the one live slot and the next op
+    is a conv that changes the spatial size or the channel count.
+    """
+    ends = set()
+    live = {0}
+    for i, op in enumerate(plan):
+        live.difference_update(frees[i])
+        live.add(op.out)
+        nxt = plan[i + 1] if i + 1 < len(plan) else None
+        if len(live) == 1 and (nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.shape[0] != nxt.shape[1])):
+            ends.add(i)
+    return frozenset(ends)
+
+
+class _Checkpoint(NamedTuple):
+    index: int           # op whose output it holds, the one live slot there
+    tensor: Tensor
+    codes: int | None    # ReLU codes recorded up to here; None if they were not
+
+
+class PrefixCache:
+    """Stage-boundary activations of the last forward, for the next one to resume from.
+
+    Two plans that agree on their first n op records hold bit-identical
+    tensors after op n: conv i draws its weights from the stream
+    (init.seed, i) and batch norm reads only the current batch. A forward
+    through the cache therefore starts from the last checkpoint inside the
+    prefix its plan shares with the previous forward's plan, and runs only
+    the rest. So activations right after relu_codes on the same network
+    runs no op, and neither does relu_codes right after activations when
+    the cache records codes.
+
+    Checkpoints are taken where a stage ends (see _stage_ends) and hold the
+    one live tensor there, so the cache keeps one tensor per stage of the
+    last network, plus that network's ReLU codes if they were recorded.
+    Every forward through a record_codes cache records them.
+
+    The cache is bound to one image array and one InitSpec; a forward with
+    other images or another InitSpec raises ValueError. It is not
+    thread-safe: give each thread its own.
+    """
+
+    def __init__(self, images: Tensor, init: InitSpec, record_codes: bool = False):
+        self.images = images
+        self.init = init
+        self.record_codes = record_codes
+        self._plan: tuple = ()  # op records of the last forward's plan
+        self._checkpoints: list[_Checkpoint] = []
+        self._codes: list[Tensor] = []
+
+    def _resume(self, plan, ends, images, init, record: bool):
+        """Return (first op to run, slots, codes list or None) and start this plan's path."""
+        if images is not self.images or init != self.init:
+            raise ValueError("a PrefixCache serves only the image array and InitSpec it was made with")
+        shared = 0
+        for a, b in zip(plan, self._plan):
+            if a != b:
+                break
+            shared += 1
+        kept = 0
+        for k, cp in enumerate(self._checkpoints):
+            if cp.index < shared and cp.index in ends and (cp.codes is not None or not record):
+                kept = k + 1
+        self._plan = plan
+        del self._checkpoints[kept:]
+        if not kept:
+            self._codes = []
+            return 0, {0: images}, self._codes if record else None
+        cp = self._checkpoints[-1]
+        if cp.codes is not None:
+            del self._codes[cp.codes:]
+        return cp.index + 1, {plan[cp.index].out: cp.tensor}, self._codes if record else None
+
+    def _mark(self, index: int, tensor: Tensor, codes: list | None) -> None:
+        self._checkpoints.append(_Checkpoint(index, tensor, None if codes is None else len(codes)))
 
 
 class NetworkInstance:
-    """A built, seeded network. Read-only after construction."""
+    """A built, seeded network; its weights are fixed by (descriptor, init).
+
+    Conv weights are drawn on first use, so a forward resumed from a
+    PrefixCache never draws the weights of the ops it skips.
+    """
 
     def __init__(self, descriptor: ArchDescriptor, space: SearchSpace, init: InitSpec):
         self.descriptor = descriptor
         self.space = space
         self.init = init
         self._plan, feature_width = _compile(descriptor, space, (space.input_hw, space.input_hw))
-        # conv weight or bn (gamma, beta), keyed by the op's output slot
-        self._params: dict[int, object] = {}
-        convs = [op for op in self._plan if op.kind == "conv"]
-        for index, op in enumerate(convs):
-            self._params[op.out] = init_tensor(op.shape, init, index)
-        for op in self._plan:
-            if op.kind == "bn":
-                self._params[op.out] = (np.ones(op.shape), np.zeros(op.shape))
+        self._frees = _last_reads(self._plan)
+        self._stage_ends = _stage_ends(self._plan, self._frees)
+        convs = [op.out for op in self._plan if op.kind == "conv"]
+        self._conv_index = {slot: i for i, slot in enumerate(convs)}  # output slot -> weight stream
+        self._conv_weights: dict[int, Tensor] = {}
         self._fc_weight = init_tensor((space.num_classes, feature_width), init, len(convs))
         self._fc_bias = np.zeros(space.num_classes)
+
+    def _conv_weight(self, op: _Op) -> Tensor:
+        weight = self._conv_weights.get(op.out)
+        if weight is None:
+            weight = self._conv_weights[op.out] = init_tensor(op.shape, self.init, self._conv_index[op.out])
+        return weight
 
     def named_weights(self):
         """All trainable tensors (conv/FC weights, BN affine, FC bias)."""
         convs = [op for op in self._plan if op.kind == "conv"]
         for i, op in enumerate(convs):
-            yield f"conv{i}.weight", self._params[op.out]
+            yield f"conv{i}.weight", self._conv_weight(op)
         bns = [op for op in self._plan if op.kind == "bn"]
         for i, op in enumerate(bns):
-            gamma, beta = self._params[op.out]
-            yield f"bn{i}.gamma", gamma
-            yield f"bn{i}.beta", beta
+            yield f"bn{i}.gamma", np.ones(op.shape)
+            yield f"bn{i}.beta", np.zeros(op.shape)
         yield "fc.weight", self._fc_weight
         yield "fc.bias", self._fc_bias
 
-    def _forward(self, images: Tensor, codes: list | None):
-        slots = {0: images}
-        for op in self._plan:
+    def _forward(self, images: Tensor, record: bool, cache: PrefixCache | None):
+        """Return (pre-GAP map, ReLU codes in plan order or None)."""
+        if cache is None:
+            start, slots, codes = 0, {0: images}, [] if record else None
+        else:
+            record = record or cache.record_codes
+            start, slots, codes = cache._resume(self._plan, self._stage_ends, images, self.init, record)
+        for index in range(start, len(self._plan)):
+            op = self._plan[index]
             x = slots[op.ins[0]]
             if op.kind == "conv":
-                y = conv2d(x, self._params[op.out], op.stride, op.shape[2] // 2)
+                y = conv2d(x, self._conv_weight(op), op.stride, op.shape[2] // 2)
             elif op.kind == "bn":
-                y = batchnorm_batchstats(x, *self._params[op.out])
+                y = batchnorm_batchstats(x, np.ones(op.shape), np.zeros(op.shape))
             elif op.kind == "relu":
                 y = relu(x)
                 if codes is not None:
@@ -242,27 +339,30 @@ class NetworkInstance:
                 y = avg_pool2d(x, 3, 1, 1)
             else:
                 y = np.zeros_like(x)
-            for slot in op.frees:
+            for slot in self._frees[index]:
                 del slots[slot]
             slots[op.out] = y
-        pre_gap = y
+            if cache is not None and index in self._stage_ends:
+                cache._mark(index, y, codes)
+        return slots[self._plan[-1].out], codes
+
+    def _head(self, pre_gap: Tensor):
         features = global_avg_pool(pre_gap)
-        logits = linear(features, self._fc_weight, self._fc_bias)
-        return pre_gap, features, logits
+        return features, linear(features, self._fc_weight, self._fc_bias)
 
     def forward(self, images: Tensor) -> Tensor:
         """Logits for a [B,3,H,W] batch."""
-        return self._forward(images, None)[2]
+        return self._head(self._forward(images, False, None)[0])[1]
 
-    def activations(self, images: Tensor, labels: np.ndarray) -> ActivationBundle:
-        pre_gap, features, logits = self._forward(images, None)
+    def activations(self, images: Tensor, labels: np.ndarray, *, cache: PrefixCache | None = None) -> ActivationBundle:
+        pre_gap = self._forward(images, False, cache)[0]
+        features, logits = self._head(pre_gap)
         grad = fc_weight_grad(features, logits, labels)
         return ActivationBundle(features, pre_gap, logits, self._fc_weight, grad)
 
-    def relu_codes(self, images: Tensor) -> np.ndarray:
+    def relu_codes(self, images: Tensor, *, cache: PrefixCache | None = None) -> np.ndarray:
         """Binary activation pattern per sample, concatenated over every ReLU."""
-        codes: list = []
-        self._forward(images, codes)
+        codes = self._forward(images, True, cache)[1]
         b = images.shape[0]
         return np.concatenate([c.reshape(b, -1) for c in codes], axis=1)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from diswot.arch import (
-    Constraints,
     NB201Cell,
     NB201_OPS,
     S0Depths,
@@ -28,7 +27,6 @@ from diswot.arch import (
     s2_imagenet_space,
     sample_descriptor,
     serialize_nb201,
-    with_constraints,
 )
 from diswot.rng import stream
 
@@ -219,12 +217,6 @@ def test_s0_space_template():
     assert space.num_classes == 100
     assert space.stem_channels == 16
     assert space.stage_channels == (16, 32, 64)
-
-
-def test_with_constraints():
-    space = with_constraints(s0_space(), Constraints(max_params=260_000))
-    assert space.constraints.max_params == 260_000
-    assert space.num_classes == 100
 
 
 def test_max_descriptor():

@@ -1,6 +1,7 @@
 """Command-line workflow tests (run in-process through cli.main)."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,11 +46,29 @@ def test_score_rerun_byte_identical(tmp_path):
 def test_score_jobs_do_not_change_output(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    base = ["score", "--space", "s0", "--arch", "1-1-1", "--arch", "1-3-1", "--arch", "3-1-1",
-            "--proxy", "diswot", "--proxy", "nwot", "--batch-size", "4", "--seed", "2"]
+    # Neighbours share prefixes, so each worker's cache resumes inside its run.
+    base = ["score", "--space", "s0", "--arch", "1-1-1", "--arch", "1-1-3", "--arch", "1-3-1",
+            "--arch", "3-1-1", "--arch", "3-1-3", "--proxy", "diswot", "--proxy", "nwot",
+            "--batch-size", "4", "--seed", "2"]
     assert run(base + ["--out", str(a)]) == 0
-    assert run(base + ["--jobs", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for jobs in ("2", "4"):
+        assert run(base + ["--jobs", jobs, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_score_all_s0_peak_memory(tmp_path):
+    # 68 418 598 bytes is this command's tracemalloc peak when every student
+    # runs two full forwards and nwot makes one float64 copy of all its ReLU
+    # codes.
+    argv = ["score", "--space", "s0", "--all-s0", "--proxy", "diswot", "--proxy", "nwot",
+            "--batch-size", "16", "--seed", "0", "--out", str(tmp_path / "s.csv")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 68_418_598
 
 
 def test_score_repeated_seed_flags_accumulate(tmp_path):

@@ -1,8 +1,11 @@
 """Similarity metric, KD-distance, and training-free score tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from diswot import metrics
 from diswot.arch import S0Depths, s0_space
 from diswot.data import synth_batch
 from diswot.kernels import fc_weight_grad, global_avg_pool
@@ -382,6 +385,26 @@ def test_nwot_kernel_exact_against_two_product_formula():
     net = NetworkInstance(S0Depths(1, 1, 1), s0_space(), InitSpec(seed=3))
     codes = net.relu_codes(synth_batch(4, 3, 32, 32, 100, seed=3).images)
     assert nwot_from_codes(codes) == _nwot_two_product(codes)
+
+
+def test_nwot_kernel_exact_across_column_chunks(monkeypatch):
+    # 2368 bytes is 37 float64 columns at batch 8, so the column sums cross
+    # many chunk boundaries.
+    monkeypatch.setattr(metrics, "_NWOT_CHUNK_BYTES", 2368)
+    test_nwot_kernel_exact_against_two_product_formula()
+
+
+def test_nwot_float_copy_is_bounded():
+    # A (64, 303 104) code matrix is s0 5-5-5 at batch 64; one float64 copy
+    # of it, as a single product needs, would take 148 MiB.
+    codes = np.random.default_rng(0).random((64, 303_104)) < 0.5
+    tracemalloc.start()
+    try:
+        nwot_from_codes(codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= codes.size * 8 // 4
 
 
 def test_nwot_sample_order_invariance():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from diswot.arch import (
     Constraints,
+    mutate,
     S0Depths,
     S2Config,
     S2Stage,
@@ -24,12 +26,14 @@ from diswot.arch import (
     s0_space,
     s2_cifar_space,
     s2_imagenet_space,
-    with_constraints,
+    sample_descriptor,
 )
 from diswot.data import synth_batch
 from diswot.metrics import diswot_score_from_bundles, kd_distance, nwot_from_codes
+from diswot import network
 from diswot.network import (
     NetworkInstance,
+    PrefixCache,
     count_flops,
     count_params,
     sample_random,
@@ -221,13 +225,13 @@ def test_relu_codes_shape_and_dtype():
 
 
 def test_satisfies_constraints_params():
-    space = with_constraints(s0_space(), Constraints(max_params=260_000))
+    space = replace(s0_space(), constraints=Constraints(max_params=260_000))
     assert satisfies_constraints(S0Depths(7, 1, 3), space)      # 259.89 K
     assert not satisfies_constraints(S0Depths(3, 3, 3), space)  # 278.32 K
 
 
 def test_constrained_sampling_never_violates():
-    space = with_constraints(s0_space(), Constraints(max_params=260_000))
+    space = replace(s0_space(), constraints=Constraints(max_params=260_000))
     rng = stream(4, 0)
     for _ in range(200):
         desc = sample_random(space, rng)
@@ -236,13 +240,13 @@ def test_constrained_sampling_never_violates():
 
 
 def test_max_depth_constraint():
-    space = with_constraints(s0_space(), Constraints(max_depth=5))
+    space = replace(s0_space(), constraints=Constraints(max_depth=5))
     assert satisfies_constraints(S0Depths(1, 1, 3), space)
     assert not satisfies_constraints(S0Depths(3, 3, 1), space)
 
 
 def test_unsatisfiable_constraints_raise():
-    space = with_constraints(s0_space(), Constraints(max_params=1))
+    space = replace(s0_space(), constraints=Constraints(max_params=1))
     with pytest.raises(RuntimeError):
         sample_random(space, stream(0, 0))
 
@@ -376,3 +380,113 @@ def test_proxies_finite_for_sampled_descriptors(finite_teachers, name, seed):
     assert np.isfinite(diswot_score_from_bundles(teacher_bundle, bundle))
     assert np.isfinite(nwot_from_codes(net.relu_codes(batch.images)))
     assert np.isfinite(kd_distance("cc", teacher_bundle, bundle))
+
+
+# ---------------------------------------------------------------------------
+# prefix cache
+
+
+def _bundle_bytes(bundle) -> list[bytes]:
+    return [bundle.penultimate_features.tobytes(), bundle.pre_gap_map.tobytes(),
+            bundle.logits.tobytes(), bundle.fc_weight_grad.tobytes()]
+
+
+def _arch_list(space, seed: int, size: int) -> list:
+    """Random descriptors, each a fresh draw, a repeat or a one-locus mutant of the one before.
+
+    Neighbours thus share plan prefixes. An S2 mutant may instead flip one
+    stage's stride between 1 and 2, which leaves every op record of the two
+    plans equal except for stride and spatial size.
+    """
+    rng = stream(seed, 1)
+    descs = [sample_descriptor(space, rng)]
+    while len(descs) < size:
+        last = descs[-1]
+        kind = int(rng.integers(4))
+        if kind == 0:
+            descs.append(sample_descriptor(space, rng))
+        elif kind == 1:
+            descs.append(last)
+        elif kind == 2 or not isinstance(last, S2Config):
+            descs.append(mutate(last, space, rng))
+        else:
+            i = int(rng.integers(len(last.stages)))
+            stages = list(last.stages)
+            stages[i] = replace(stages[i], stride=3 - stages[i].stride)
+            descs.append(S2Config(last.stem_channels, tuple(stages)))
+    return descs
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FINITE_SPACES)),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 5),
+    record_codes=st.booleans(),
+    calls=st.lists(st.sampled_from(["activations", "relu_codes", "both", "codes_first"]), min_size=5, max_size=5),
+)
+def test_prefix_cache_matches_fresh_networks(name, seed, size, record_codes, calls):
+    space = FINITE_SPACES[name]()
+    batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=seed % 7)
+    init = InitSpec(seed=seed % 5)
+    cache = PrefixCache(batch.images, init, record_codes=record_codes)
+    for desc, call in zip(_arch_list(space, seed, size), calls):
+        fresh = NetworkInstance(desc, space, init)
+        net = NetworkInstance(desc, space, init)
+        order = {"activations": ["a"], "relu_codes": ["c"], "both": ["a", "c"], "codes_first": ["c", "a"]}[call]
+        for step in order:
+            if step == "a":
+                got = net.activations(batch.images, batch.labels, cache=cache)
+                assert _bundle_bytes(got) == _bundle_bytes(fresh.activations(batch.images, batch.labels))
+            else:
+                assert net.relu_codes(batch.images, cache=cache).tobytes() == fresh.relu_codes(batch.images).tobytes()
+
+
+def test_prefix_cache_runs_only_unshared_ops(monkeypatch):
+    space = s0_space()
+    batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=0)
+    init = InitSpec(seed=0)
+    convs = []
+    conv2d = network.conv2d
+    monkeypatch.setattr(network, "conv2d", lambda x, w, *a: convs.append(w.shape) or conv2d(x, w, *a))
+
+    def conv_count(desc, method, cache):
+        convs.clear()
+        net = NetworkInstance(desc, space, init)
+        if method == "activations":
+            net.activations(batch.images, batch.labels, cache=cache)
+        else:
+            net.relu_codes(batch.images, cache=cache)
+        return len(convs)
+
+    # The stem is one conv, a block two, plus a shortcut in the first block
+    # of stages 2 and 3: 3-1-1 has 1 + 6 + 3 + 3 = 13.
+    assert conv_count(S0Depths(3, 1, 1), "activations", None) == 13
+    cache = PrefixCache(batch.images, init, record_codes=True)
+    assert conv_count(S0Depths(3, 1, 1), "activations", cache) == 13
+    assert conv_count(S0Depths(3, 1, 1), "relu_codes", cache) == 0  # a full hit
+    assert conv_count(S0Depths(3, 1, 3), "relu_codes", cache) == 7  # stage 3 only
+    assert conv_count(S0Depths(3, 3, 1), "activations", cache) == 10  # stages 2 and 3
+    assert conv_count(S0Depths(1, 3, 1), "activations", cache) == 13  # no shared stage
+    # Without record_codes, codes are not kept: relu_codes needs its own forward.
+    plain = PrefixCache(batch.images, init)
+    assert conv_count(S0Depths(3, 1, 1), "activations", plain) == 13
+    assert conv_count(S0Depths(3, 1, 1), "relu_codes", plain) == 13
+    assert conv_count(S0Depths(3, 1, 1), "activations", plain) == 0
+
+
+def test_prefix_cache_rejects_other_images_or_init():
+    space = s0_space()
+    batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=0)
+    init = InitSpec(seed=0)
+    cache = PrefixCache(batch.images, init)
+    net = NetworkInstance(S0Depths(1, 1, 1), space, init)
+    net.activations(batch.images, batch.labels, cache=cache)
+    with pytest.raises(ValueError, match="PrefixCache"):
+        net.activations(batch.images.copy(), batch.labels, cache=cache)
+    with pytest.raises(ValueError, match="PrefixCache"):
+        net.relu_codes(batch.images.copy(), cache=cache)
+    other = NetworkInstance(S0Depths(1, 1, 1), space, InitSpec(seed=1))
+    with pytest.raises(ValueError, match="PrefixCache"):
+        other.activations(batch.images, batch.labels, cache=cache)
+

@@ -1,9 +1,11 @@
 """Evolutionary loop and random-search baseline tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from diswot.arch import Constraints, S0Depths, enumerate_s0, s0_space, with_constraints
+from diswot.arch import Constraints, S0Depths, enumerate_s0, s0_space
 from diswot.network import count_params, satisfies_constraints
 from diswot.search import EvoConfig, evolve, get_topk, random_search
 
@@ -116,7 +118,7 @@ def test_evolve_population_size_conserved():
 
 
 def test_evolve_constraint_closure():
-    space = with_constraints(s0_space(), Constraints(max_params=400_000))
+    space = replace(s0_space(), constraints=Constraints(max_params=400_000))
     cfg = EvoConfig(population_size=10, max_iterations=60, sample_ratio=0.5, topk=3, master_seed=7)
     state = evolve(space, neg_params_fitness(space), cfg)
     for desc, _ in state.population:
@@ -128,7 +130,7 @@ def test_evolve_maximizing_fitness_respects_cap():
     # stall one step short of the constrained optimum (the path there runs
     # through a worse intermediate), so require a top-3 feasible value, not
     # exact optimality
-    space = with_constraints(s0_space(), Constraints(max_params=500_000))
+    space = replace(s0_space(), constraints=Constraints(max_params=500_000))
 
     def fitness(desc):
         return float(count_params(desc, space))
