@@ -88,14 +88,8 @@ def _resolve_teacher(space, spec: str):
     if space.kind == "s0":
         if spec.lower() in _S0_TEACHERS:
             return S0Depths(*_S0_TEACHERS[spec.lower()])
-        core = spec[: -len("-template")] if spec.endswith("-template") else spec
-        parts = core.replace("-", ",").split(",")
-        if len(parts) == 3 and all(p.strip().isdigit() for p in parts):
-            return S0Depths(*(int(p) for p in parts))
-        raise ValueError(f"cannot parse teacher {spec!r}: want 'max', 'resnet56', 'resnet110', or 'd1,d2,d3[-template]'")
-    if space.kind == "nb201":
-        return parse_nb201(spec)
-    raise ValueError(f"teacher must be 'max' for space {space.kind!r}")
+        spec = spec.removesuffix("-template")
+    return _parse_arch(space, spec)
 
 
 def _parse_arch(space, s: str):
@@ -177,15 +171,13 @@ def _needs_teacher(proxies) -> bool:
 
 
 def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relation: bool):
-    """Return (scorer, caches) at this seed.
+    """Return new_scorer at this seed; new_scorer() makes one scorer.
 
-    scorer(desc, cache) maps a descriptor to {proxy: value}. caches is an
-    endless iterator of PrefixCache objects over the batch (None when no
-    proxy runs a forward); the first one holds the teacher's forward. Give
-    each thread its own and pass it to every call the thread makes, in
-    order, so that a student resumes from the stage-boundary activations of
-    the network scored before it. ReLU codes are recorded only when nwot is
-    requested, and then the nwot forward is a full cache hit on the
+    scorer(desc) maps a descriptor to {proxy: value}. Each scorer owns one
+    PrefixCache over the batch, so a student resumes from the
+    stage-boundary activations of the network that scorer scored before it:
+    give each thread its own scorer. ReLU codes are recorded only when nwot
+    is requested, and then the nwot forward is a full cache hit on the
     student's own activations. The batch and the teacher forward are made
     once, here, and only when a requested proxy needs them. Each call builds
     the student once. A non-finite value raises ValueError naming the proxy
@@ -194,53 +186,48 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
     needs_teacher = _needs_teacher(proxies)
     batch = _make_batch(args, space, seed) if needs_teacher or NWOT in proxies else None
     init = _init_spec(args, seed)
-
-    def new_cache():
-        return None if batch is None else PrefixCache(batch.images, init, record_codes=NWOT in proxies)
-
-    def caches():
-        yield first
-        while True:
-            yield new_cache()
-
-    first = new_cache()
     teacher_bundle = None
     if needs_teacher:
         teacher = NetworkInstance(_resolve_teacher(space, args.teacher), space, init)
-        teacher_bundle = teacher.activations(batch.images, batch.labels, cache=first)
+        teacher_bundle = teacher.activations(batch.images, batch.labels)
 
-    def scorer(desc, cache) -> dict[str, float]:
-        out = {}
-        student = None
-        bundle = None
-        for proxy in proxies:
-            if proxy in COST_PROXIES:
-                out[proxy] = float(COST_PROXIES[proxy](desc, space))
-                continue
-            if student is None:
-                student = NetworkInstance(desc, space, init)
-            if proxy == NWOT:
-                out[proxy] = nwot_from_codes(student.relu_codes(batch.images, cache=cache))
-                continue
-            if bundle is None:
-                bundle = student.activations(batch.images, batch.labels, cache=cache)
-            if proxy == DISWOT:
-                out[proxy] = diswot_score_from_bundles(
-                    teacher_bundle,
-                    bundle,
-                    use_semantic=use_semantic,
-                    use_relation=use_relation,
-                    weight_source=args.weight_source,
-                    normalization=args.normalization,
-                )
-            else:
-                out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature)
-        for proxy, value in out.items():
-            if not math.isfinite(value):
-                raise ValueError(f"proxy {proxy} gave {value} for architecture {arch_id(desc)}")
-        return out
+    def new_scorer():
+        cache = None if batch is None else PrefixCache(batch.images, init, record_codes=NWOT in proxies)
 
-    return scorer, caches()
+        def scorer(desc) -> dict[str, float]:
+            out = {}
+            student = None
+            bundle = None
+            for proxy in proxies:
+                if proxy in COST_PROXIES:
+                    out[proxy] = float(COST_PROXIES[proxy](desc, space))
+                    continue
+                if student is None:
+                    student = NetworkInstance(desc, space, init)
+                if proxy == NWOT:
+                    out[proxy] = nwot_from_codes(student.relu_codes(batch.images, cache=cache))
+                    continue
+                if bundle is None:
+                    bundle = student.activations(batch.images, batch.labels, cache=cache)
+                if proxy == DISWOT:
+                    out[proxy] = diswot_score_from_bundles(
+                        teacher_bundle,
+                        bundle,
+                        use_semantic=use_semantic,
+                        use_relation=use_relation,
+                        weight_source=args.weight_source,
+                        normalization=args.normalization,
+                    )
+                else:
+                    out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature)
+            for proxy, value in out.items():
+                if not math.isfinite(value):
+                    raise ValueError(f"proxy {proxy} gave {value} for architecture {arch_id(desc)}")
+            return out
+
+        return scorer
+
+    return new_scorer
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +246,23 @@ def cmd_score(args, parser) -> int:
 
     teacher_desc = _resolve_teacher(space, args.teacher) if _needs_teacher(proxies) else None
 
-    def score_run(scorer, descs, cache):
-        return [scorer(desc, cache) for desc in descs]
-
     by_seed: dict[int, list[dict[str, float]]] = {}
     for seed in seeds:
-        scorer, caches = _make_scorer(args, space, seed, proxies, not args.relation_only, not args.semantic_only)
+        new_scorer = _make_scorer(args, space, seed, proxies, not args.relation_only, not args.semantic_only)
+
+        def score_run(descs):
+            scorer = new_scorer()
+            return [scorer(desc) for desc in descs]
+
         if args.jobs > 1:
-            # Each thread scores one contiguous run of archs through its own
-            # cache, so neighbours that share a prefix stay together.
+            # Each thread scores one contiguous run of archs with its own
+            # scorer, so neighbours that share a prefix stay together.
             bounds = [len(archs) * i // args.jobs for i in range(args.jobs + 1)]
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                runs = [pool.submit(score_run, scorer, archs[a:b], next(caches)) for a, b in zip(bounds, bounds[1:])]
+                runs = [pool.submit(score_run, archs[a:b]) for a, b in zip(bounds, bounds[1:])]
                 by_seed[seed] = [out for run in runs for out in run.result()]
         else:
-            by_seed[seed] = score_run(scorer, archs, next(caches))
+            by_seed[seed] = score_run(archs)
 
     rows = [
         ScoreRow(arch_id(desc), proxy, by_seed[seed][index][proxy], True, seed)
@@ -309,8 +298,7 @@ def cmd_search(args, parser) -> int:
     name = args.fitness
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
-    scorer, caches = _make_scorer(args, space, seed, [name], use_semantic=True, use_relation=True)
-    cache = next(caches)
+    scorer = _make_scorer(args, space, seed, [name], use_semantic=True, use_relation=True)()
     # Weights depend only on the descriptor's plan and the init seed, so the
     # fitness is a pure function of the descriptor and a memo is exact.
     memo: dict[str, float] = {}
@@ -318,7 +306,7 @@ def cmd_search(args, parser) -> int:
     def fitness(desc):
         key = arch_id(desc)
         if key not in memo:
-            memo[key] = sign * scorer(desc, cache)[name]
+            memo[key] = sign * scorer(desc)[name]
         return memo[key]
 
     if args.strategy == "evo":
@@ -424,7 +412,7 @@ def _add_space_flags(p):
 
 
 def _add_scoring_flags(p):
-    p.add_argument("--teacher", default="max", help="'max', 'resnet56', 'resnet110', 'd1,d2,d3[-template]', or a cell string")
+    p.add_argument("--teacher", default="max", help="'max', 'resnet56', 'resnet110', 'd1,d2,d3[-template]', a cell string, or JSON")
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--data", default=None, help="CIFAR binary file; omit for synthetic images")
     p.add_argument("--data-format", choices=("auto", "cifar10", "cifar100"), default="auto")

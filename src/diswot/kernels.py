@@ -13,6 +13,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 Tensor = np.ndarray
 
+BN_EPS = 1e-5  # added to the batch variance before its square root
+
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate x [B,Cin,H,W] with weight [Cout,Cin,k,k], zero padded.
@@ -95,27 +97,28 @@ def relu(x: Tensor) -> Tensor:
     return np.maximum(x, 0.0)
 
 
-def batchnorm_batchstats(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def batchnorm_batchstats(x: Tensor) -> Tensor:
     """Normalize [B,C,H,W] per channel with statistics of this batch.
 
     Mean and variance (population, ddof=0) are taken over batch and spatial
-    axes together. There are no running statistics: scoring always sees
-    freshly initialized networks, so train-mode statistics are the contract.
+    axes together, and BN_EPS is added to the variance. There are no running
+    statistics and no affine: networks are scored at initialization, where
+    gamma is one and beta zero, so train-mode statistics are the contract.
     The tensor is centred once; each statistic is an np.add.reduce sum
     divided by the count, the arithmetic of ndarray.mean and ndarray.var.
+    The centred copy is divided in place and returned, so the peak holds
+    two tensors of x's size.
     """
     if x.ndim != 4:
         raise ValueError(f"batchnorm expects [B,C,H,W], got shape {x.shape}")
-    b, c, h, w = x.shape
-    if b * h * w <= 1:
-        raise ValueError("batch statistics need more than one value per channel")
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ValueError(f"gamma/beta must have shape ({c},)")
+    b, _, h, w = x.shape
     n = b * h * w
+    if n <= 1:
+        raise ValueError("batch statistics need more than one value per channel")
     xhat = x - np.add.reduce(x, axis=(0, 2, 3), keepdims=True) / n
     var = np.add.reduce(xhat * xhat, axis=(0, 2, 3), keepdims=True) / n
-    xhat /= np.sqrt(var + eps)
-    return gamma.reshape(1, c, 1, 1) * xhat + beta.reshape(1, c, 1, 1)
+    xhat /= np.sqrt(var + BN_EPS)
+    return xhat
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -125,40 +128,32 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return x.mean(axis=(2, 3))
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: int = 1, padding: int = 0) -> Tensor:
-    """Average pooling with zero padding; the divisor counts only real pixels.
+def avg_pool2d(x: Tensor) -> Tensor:
+    """NB201's 3x3 average pooling at stride 1 with zero padding 1.
 
-    Padding contributes zeros to the window sum but not to the divisor, so a
-    constant input stays constant at the borders.
+    Padding adds zeros to a window's sum but not to its divisor, which counts
+    only real pixels: 4 at a corner, 6 on an edge, 9 inside. A constant
+    input therefore stays constant at the borders.
     """
     if x.ndim != 4:
         raise ValueError(f"avg_pool2d expects [B,C,H,W], got shape {x.shape}")
-    b, c, h, w = x.shape
-    if h + 2 * padding < kernel or w + 2 * padding < kernel:
-        raise ValueError("window larger than padded input")
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    sums = windows.sum(axis=(4, 5))
-    ones = np.ones((1, 1, h, w))
-    if padding:
-        ones = np.pad(ones, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    counts = sliding_window_view(ones, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride].sum(axis=(4, 5))
-    return sums / counts
+    h, w = x.shape[2:]
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    sums = sliding_window_view(padded, (3, 3), axis=(2, 3)).sum(axis=(4, 5))
+    rows, cols = np.full(h, 3.0), np.full(w, 3.0)
+    for real in (rows, cols):
+        real[0] -= 1
+        real[-1] -= 1
+    return sums / np.outer(rows, cols)
 
 
-def linear(features: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """[B,C] @ [N,C]^T (+ bias [N]) -> [B,N]."""
+def linear(features: Tensor, weight: Tensor) -> Tensor:
+    """[B,C] @ [N,C]^T -> [B,N]; the classifier has no bias at initialization."""
     if features.ndim != 2 or weight.ndim != 2:
         raise ValueError("linear expects 2-d features and weight")
     if features.shape[1] != weight.shape[1]:
         raise ValueError(f"features have {features.shape[1]} columns but weight expects {weight.shape[1]}")
-    out = features @ weight.T
-    if bias is not None:
-        if bias.shape != (weight.shape[0],):
-            raise ValueError(f"bias must have shape ({weight.shape[0]},)")
-        out = out + bias
-    return out
+    return features @ weight.T
 
 
 def residual_add(a: Tensor, b: Tensor) -> Tensor:
@@ -182,7 +177,7 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
 def fc_weight_grad(features: Tensor, logits: Tensor, labels: Tensor) -> Tensor:
     """Gradient of mean softmax cross-entropy w.r.t. the classifier weight.
 
-    For logits = features @ W^T (+ bias), dLoss/dW has the closed form
+    For logits = features @ W^T, dLoss/dW has the closed form
     (1/B) * (softmax(logits) - onehot(labels))^T @ features, shape [N,C].
     """
     if features.ndim != 2 or logits.ndim != 2:

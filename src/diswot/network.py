@@ -9,15 +9,18 @@ count_params and count_flops, so the three can never drift apart.
 Op kinds:
 
 * conv: no bias, zero padding kernel // 2;
-* bn: batch statistics, unit gamma, zero beta;
+* bn: batch statistics, no affine;
 * relu: the forward records its sign pattern for nwot, in plan order;
 * add: residual sums and cell-node sums, left to right;
-* pool: 3x3 average pooling at stride 1;
+* pool: 3x3 average pooling at stride 1, padding 1;
 * zero: the NB201 "none" edge, an explicit zero array that is still added
   into its node's sum.
 
-The classifier (global average pool, then a linear layer with zero bias)
-follows the plan.
+The classifier (global average pool, then a linear layer) follows the
+plan. Networks are only ever scored at initialization, so the forward
+applies neither the batch-norm affine nor the classifier bias, which are
+the identity and zero there; named_weights and count_params still include
+them.
 
 Weight streams are part of the file format: conv i in plan order draws from
 the Philox stream (init.seed, i) and the classifier from the next index.
@@ -70,8 +73,8 @@ from .rng import InitSpec, init_tensor
 class ActivationBundle:
     """Everything the similarity metrics need from one forward pass.
 
-    logits equal linear(penultimate_features, fc_weight) exactly because the
-    classifier bias is zero-initialized and networks are never trained.
+    logits are linear(penultimate_features, fc_weight): the forward applies
+    no classifier bias, which is zero at initialization.
     """
 
     penultimate_features: Tensor
@@ -295,7 +298,6 @@ class NetworkInstance:
         self._conv_index = {slot: i for i, slot in enumerate(convs)}  # output slot -> weight stream
         self._conv_weights: dict[int, Tensor] = {}
         self._fc_weight = init_tensor((space.num_classes, feature_width), init, len(convs))
-        self._fc_bias = np.zeros(space.num_classes)
 
     def _conv_weight(self, op: _Op) -> Tensor:
         weight = self._conv_weights.get(op.out)
@@ -304,7 +306,7 @@ class NetworkInstance:
         return weight
 
     def named_weights(self):
-        """All trainable tensors (conv/FC weights, BN affine, FC bias)."""
+        """All trainable tensors at init (conv/FC weights, BN affine, FC bias)."""
         convs = [op for op in self._plan if op.kind == "conv"]
         for i, op in enumerate(convs):
             yield f"conv{i}.weight", self._conv_weight(op)
@@ -313,7 +315,7 @@ class NetworkInstance:
             yield f"bn{i}.gamma", np.ones(op.shape)
             yield f"bn{i}.beta", np.zeros(op.shape)
         yield "fc.weight", self._fc_weight
-        yield "fc.bias", self._fc_bias
+        yield "fc.bias", np.zeros(self.space.num_classes)
 
     def _forward(self, images: Tensor, record: bool, cache: PrefixCache | None):
         """Return (pre-GAP map, ReLU codes in plan order or None)."""
@@ -328,7 +330,7 @@ class NetworkInstance:
             if op.kind == "conv":
                 y = conv2d(x, self._conv_weight(op), op.stride, op.shape[2] // 2)
             elif op.kind == "bn":
-                y = batchnorm_batchstats(x, np.ones(op.shape), np.zeros(op.shape))
+                y = batchnorm_batchstats(x)
             elif op.kind == "relu":
                 y = relu(x)
                 if codes is not None:
@@ -336,7 +338,7 @@ class NetworkInstance:
             elif op.kind == "add":
                 y = residual_add(x, slots[op.ins[1]])
             elif op.kind == "pool":
-                y = avg_pool2d(x, 3, 1, 1)
+                y = avg_pool2d(x)
             else:
                 y = np.zeros_like(x)
             for slot in self._frees[index]:
@@ -346,17 +348,10 @@ class NetworkInstance:
                 cache._mark(index, y, codes)
         return slots[self._plan[-1].out], codes
 
-    def _head(self, pre_gap: Tensor):
-        features = global_avg_pool(pre_gap)
-        return features, linear(features, self._fc_weight, self._fc_bias)
-
-    def forward(self, images: Tensor) -> Tensor:
-        """Logits for a [B,3,H,W] batch."""
-        return self._head(self._forward(images, False, None)[0])[1]
-
     def activations(self, images: Tensor, labels: np.ndarray, *, cache: PrefixCache | None = None) -> ActivationBundle:
         pre_gap = self._forward(images, False, cache)[0]
-        features, logits = self._head(pre_gap)
+        features = global_avg_pool(pre_gap)
+        logits = linear(features, self._fc_weight)
         grad = fc_weight_grad(features, logits, labels)
         return ActivationBundle(features, pre_gap, logits, self._fc_weight, grad)
 

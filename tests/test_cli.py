@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diswot import cli
-from diswot.arch import S0Depths, arch_id, enumerate_s0, s0_space
+from diswot.arch import S0Depths, S2Config, S2Stage, arch_id, descriptor_to_json, enumerate_s0, s0_space, s2_cifar_space
 from diswot.cli import main
 from diswot.data import read_scores_csv
 from diswot.network import count_params
@@ -111,6 +111,24 @@ def test_score_teacher_template_flag(tmp_path):
                 "--teacher", "18,18,18-template", "--batch-size", "4", "--out", str(out)])
     assert code == 0
     assert len(read_scores_csv(out)) == 1
+
+
+def test_score_s2_json_teacher_echoed(tmp_path):
+    space = s2_cifar_space()
+    teacher = S2Config(16, tuple(S2Stage(*st) for st in (
+        ("basic", 3, 16, 1, 1), ("basic", 3, 32, 1, 2), ("basic", 5, 32, 1, 1),
+        ("basic", 3, 64, 1, 2), ("basic", 3, 64, 1, 2), ("basic", 7, 128, 1, 1))))
+    student = S2Config(16, tuple(S2Stage(*st) for st in (
+        ("bottleneck", 3, 16, 2, 1), ("basic", 5, 24, 1, 2), ("bottleneck", 3, 32, 1, 1),
+        ("bottleneck", 7, 48, 1, 2), ("basic", 3, 64, 2, 2), ("bottleneck", 5, 96, 1, 1))))
+    out = tmp_path / "s2.csv"
+    code = run(["score", "--space", "s2_cifar", "--arch", json.dumps(descriptor_to_json(student, space)),
+                "--teacher", json.dumps(descriptor_to_json(teacher, space)), "--proxy", "diswot",
+                "--batch-size", "2", "--out", str(out)])
+    assert code == 0
+    config = json.loads(out.read_text().splitlines()[0][len("# config: "):])
+    assert config["teacher"] == arch_id(teacher)
+    assert [r.arch_id for r in read_scores_csv(out)] == [arch_id(student)]
 
 
 def test_score_unknown_proxy_exit_2(tmp_path):

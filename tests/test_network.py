@@ -146,7 +146,7 @@ def test_flops_batch_multiplies():
 def test_s0_forward_shape():
     net = NetworkInstance(S0Depths(3, 3, 3), s0_space(), InitSpec(seed=0))
     batch = synth_batch(4, 3, 32, 32, 100, seed=0)
-    logits = net.forward(batch.images)
+    logits = net.activations(batch.images, batch.labels).logits
     assert logits.shape == (4, 100)
     assert np.isfinite(logits).all()
 
@@ -154,10 +154,10 @@ def test_s0_forward_shape():
 def test_builder_determinism():
     space = s0_space()
     batch = synth_batch(4, 3, 32, 32, 100, seed=1)
-    a = NetworkInstance(S0Depths(1, 3, 5), space, InitSpec(seed=7)).forward(batch.images)
-    b = NetworkInstance(S0Depths(1, 3, 5), space, InitSpec(seed=7)).forward(batch.images)
+    a = NetworkInstance(S0Depths(1, 3, 5), space, InitSpec(seed=7)).activations(batch.images, batch.labels).logits
+    b = NetworkInstance(S0Depths(1, 3, 5), space, InitSpec(seed=7)).activations(batch.images, batch.labels).logits
     np.testing.assert_array_equal(a, b)
-    c = NetworkInstance(S0Depths(1, 3, 5), space, InitSpec(seed=8)).forward(batch.images)
+    c = NetworkInstance(S0Depths(1, 3, 5), space, InitSpec(seed=8)).activations(batch.images, batch.labels).logits
     assert not np.array_equal(a, c)
 
 
@@ -184,7 +184,8 @@ def test_nb201_forward_shape():
         "|nor_conv_1x1~0|+|nor_conv_3x3~0|nor_conv_1x1~1|+|nor_conv_1x1~0|nor_conv_3x3~1|nor_conv_1x1~2|"
     )
     net = NetworkInstance(cell, space, InitSpec(seed=0))
-    out = net.forward(synth_batch(2, 3, 32, 32, 10, seed=3).images)
+    batch = synth_batch(2, 3, 32, 32, 10, seed=3)
+    out = net.activations(batch.images, batch.labels).logits
     assert out.shape == (2, 10)
     assert np.isfinite(out).all()
 
@@ -195,7 +196,8 @@ def test_nb201_none_op_still_forwards():
         "|none~0|+|none~0|none~1|+|nor_conv_1x1~0|none~1|none~2|"
     )
     net = NetworkInstance(cell, space, InitSpec(seed=0))
-    out = net.forward(synth_batch(2, 3, 32, 32, 10, seed=4).images)
+    batch = synth_batch(2, 3, 32, 32, 10, seed=4)
+    out = net.activations(batch.images, batch.labels).logits
     assert out.shape == (2, 10)
     assert np.isfinite(out).all()
 
@@ -257,7 +259,8 @@ def test_teacher_template_larger_than_space():
     n = count_params(teacher, space)
     assert n > count_params(max_descriptor(space), space)
     net = NetworkInstance(teacher, space, InitSpec(seed=0))
-    out = net.forward(synth_batch(2, 3, 32, 32, 100, seed=7).images)
+    batch = synth_batch(2, 3, 32, 32, 100, seed=7)
+    out = net.activations(batch.images, batch.labels).logits
     assert out.shape == (2, 100)
 
 
