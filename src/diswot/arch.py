@@ -28,6 +28,8 @@ NB201_OPS = ("none", "skip_connect", "nor_conv_1x1", "nor_conv_3x3", "avg_pool_3
 # Edge order follows the string format: destination nodes 1, 2, 2, 3, 3, 3
 # with sources 0 | 0, 1 | 0, 1, 2.
 NB201_EDGE_SOURCES = (0, 0, 1, 0, 1, 2)
+# Cells in each of the three stages of the NB201 macro skeleton.
+NB201_CELLS_PER_STAGE = 2
 
 S2_BLOCK_KINDS = ("basic", "bottleneck")
 S2_KERNEL_CHOICES = (3, 5, 7)
@@ -130,9 +132,9 @@ class Constraints:
 class SearchSpace:
     """A descriptor family plus the macro-skeleton template and constraints.
 
-    Fields that do not apply to a kind keep their defaults: stage_channels and
-    cells_per_stage are cell-space/S0 things, the s2_* fields describe the
-    staged spaces' sampling domain.
+    Fields that do not apply to a kind keep their defaults: stage_channels
+    is a cell-space/S0 thing, the s2_* fields describe the staged spaces'
+    sampling domain.
     """
 
     kind: str
@@ -140,7 +142,6 @@ class SearchSpace:
     input_hw: int
     stem_channels: int
     stage_channels: tuple[int, ...] = ()
-    cells_per_stage: int = 2
     depth_choices: tuple[int, ...] = ()
     s2_strides: tuple[int, ...] = ()
     s2_base_channels: tuple[int, ...] = ()
@@ -165,20 +166,13 @@ def s0_space(num_classes: int = 100, constraints: Constraints = Constraints()) -
     )
 
 
-def nb201_space(
-    num_classes: int = 10,
-    cells_per_stage: int = 2,
-    constraints: Constraints = Constraints(),
-) -> SearchSpace:
-    if cells_per_stage < 1:
-        raise ValueError("cells_per_stage must be >= 1")
+def nb201_space(num_classes: int = 10, constraints: Constraints = Constraints()) -> SearchSpace:
     return SearchSpace(
         kind="nb201",
         num_classes=num_classes,
         input_hw=32,
         stem_channels=16,
         stage_channels=(16, 32, 64),
-        cells_per_stage=cells_per_stage,
         constraints=constraints,
     )
 
@@ -300,7 +294,7 @@ def block_count(desc: ArchDescriptor, space: SearchSpace) -> int:
     if isinstance(desc, S0Depths):
         return sum(desc.depths)
     if isinstance(desc, NB201Cell):
-        return 3 * space.cells_per_stage + 2
+        return 3 * NB201_CELLS_PER_STAGE + 2
     return sum(st.depth for st in desc.stages)
 
 

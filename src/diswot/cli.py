@@ -32,7 +32,7 @@ from .arch import (
     max_descriptor,
     parse_nb201,
 )
-from .data import load_cifar_batch, synth_batch, ScoreRow, write_report_csv, write_scores_csv
+from .data import load_accuracy_csv, load_cifar_batch, synth_batch, ScoreRow, write_report_csv, write_scores_csv
 from .metrics import (
     COST_PROXIES,
     DISWOT,
@@ -170,42 +170,41 @@ def _needs_teacher(proxies) -> bool:
     return any(p == DISWOT or p in KD_KINDS for p in proxies)
 
 
-def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relation: bool):
+def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, use_relation: bool):
     """Return new_scorer at this seed; new_scorer() makes one scorer.
 
-    scorer(desc) maps a descriptor to {proxy: value}. Each scorer owns one
-    PrefixCache over the batch, so a student resumes from the
-    stage-boundary activations of the network that scorer scored before it:
-    give each thread its own scorer. ReLU codes are recorded only when nwot
-    is requested, and then the nwot forward is a full cache hit on the
-    student's own activations. The batch and the teacher forward are made
+    teacher is the resolved teacher descriptor, or None when no requested
+    proxy needs one. scorer(desc) maps a descriptor to {proxy: value}. Each
+    scorer owns one PrefixCache over the batch, so a student resumes from
+    the stage-boundary activations of the network that scorer scored before
+    it: give each thread its own scorer. A student that needs nwot takes
+    its relu_codes forward first, whatever the proxy order, so its bundle
+    is then a full cache hit. The batch and the teacher forward are made
     once, here, and only when a requested proxy needs them. Each call builds
     the student once. A non-finite value raises ValueError naming the proxy
     and the architecture.
     """
-    needs_teacher = _needs_teacher(proxies)
-    batch = _make_batch(args, space, seed) if needs_teacher or NWOT in proxies else None
+    batch = _make_batch(args, space, seed) if teacher is not None or NWOT in proxies else None
     init = _init_spec(args, seed)
     teacher_bundle = None
-    if needs_teacher:
-        teacher = NetworkInstance(_resolve_teacher(space, args.teacher), space, init)
-        teacher_bundle = teacher.activations(batch.images, batch.labels)
+    if teacher is not None:
+        teacher_bundle = NetworkInstance(teacher, space, init).activations(batch.images, batch.labels)
 
     def new_scorer():
-        cache = None if batch is None else PrefixCache(batch.images, init, record_codes=NWOT in proxies)
+        cache = None if batch is None else PrefixCache(batch.images, init)
 
         def scorer(desc) -> dict[str, float]:
             out = {}
-            student = None
-            bundle = None
+            student = bundle = None
+            if any(proxy not in COST_PROXIES for proxy in proxies):
+                student = NetworkInstance(desc, space, init)
+            if NWOT in proxies:
+                out[NWOT] = nwot_from_codes(student.relu_codes(batch.images, cache=cache))
             for proxy in proxies:
                 if proxy in COST_PROXIES:
                     out[proxy] = float(COST_PROXIES[proxy](desc, space))
                     continue
-                if student is None:
-                    student = NetworkInstance(desc, space, init)
                 if proxy == NWOT:
-                    out[proxy] = nwot_from_codes(student.relu_codes(batch.images, cache=cache))
                     continue
                 if bundle is None:
                     bundle = student.activations(batch.images, batch.labels, cache=cache)
@@ -220,9 +219,9 @@ def _make_scorer(args, space, seed: int, proxies, use_semantic: bool, use_relati
                     )
                 else:
                     out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature)
-            for proxy, value in out.items():
-                if not math.isfinite(value):
-                    raise ValueError(f"proxy {proxy} gave {value} for architecture {arch_id(desc)}")
+            for proxy in proxies:
+                if not math.isfinite(out[proxy]):
+                    raise ValueError(f"proxy {proxy} gave {out[proxy]} for architecture {arch_id(desc)}")
             return out
 
         return scorer
@@ -244,11 +243,11 @@ def cmd_score(args, parser) -> int:
         parser.error("--jobs must be >= 1")
     seeds = _resolve_seeds(args)
 
-    teacher_desc = _resolve_teacher(space, args.teacher) if _needs_teacher(proxies) else None
+    teacher = _resolve_teacher(space, args.teacher) if _needs_teacher(proxies) else None
 
     by_seed: dict[int, list[dict[str, float]]] = {}
     for seed in seeds:
-        new_scorer = _make_scorer(args, space, seed, proxies, not args.relation_only, not args.semantic_only)
+        new_scorer = _make_scorer(args, space, seed, proxies, teacher, not args.relation_only, not args.semantic_only)
 
         def score_run(descs):
             scorer = new_scorer()
@@ -275,7 +274,7 @@ def cmd_score(args, parser) -> int:
         "command": "score",
         "archs": [arch_id(d) for d in archs],
         "proxies": proxies,
-        "teacher": arch_id(teacher_desc) if teacher_desc is not None else None,
+        "teacher": arch_id(teacher) if teacher is not None else None,
         "seeds": seeds,
         "semantic_only": args.semantic_only,
         "relation_only": args.relation_only,
@@ -298,7 +297,8 @@ def cmd_search(args, parser) -> int:
     name = args.fitness
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
-    scorer = _make_scorer(args, space, seed, [name], use_semantic=True, use_relation=True)()
+    teacher = _resolve_teacher(space, args.teacher) if _needs_teacher([name]) else None
+    scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)()
     # Weights depend only on the descriptor's plan and the init seed, so the
     # fitness is a pure function of the descriptor and a memo is exact.
     memo: dict[str, float] = {}
@@ -377,7 +377,7 @@ def cmd_rank(args, parser) -> int:
     try:
         reports = evaluate_proxy(
             args.scores,
-            args.accuracy,
+            load_accuracy_csv(args.accuracy),
             sample_size=args.sample,
             rng=rng,
             n_repeats=args.seeds,

@@ -39,7 +39,6 @@ class Batch:
 
     images: np.ndarray
     labels: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -71,7 +70,7 @@ def synth_batch(
     g = stream(seed, _SYNTH_STREAM)
     images = g.standard_normal((batch_size, channels, height, width))
     labels = g.integers(0, n_classes, size=batch_size)
-    return Batch(images, labels, f"synthetic:seed={seed}")
+    return Batch(images, labels)
 
 
 def _detect_format(n_bytes: int, path) -> str:
@@ -89,18 +88,18 @@ def _detect_format(n_bytes: int, path) -> str:
 def load_cifar_batch(
     path: str | Path,
     batch_size: int,
-    rng: np.random.Generator | int = 0,
+    seed: int = 0,
     fmt: str = "auto",
 ) -> Batch:
     """Sample batch_size records without replacement from a CIFAR binary file.
+
+    The records are drawn from a stream fully determined by seed.
 
     Records hold 1 (cifar10) or 2 (cifar100: coarse then fine) label bytes
     followed by 3072 pixel bytes, channel-major R,G,B, 32x32 row-major.
     Pixels are scaled to [0,1] and standardized with the canonical
     per-channel constants; cifar100 uses the fine label.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = stream(int(rng), _CIFAR_STREAM)
     raw = Path(path).read_bytes()
     if not raw:
         raise ValueError(f"{path}: empty file")
@@ -118,13 +117,13 @@ def load_cifar_batch(
         raise ValueError("a batch needs at least 2 samples")
 
     records = np.frombuffer(raw, dtype=np.uint8).reshape(n_records, record)
-    picked = rng.choice(n_records, size=batch_size, replace=False)
+    picked = stream(seed, _CIFAR_STREAM).choice(n_records, size=batch_size, replace=False)
     label_bytes = record - 3072
     labels = records[picked, label_bytes - 1].astype(np.int64)
     pixels = records[picked, label_bytes:].reshape(batch_size, 3, 32, 32).astype(np.float64) / 255.0
     mean, std = (CIFAR10_MEAN, CIFAR10_STD) if fmt == "cifar10" else (CIFAR100_MEAN, CIFAR100_STD)
     images = (pixels - np.asarray(mean).reshape(1, 3, 1, 1)) / np.asarray(std).reshape(1, 3, 1, 1)
-    return Batch(images, labels, f"cifar_file:{path}")
+    return Batch(images, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ COST_PROXIES = {"params": count_params, "flops": count_flops}
 
 # Size of the float64 copy of one column chunk of ReLU codes in nwot_from_codes.
 _NWOT_CHUNK_BYTES = 8 << 20
+# Ridge added to the nwot kernel's diagonal.
+_NWOT_EPS = 1e-6
 
 # Stream key for the fixed FitNets feature projection; spells "FitS".
 _FITNETS_ALIGN_SEED = 0x46697453
@@ -129,11 +131,11 @@ def diswot_score_from_bundles(
     return -total
 
 
-def nwot_from_codes(codes: Tensor, eps: float = 1e-6) -> float:
+def nwot_from_codes(codes: Tensor) -> float:
     """Log-determinant of the sign-agreement kernel over binary codes [B, U].
 
     K[i, j] counts the units where samples i and j are both active or both
-    inactive; eps regularizes rank-deficient kernels (duplicate codes).
+    inactive; _NWOT_EPS regularizes rank-deficient kernels (duplicate codes).
     With n_i active units in row i, that count is U - n_i - n_j + 2 A_i.A_j.
     Every term and every partial sum is an integer below 2**53, so the kernel
     is exact, and summing A.A^T over column chunks of _NWOT_CHUNK_BYTES
@@ -149,7 +151,7 @@ def nwot_from_codes(codes: Tensor, eps: float = 1e-6) -> float:
         active = codes[:, start:start + step].astype(np.float64)
         agree += active @ active.T
     kernel = units - n_active[:, None] - n_active[None, :] + 2.0 * agree
-    kernel = kernel + eps * np.eye(b)
+    kernel = kernel + _NWOT_EPS * np.eye(b)
     _, logdet = np.linalg.slogdet(kernel)
     return float(logdet)
 

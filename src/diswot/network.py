@@ -10,7 +10,7 @@ Op kinds:
 
 * conv: no bias, zero padding kernel // 2;
 * bn: batch statistics, no affine;
-* relu: the forward records its sign pattern for nwot, in plan order;
+* relu: relu_codes records its input's sign pattern for nwot, in plan order;
 * add: residual sums and cell-node sums, left to right;
 * pool: 3x3 average pooling at stride 1, padding 1;
 * zero: the NB201 "none" edge, an explicit zero array that is still added
@@ -34,7 +34,9 @@ activations are held.
 
 A forward given a PrefixCache resumes from the stage-boundary activations
 of the previous forward through that cache, where the two plans share a
-prefix, and draws conv weights only for the ops it runs.
+prefix, and draws conv weights only for the ops it runs. Only relu_codes
+records ReLU codes, so a student that needs both takes relu_codes first:
+its activations then run no op.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arch import (
+    NB201_CELLS_PER_STAGE,
     ArchDescriptor,
     NB201Cell,
     S0Depths,
@@ -67,6 +70,8 @@ from .kernels import (
     residual_add,
 )
 from .rng import InitSpec, init_tensor
+
+_SAMPLE_TRIES = 1000  # sample_random's rejection budget
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,7 @@ def _compile(desc: ArchDescriptor, space: SearchSpace, hw: tuple[int, int]) -> t
             if stage > 0:
                 x = b.block(x, cin, cout, 2)
                 cin = cout
-            for _ in range(space.cells_per_stage):
+            for _ in range(NB201_CELLS_PER_STAGE):
                 x = b.cell(x, desc.ops, cin)
         b.relu(b.bn(x, cin))
     elif isinstance(desc, S2Config):
@@ -231,24 +236,25 @@ class PrefixCache:
     (init.seed, i) and batch norm reads only the current batch. A forward
     through the cache therefore starts from the last checkpoint inside the
     prefix its plan shares with the previous forward's plan, and runs only
-    the rest. So activations right after relu_codes on the same network
-    runs no op, and neither does relu_codes right after activations when
-    the cache records codes.
+    the rest. A forward records ReLU codes exactly when it is relu_codes,
+    and relu_codes resumes only from checkpoints whose codes were recorded.
+    So activations right after relu_codes on the same network runs no op,
+    while relu_codes right after activations resumes only from a checkpoint
+    an earlier relu_codes forward took.
 
     Checkpoints are taken where a stage ends (see _stage_ends) and hold the
     one live tensor there, so the cache keeps one tensor per stage of the
-    last network, plus that network's ReLU codes if they were recorded.
-    Every forward through a record_codes cache records them.
+    last network, plus that network's ReLU codes when its last forward was
+    relu_codes.
 
     The cache is bound to one image array and one InitSpec; a forward with
     other images or another InitSpec raises ValueError. It is not
     thread-safe: give each thread its own.
     """
 
-    def __init__(self, images: Tensor, init: InitSpec, record_codes: bool = False):
+    def __init__(self, images: Tensor, init: InitSpec):
         self.images = images
         self.init = init
-        self.record_codes = record_codes
         self._plan: tuple = ()  # op records of the last forward's plan
         self._checkpoints: list[_Checkpoint] = []
         self._codes: list[Tensor] = []
@@ -322,7 +328,6 @@ class NetworkInstance:
         if cache is None:
             start, slots, codes = 0, {0: images}, [] if record else None
         else:
-            record = record or cache.record_codes
             start, slots, codes = cache._resume(self._plan, self._stage_ends, images, self.init, record)
         for index in range(start, len(self._plan)):
             op = self._plan[index]
@@ -370,23 +375,11 @@ def count_params(desc: ArchDescriptor, space: SearchSpace) -> int:
     return total + (feature_width + 1) * space.num_classes
 
 
-def count_flops(desc: ArchDescriptor, space: SearchSpace, input_shape: tuple[int, ...] | None = None) -> int:
-    """Multiply-accumulates times two, convs and FC only.
-
-    input_shape may be (C, H, W) or (B, C, H, W); batch scales the count.
-    Defaults to one sample at the space's native resolution.
-    """
-    if input_shape is None:
-        input_shape = (3, space.input_hw, space.input_hw)
-    if len(input_shape) == 4:
-        batch = input_shape[0]
-    elif len(input_shape) == 3:
-        batch = 1
-    else:
-        raise ValueError(f"input_shape must be (C,H,W) or (B,C,H,W), got {input_shape}")
-    plan, feature_width = _compile(desc, space, (input_shape[-2], input_shape[-1]))
+def count_flops(desc: ArchDescriptor, space: SearchSpace) -> int:
+    """Multiply-accumulates times two, convs and FC only, for one sample at space.input_hw."""
+    plan, feature_width = _compile(desc, space, (space.input_hw, space.input_hw))
     total = sum(2 * math.prod(op.shape) * op.hw[0] * op.hw[1] for op in plan if op.kind == "conv")
-    return batch * (total + 2 * space.num_classes * feature_width)
+    return total + 2 * space.num_classes * feature_width
 
 
 def satisfies_constraints(desc: ArchDescriptor, space: SearchSpace) -> bool:
@@ -403,10 +396,10 @@ def satisfies_constraints(desc: ArchDescriptor, space: SearchSpace) -> bool:
     return True
 
 
-def sample_random(space: SearchSpace, rng: np.random.Generator, max_tries: int = 1000) -> ArchDescriptor:
-    """Uniform constraint-satisfying draw by rejection."""
-    for _ in range(max_tries):
+def sample_random(space: SearchSpace, rng: np.random.Generator) -> ArchDescriptor:
+    """Uniform constraint-satisfying draw by rejection, within _SAMPLE_TRIES draws."""
+    for _ in range(_SAMPLE_TRIES):
         desc = sample_descriptor(space, rng)
         if satisfies_constraints(desc, space):
             return desc
-    raise RuntimeError(f"no constraint-satisfying candidate found in {max_tries} draws")
+    raise RuntimeError(f"no constraint-satisfying candidate found in {_SAMPLE_TRIES} draws")

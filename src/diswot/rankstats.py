@@ -1,7 +1,7 @@
 """Rank-correlation statistics between proxy scores and true accuracies.
 
-kendall_tau, spearman, and pearson accept either two 1-d arrays or a single
-PairedSeries. Kendall is tau-a by default: ties contribute zero to the
+kendall_tau, spearman, and pearson take two equal-length 1-d arrays of
+finite values. Kendall is tau-a by default: ties contribute zero to the
 numerator and the denominator stays C(M,2); pass tie_correction=True for the
 tau-b denominator used by most statistics libraries.
 """
@@ -20,37 +20,9 @@ class MissingArchError(ValueError):
     """A sampled arch_id has no entry in the accuracy table."""
 
 
-@dataclass(frozen=True)
-class PairedSeries:
-    """Aligned proxy scores and ground-truth targets for a set of architectures."""
-
-    arch_ids: tuple[str, ...]
-    scores: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "targets", targets)
-        m = len(self.arch_ids)
-        if scores.shape != (m,) or targets.shape != (m,):
-            raise ValueError("arch_ids, scores, and targets must have equal length")
-        if m < 3:
-            raise ValueError(f"a paired series needs at least 3 entries, got {m}")
-        if len(set(self.arch_ids)) != m:
-            raise ValueError("arch_ids must be unique")
-        if not (np.isfinite(scores).all() and np.isfinite(targets).all()):
-            raise ValueError("scores and targets must be finite")
-
-
-def _as_xy(series, scores=None) -> tuple[np.ndarray, np.ndarray]:
-    if scores is None:
-        if not isinstance(series, PairedSeries):
-            raise TypeError("pass a PairedSeries or two arrays")
-        return series.targets, series.scores
-    x = np.asarray(series, dtype=np.float64)
-    y = np.asarray(scores, dtype=np.float64)
+def _as_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"need two equal-length 1-d arrays, got {x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -89,7 +61,7 @@ def _count_inversions(v: np.ndarray) -> int:
     return inversions
 
 
-def kendall_tau(series, scores=None, *, tie_correction: bool = False) -> float:
+def kendall_tau(x, y, *, tie_correction: bool = False) -> float:
     """Pairwise concordance: sum of sgn(dx)*sgn(dy) over pairs, / C(M,2).
 
     With tie_correction the denominator becomes the tau-b geometric mean of
@@ -102,7 +74,7 @@ def kendall_tau(series, scores=None, *, tie_correction: bool = False) -> float:
     are the pairs tied in x, in y, and in both. S is an exact integer, so
     the result equals the pairwise sign sum bit for bit.
     """
-    x, y = _as_xy(series, scores)
+    x, y = _as_xy(x, y)
     m = len(x)
     if m < 2:
         raise ValueError("kendall_tau needs at least 2 entries")
@@ -136,8 +108,8 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def pearson(series, scores=None) -> float:
-    x, y = _as_xy(series, scores)
+def pearson(x, y) -> float:
+    x, y = _as_xy(x, y)
     if len(x) < 3:
         raise ValueError("pearson needs at least 3 entries")
     if _is_constant(x) or _is_constant(y):
@@ -147,9 +119,9 @@ def pearson(series, scores=None) -> float:
     return float((xc * yc).sum() / np.sqrt((xc**2).sum() * (yc**2).sum()))
 
 
-def spearman(series, scores=None) -> float:
+def spearman(x, y) -> float:
     """Pearson correlation of the average ranks."""
-    x, y = _as_xy(series, scores)
+    x, y = _as_xy(x, y)
     if len(x) < 3:
         raise ValueError("spearman needs at least 3 entries")
     if _is_constant(x) or _is_constant(y):
@@ -179,7 +151,8 @@ def _summary(values: list[float]) -> CoefficientSummary:
     return CoefficientSummary(float(arr.mean()), float(arr.std()))
 
 
-def _series_from_rows(rows, accuracy: Mapping[str, float], sample_size, rng) -> PairedSeries:
+def _series_from_rows(rows, accuracy: Mapping[str, float], sample_size, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, scores) of one seed's rows joined on arch_id, after sampling."""
     ids = [r.arch_id for r in rows]
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if ids.count(i) > 1)
@@ -197,12 +170,12 @@ def _series_from_rows(rows, accuracy: Mapping[str, float], sample_size, rng) -> 
         targets.append(accuracy[i])
     if len(ids) < 3:
         raise ValueError(f"need at least 3 joined rows per seed, got {len(ids)}")
-    return PairedSeries(tuple(ids), np.array([r.value for r in rows]), np.array(targets))
+    return np.array(targets), np.array([r.value for r in rows])
 
 
 def evaluate_proxy(
     score_csv_paths: Sequence[str | Path],
-    accuracy_table: Mapping[str, float] | str | Path,
+    accuracy_table: Mapping[str, float],
     sample_size: int | None = None,
     rng: np.random.Generator | None = None,
     n_repeats: int | None = None,
@@ -216,10 +189,7 @@ def evaluate_proxy(
     sampling repetitions, cycling over the available series; this is how one
     score file can back several subsampled evaluations.
     """
-    from .data import load_accuracy_csv, read_scores_csv
-
-    if isinstance(accuracy_table, (str, Path)):
-        accuracy_table = load_accuracy_csv(accuracy_table)
+    from .data import read_scores_csv
 
     by_proxy: dict[str, dict[tuple[int, int], list]] = {}
     for path_idx, path in enumerate(score_csv_paths):
@@ -237,11 +207,11 @@ def evaluate_proxy(
             raise ValueError("n_repeats must be >= 1")
         taus, rhos, rs, sizes = [], [], [], []
         for rep in range(repeats):
-            series = _series_from_rows(groups[rep % len(groups)], accuracy_table, sample_size, rng)
-            taus.append(kendall_tau(series))
-            rhos.append(spearman(series))
-            rs.append(pearson(series))
-            sizes.append(len(series.arch_ids))
+            targets, scores = _series_from_rows(groups[rep % len(groups)], accuracy_table, sample_size, rng)
+            taus.append(kendall_tau(targets, scores))
+            rhos.append(spearman(targets, scores))
+            rs.append(pearson(targets, scores))
+            sizes.append(len(targets))
         if len(set(sizes)) != 1:
             raise ValueError(f"inconsistent join sizes across seeds for {proxy!r}: {sorted(set(sizes))}")
         reports.append(

@@ -23,7 +23,7 @@ import pytest
 import oracles
 from diswot.arch import S0Depths, enumerate_s0, parse_nb201, s0_space, serialize_nb201
 from diswot.cli import main as cli_main
-from diswot.data import ScoreRow, write_scores_csv
+from diswot.data import ScoreRow, load_accuracy_csv, write_scores_csv
 from diswot.kernels import fc_weight_grad, global_avg_pool
 from diswot.metrics import (
     COST_PROXIES,
@@ -442,7 +442,7 @@ def test_10_correlation_pipeline_accepts_user_accuracy_table(tmp_path, capsys):
         "arch_id,accuracy\n" + "".join(f"{a},{70.0 - 0.3 * i}\n" for i, a in enumerate(ids))
     )
 
-    reports = evaluate_proxy(score_paths, accuracy_path)
+    reports = evaluate_proxy(score_paths, load_accuracy_csv(accuracy_path))
     assert len(reports) == 1
     rep = reports[0]
     assert rep.proxy_name == "diswot"

@@ -2,11 +2,12 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diswot import cli
+from diswot import cli, network
 from diswot.arch import S0Depths, S2Config, S2Stage, arch_id, descriptor_to_json, enumerate_s0, s0_space, s2_cifar_space
 from diswot.cli import main
 from diswot.data import read_scores_csv
@@ -129,6 +130,47 @@ def test_score_s2_json_teacher_echoed(tmp_path):
     config = json.loads(out.read_text().splitlines()[0][len("# config: "):])
     assert config["teacher"] == arch_id(teacher)
     assert [r.arch_id for r in read_scores_csv(out)] == [arch_id(student)]
+
+
+def test_score_reads_teacher_file_once(tmp_path, monkeypatch):
+    teacher = tmp_path / "t.json"
+    teacher.write_text(json.dumps(descriptor_to_json(S0Depths(1, 3, 1), s0_space())))
+    reads = []
+    read_text = Path.read_text
+
+    def counting(path, *args, **kwargs):
+        if path.name == "t.json":
+            reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    out = tmp_path / "s.csv"
+    code = run(["score", "--space", "s0", "--arch", "1-1-1", "--teacher", str(teacher), "--seed", "0",
+                "--seed", "1", "--proxy", "diswot", "--batch-size", "2", "--out", str(out)])
+    assert code == 0
+    assert len(reads) == 1
+    assert json.loads(out.read_text().splitlines()[0][len("# config: "):])["teacher"] == "1-3-1"
+
+
+def test_score_proxy_order_never_changes_the_work(tmp_path, monkeypatch):
+    # A student that needs nwot takes its relu_codes forward first, so its
+    # bundle is a full prefix-cache hit in either order: the convs run are
+    # the teacher's 45 and the students' 13 + 17 + 10 + 13, as for diswot alone.
+    convs = []
+    conv2d = network.conv2d
+    monkeypatch.setattr(network, "conv2d", lambda *a: convs.append(1) or conv2d(*a))
+    archs = [arg for a in ("1-1-3", "3-1-3", "3-3-1", "1-3-1") for arg in ("--arch", a)]
+    values = {}
+    for proxies in (("diswot", "nwot"), ("nwot", "diswot"), ("diswot",)):
+        convs.clear()
+        out = tmp_path / f"{'-'.join(proxies)}.csv"
+        flags = [arg for p in proxies for arg in ("--proxy", p)]
+        assert run(["score", "--space", "s0", *archs, *flags, "--batch-size", "4", "--out", str(out)]) == 0
+        assert len(convs) == 98
+        values[proxies] = {(r.arch_id, r.proxy): r.value for r in read_scores_csv(out)}
+    assert values[("diswot", "nwot")] == values[("nwot", "diswot")]
+    assert len(values[("diswot", "nwot")]) == 8
+    assert values[("diswot",)].items() <= values[("diswot", "nwot")].items()
 
 
 def test_score_unknown_proxy_exit_2(tmp_path):

@@ -117,8 +117,8 @@ def test_flops_single_conv_closed_form():
 def test_flops_doubling_spatial_quadruples():
     space = s0_space()
     d = S0Depths(3, 3, 3)
-    f32 = count_flops(d, space, input_shape=(3, 32, 32))
-    f64 = count_flops(d, space, input_shape=(3, 64, 64))
+    f32 = count_flops(d, space)
+    f64 = count_flops(d, replace(space, input_hw=64))
     # FC contributes the same in both; conv part quadruples
     fc = 2 * 100 * 64
     assert f64 - fc == 4 * (f32 - fc)
@@ -129,14 +129,6 @@ def test_flops_monotone_in_depth():
     vals = [count_flops(S0Depths(d, d, d), space) for d in (1, 3, 5, 7)]
     assert vals == sorted(vals)
     assert len(set(vals)) == 4
-
-
-def test_flops_batch_multiplies():
-    space = s0_space()
-    d = S0Depths(1, 1, 1)
-    f1 = count_flops(d, space)
-    f8 = count_flops(d, space, input_shape=(8, 3, 32, 32))
-    assert f8 == 8 * f1
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +311,7 @@ def _exact_values() -> list[list]:
             nwot_from_codes(net.relu_codes(batch.images)),
             kd_distance("cc", teachers[make_space], bundle),
             count_params(desc, space),
-            count_flops(desc, space, (4, 3, 32, 32)),
+            4 * count_flops(desc, space),  # pinned at batch 4
             *(kd_distance(kind, teachers[make_space], bundle) for kind in EXACT_KD),
         ])
     return out
@@ -425,14 +417,13 @@ def _arch_list(space, seed: int, size: int) -> list:
     name=st.sampled_from(sorted(FINITE_SPACES)),
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(2, 5),
-    record_codes=st.booleans(),
     calls=st.lists(st.sampled_from(["activations", "relu_codes", "both", "codes_first"]), min_size=5, max_size=5),
 )
-def test_prefix_cache_matches_fresh_networks(name, seed, size, record_codes, calls):
+def test_prefix_cache_matches_fresh_networks(name, seed, size, calls):
     space = FINITE_SPACES[name]()
     batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=seed % 7)
     init = InitSpec(seed=seed % 5)
-    cache = PrefixCache(batch.images, init, record_codes=record_codes)
+    cache = PrefixCache(batch.images, init)
     for desc, call in zip(_arch_list(space, seed, size), calls):
         fresh = NetworkInstance(desc, space, init)
         net = NetworkInstance(desc, space, init)
@@ -465,13 +456,13 @@ def test_prefix_cache_runs_only_unshared_ops(monkeypatch):
     # The stem is one conv, a block two, plus a shortcut in the first block
     # of stages 2 and 3: 3-1-1 has 1 + 6 + 3 + 3 = 13.
     assert conv_count(S0Depths(3, 1, 1), "activations", None) == 13
-    cache = PrefixCache(batch.images, init, record_codes=True)
-    assert conv_count(S0Depths(3, 1, 1), "activations", cache) == 13
-    assert conv_count(S0Depths(3, 1, 1), "relu_codes", cache) == 0  # a full hit
+    cache = PrefixCache(batch.images, init)
+    assert conv_count(S0Depths(3, 1, 1), "relu_codes", cache) == 13
+    assert conv_count(S0Depths(3, 1, 1), "activations", cache) == 0  # a full hit
     assert conv_count(S0Depths(3, 1, 3), "relu_codes", cache) == 7  # stage 3 only
     assert conv_count(S0Depths(3, 3, 1), "activations", cache) == 10  # stages 2 and 3
     assert conv_count(S0Depths(1, 3, 1), "activations", cache) == 13  # no shared stage
-    # Without record_codes, codes are not kept: relu_codes needs its own forward.
+    # activations records no codes, so relu_codes after it runs again.
     plain = PrefixCache(batch.images, init)
     assert conv_count(S0Depths(3, 1, 1), "activations", plain) == 13
     assert conv_count(S0Depths(3, 1, 1), "relu_codes", plain) == 13

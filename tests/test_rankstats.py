@@ -11,7 +11,6 @@ from diswot.data import ScoreRow, write_scores_csv
 from diswot.rankstats import (
     CorrelationReport,
     MissingArchError,
-    PairedSeries,
     average_ranks,
     evaluate_proxy,
     format_report_table,
@@ -180,19 +179,14 @@ def test_minimum_lengths():
         kendall_tau([1.0], [1.0])
 
 
-def test_paired_series_validation():
-    PairedSeries(("a", "b", "c"), np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        PairedSeries(("a", "b"), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        PairedSeries(("a", "a", "b"), np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        PairedSeries(("a", "b", "c"), np.array([1.0, np.nan, 3.0]), np.array([1.0, 2.0, 3.0]))
-
-
-def test_paired_series_feeds_coefficients():
-    s = PairedSeries(("a", "b", "c", "d"), np.array([1.0, 2.0, 4.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert kendall_tau(s) == pytest.approx(4.0 / 6.0)
+@pytest.mark.parametrize("coefficient", [kendall_tau, spearman, pearson])
+def test_coefficients_reject_non_finite(coefficient):
+    good = [1.0, 2.0, 3.0, 4.0]
+    for bad in ([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, np.inf, 4.0]):
+        with pytest.raises(ValueError, match="finite"):
+            coefficient(good, bad)
+        with pytest.raises(ValueError, match="finite"):
+            coefficient(bad, good)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +236,14 @@ def test_evaluate_proxy_missing_arch_named(tmp_path):
     rows = [ScoreRow(a, "diswot", float(i), True, 0) for i, a in enumerate(ids)]
     path = write_fixture(tmp_path, "m.csv", rows)
     with pytest.raises(MissingArchError, match="ghost"):
+        evaluate_proxy([path], accuracy_map(["a", "b", "c"], [1.0, 2.0, 3.0]))
+
+
+def test_evaluate_proxy_duplicate_arch_named(tmp_path):
+    rows = [ScoreRow(a, "diswot", float(i), True, 0) for i, a in enumerate(["a", "b", "a", "c"])]
+    rows.append(ScoreRow("a", "diswot", 9.0, True, 1))  # another seed may repeat it
+    path = write_fixture(tmp_path, "dup.csv", rows)
+    with pytest.raises(ValueError, match="duplicate arch_id 'a'"):
         evaluate_proxy([path], accuracy_map(["a", "b", "c"], [1.0, 2.0, 3.0]))
 
 
