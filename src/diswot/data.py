@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,9 +183,12 @@ def read_scores_csv(path: str | Path) -> list[ScoreRow]:
         if hib not in ("true", "false"):
             raise ValueError(f"{path}:{n}: higher_is_better must be true/false, got {hib!r}")
         try:
-            rows.append(ScoreRow(arch, proxy, float(value), hib == "true", int(seed)))
+            row = ScoreRow(arch, proxy, float(value), hib == "true", int(seed))
         except ValueError as e:
             raise ValueError(f"{path}:{n}: {e}") from None
+        if not math.isfinite(row.value):
+            raise ValueError(f"{path}:{n}: non-finite value {value!r} for arch_id {arch!r}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no score rows")
     return rows
@@ -210,6 +214,8 @@ def load_accuracy_csv(path: str | Path) -> dict[str, float]:
             table[arch] = float(acc)
         except ValueError:
             raise ValueError(f"{path}:{n}: bad accuracy value {acc!r}") from None
+        if not math.isfinite(table[arch]):
+            raise ValueError(f"{path}:{n}: non-finite accuracy {acc!r} for arch_id {arch!r}")
     if not table:
         raise ValueError(f"{path}: no accuracy rows")
     return table

@@ -29,7 +29,7 @@ NWOT = "nwot"
 COST_PROXIES = {"params": count_params, "flops": count_flops}
 
 # Size of the float64 copy of one column chunk of ReLU codes in nwot_from_codes.
-_NWOT_CHUNK_BYTES = 8 << 20
+_NWOT_CHUNK_BYTES = 1 << 20
 # Ridge added to the nwot kernel's diagonal.
 _NWOT_EPS = 1e-6
 

@@ -34,9 +34,12 @@ activations are held.
 
 A forward given a PrefixCache resumes from the stage-boundary activations
 of the previous forward through that cache, where the two plans share a
-prefix, and draws conv weights only for the ops it runs. Only relu_codes
-records ReLU codes, so a student that needs both takes relu_codes first:
-its activations then run no op.
+prefix, and needs conv weights only for the ops it runs. The cache also
+keeps the last network's conv weights by stream index, so a forward that
+resumes from a checkpoint draws conv i only when the last network had no
+conv of the same shape at index i. Only relu_codes records ReLU codes, so a
+student that needs both takes relu_codes first: its activations then run
+no op.
 """
 
 from __future__ import annotations
@@ -247,6 +250,16 @@ class PrefixCache:
     last network, plus that network's ReLU codes when its last forward was
     relu_codes.
 
+    The cache also keeps conv weights by stream index. Weight i depends only
+    on (init.seed, i, shape), so a forward takes conv i's weight from the
+    cache when the table holds one at index i, and otherwise draws it and
+    stores it there. A forward that resumes from no checkpoint empties the
+    table; one that resumes keeps only the weights whose shape equals its
+    own plan's conv shape at that index. The table thus never holds more
+    than one plan's conv weights, and nothing from a network that shares no
+    stage with the next. The teacher forward runs without a cache, so its
+    weights never enter it.
+
     The cache is bound to one image array and one InitSpec; a forward with
     other images or another InitSpec raises ValueError. It is not
     thread-safe: give each thread its own.
@@ -258,6 +271,7 @@ class PrefixCache:
         self._plan: tuple = ()  # op records of the last forward's plan
         self._checkpoints: list[_Checkpoint] = []
         self._codes: list[Tensor] = []
+        self._weights: dict[int, Tensor] = {}  # conv weight stream index -> weight
 
     def _resume(self, plan, ends, images, init, record: bool):
         """Return (first op to run, slots, codes list or None) and start this plan's path."""
@@ -276,7 +290,10 @@ class PrefixCache:
         del self._checkpoints[kept:]
         if not kept:
             self._codes = []
+            self._weights = {}
             return 0, {0: images}, self._codes if record else None
+        shapes = [op.shape for op in plan if op.kind == "conv"]
+        self._weights = {i: w for i, w in self._weights.items() if i < len(shapes) and w.shape == shapes[i]}
         cp = self._checkpoints[-1]
         if cp.codes is not None:
             del self._codes[cp.codes:]
@@ -290,7 +307,9 @@ class NetworkInstance:
     """A built, seeded network; its weights are fixed by (descriptor, init).
 
     Conv weights are drawn on first use, so a forward resumed from a
-    PrefixCache never draws the weights of the ops it skips.
+    PrefixCache never draws the weights of the ops it skips. A forward
+    through a PrefixCache keeps its conv weights in the cache's table, not
+    in the instance, and takes the ones it finds there.
     """
 
     def __init__(self, descriptor: ArchDescriptor, space: SearchSpace, init: InitSpec):
@@ -302,20 +321,27 @@ class NetworkInstance:
         self._stage_ends = _stage_ends(self._plan, self._frees)
         convs = [op.out for op in self._plan if op.kind == "conv"]
         self._conv_index = {slot: i for i, slot in enumerate(convs)}  # output slot -> weight stream
-        self._conv_weights: dict[int, Tensor] = {}
+        self._conv_weights: dict[int, Tensor] = {}  # weight stream -> weight, when no cache is given
         self._fc_weight = init_tensor((space.num_classes, feature_width), init, len(convs))
 
-    def _conv_weight(self, op: _Op) -> Tensor:
-        weight = self._conv_weights.get(op.out)
+    def _conv_weight(self, op: _Op, cache: PrefixCache | None) -> Tensor:
+        """Conv op's weight from the cache's table (or the instance's), drawn on a miss.
+
+        PrefixCache._resume has already dropped every cached weight whose
+        shape differs from this plan's conv at the same index.
+        """
+        i = self._conv_index[op.out]
+        table = self._conv_weights if cache is None else cache._weights
+        weight = table.get(i)
         if weight is None:
-            weight = self._conv_weights[op.out] = init_tensor(op.shape, self.init, self._conv_index[op.out])
+            weight = table[i] = init_tensor(op.shape, self.init, i)
         return weight
 
     def named_weights(self):
         """All trainable tensors at init (conv/FC weights, BN affine, FC bias)."""
         convs = [op for op in self._plan if op.kind == "conv"]
         for i, op in enumerate(convs):
-            yield f"conv{i}.weight", self._conv_weight(op)
+            yield f"conv{i}.weight", self._conv_weight(op, None)
         bns = [op for op in self._plan if op.kind == "bn"]
         for i, op in enumerate(bns):
             yield f"bn{i}.gamma", np.ones(op.shape)
@@ -333,7 +359,7 @@ class NetworkInstance:
             op = self._plan[index]
             x = slots[op.ins[0]]
             if op.kind == "conv":
-                y = conv2d(x, self._conv_weight(op), op.stride, op.shape[2] // 2)
+                y = conv2d(x, self._conv_weight(op, cache), op.stride, op.shape[2] // 2)
             elif op.kind == "bn":
                 y = batchnorm_batchstats(x)
             elif op.kind == "relu":

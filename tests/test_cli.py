@@ -375,6 +375,22 @@ def test_rank_missing_arch_exit_2(tmp_path, capsys):
     assert "5-5-5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", ["scores", "accuracy"])
+def test_rank_non_finite_input_names_file_and_line(tmp_path, capsys, table):
+    score_paths, acc_path = write_rank_fixture(tmp_path, n=4, seeds=(0,))
+    if table == "scores":
+        bad = score_paths[0]
+        bad.write_text(bad.read_text().replace("3-3-3,diswot,2.0,", "3-3-3,diswot,nan,"))
+    else:
+        bad = acc_path
+        bad.write_text(bad.read_text().replace("3-3-3,62", "3-3-3,nan"))
+    code = run(["rank", "--scores", str(score_paths[0]), "--accuracy", str(acc_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:4: non-finite" in err
+    assert "'3-3-3'" in err
+
+
 def test_rank_sample_and_seeds_in_metadata(tmp_path):
     score_paths, acc_path = write_rank_fixture(tmp_path, n=20, seeds=(0,))
     out = tmp_path / "report.csv"

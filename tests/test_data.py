@@ -196,6 +196,18 @@ def test_scores_csv_bad_value_names_line(tmp_path):
         read_scores_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_scores_csv_non_finite_value_names_line_and_arch(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "arch_id,proxy,value,higher_is_better,seed\n"
+        "a,diswot,0.5,true,0\n"
+        f"b,diswot,{value},true,0\n"
+    )
+    with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite value .* for arch_id 'b'"):
+        read_scores_csv(path)
+
+
 def test_scores_csv_empty_body(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("arch_id,proxy,value,higher_is_better,seed\n")
@@ -239,4 +251,12 @@ def test_accuracy_csv_bad_float(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("arch_id,accuracy\na,high\n")
     with pytest.raises(ValueError, match=r":2:"):
+        load_accuracy_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_accuracy_csv_non_finite_names_line_and_arch(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"arch_id,accuracy\na,1.0\nb,{value}\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite accuracy .* for arch_id 'b'"):
         load_accuracy_csv(path)

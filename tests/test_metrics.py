@@ -407,6 +407,18 @@ def test_nwot_float_copy_is_bounded():
     assert peak <= codes.size * 8 // 4
 
 
+def test_nwot_small_batch_peak_is_bounded():
+    # 8 MiB of codes at batch 4: each float64 chunk holds _NWOT_CHUNK_BYTES.
+    codes = np.random.default_rng(0).random((4, 2**21)) < 0.5
+    tracemalloc.start()
+    try:
+        nwot_from_codes(codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+
+
 def test_nwot_sample_order_invariance():
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 3, 1), space, InitSpec(seed=1))

@@ -1,6 +1,7 @@
 """Network building, parameter/FLOP accounting, and forward-pass tests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from diswot.arch import (
 )
 from diswot.data import synth_batch
 from diswot.metrics import diswot_score_from_bundles, kd_distance, nwot_from_codes
-from diswot import network
+from diswot import cli, network
 from diswot.network import (
     NetworkInstance,
     PrefixCache,
@@ -412,19 +413,34 @@ def _arch_list(space, seed: int, size: int) -> list:
     return descs
 
 
+def _assert_weights_fit(cache, net):
+    """Every cached weight has the shape of net's conv at its stream index."""
+    shapes = [op.shape for op in net._plan if op.kind == "conv"]
+    assert all(i < len(shapes) and w.shape == shapes[i] for i, w in cache._weights.items())
+
+
+def _weight_bytes(net) -> list[bytes]:
+    return [w.tobytes() for _, w in net.named_weights()]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    name=st.sampled_from(sorted(FINITE_SPACES)),
+    names=st.lists(st.sampled_from(sorted(FINITE_SPACES)), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
-    size=st.integers(2, 5),
-    calls=st.lists(st.sampled_from(["activations", "relu_codes", "both", "codes_first"]), min_size=5, max_size=5),
+    size=st.integers(2, 4),
+    calls=st.lists(st.sampled_from(["activations", "relu_codes", "both", "codes_first"]), min_size=12, max_size=12),
 )
-def test_prefix_cache_matches_fresh_networks(name, seed, size, calls):
-    space = FINITE_SPACES[name]()
-    batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=seed % 7)
+def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
+    # One cache serves runs of descriptors from several spaces, so conv i
+    # of one network meets conv i of a network from another space, of the
+    # same or another shape.
+    spaces = [FINITE_SPACES[name]() for name in names]
+    num_classes = min(space.num_classes for space in spaces)
+    batch = synth_batch(2, 3, 32, 32, num_classes, seed=seed % 7)
     init = InitSpec(seed=seed % 5)
     cache = PrefixCache(batch.images, init)
-    for desc, call in zip(_arch_list(space, seed, size), calls):
+    archs = [(space, desc) for k, space in enumerate(spaces) for desc in _arch_list(space, seed + k, size)]
+    for (space, desc), call in zip(archs, calls):
         fresh = NetworkInstance(desc, space, init)
         net = NetworkInstance(desc, space, init)
         order = {"activations": ["a"], "relu_codes": ["c"], "both": ["a", "c"], "codes_first": ["c", "a"]}[call]
@@ -434,6 +450,45 @@ def test_prefix_cache_matches_fresh_networks(name, seed, size, calls):
                 assert _bundle_bytes(got) == _bundle_bytes(fresh.activations(batch.images, batch.labels))
             else:
                 assert net.relu_codes(batch.images, cache=cache).tobytes() == fresh.relu_codes(batch.images).tobytes()
+            _assert_weights_fit(cache, net)
+        assert _weight_bytes(net) == _weight_bytes(fresh)
+
+
+def test_prefix_cache_weight_table_is_bounded():
+    space = s0_space()
+    batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=0)
+    init = InitSpec(seed=0)
+    cache = PrefixCache(batch.images, init)
+
+    def forward(desc):
+        net = NetworkInstance(desc, space, init)
+        net.activations(batch.images, batch.labels, cache=cache)
+        _assert_weights_fit(cache, net)
+        return list(cache._weights.values())
+
+    # 3-3-1 has 17 convs. 3-1-1 resumes after stage 1 and has 13: its
+    # stage 2 and 3 convs at indices 10-12 differ in shape from 3-3-1's,
+    # and 3-3-1's indices 13-16 exist in no 3-1-1 conv.
+    forward(S0Depths(3, 3, 1))
+    assert len(forward(S0Depths(3, 1, 1))) == 13
+    # 1-3-1 shares no stage with 3-1-1, so it resumes from no checkpoint and
+    # holds none of its weights, even the stem's, which has the same shape.
+    before = forward(S0Depths(3, 1, 1))
+    after = forward(S0Depths(1, 3, 1))
+    assert len(after) == 13
+    assert not any(w is old for w in after for old in before)
+
+
+def test_score_all_s0_draws_each_weight_once(monkeypatch, tmp_path):
+    # Drawing, for each student, the weights of every conv its forward runs
+    # takes 20 088 688 normals for this command (teacher included).
+    normals = []
+    init_tensor = network.init_tensor
+    monkeypatch.setattr(network, "init_tensor", lambda shape, *a: normals.append(math.prod(shape)) or init_tensor(shape, *a))
+    code = cli.main(["score", "--space", "s0", "--all-s0", "--proxy", "diswot", "--proxy", "nwot",
+                     "--batch-size", "4", "--jobs", "1", "--seed", "0", "--out", str(tmp_path / "s.csv")])
+    assert code == 0
+    assert sum(normals) <= 20_088_688 // 2
 
 
 def test_prefix_cache_runs_only_unshared_ops(monkeypatch):

@@ -1,5 +1,7 @@
 """Seeded stream and weight-init tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,21 @@ def test_init_tensor_determinism_and_streams():
     np.testing.assert_array_equal(a, b)
     c = init_tensor((8, 4, 3, 3), spec, stream_id=1)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("spec", [InitSpec(seed=7), InitSpec(scheme="gaussian", gaussian_std=0.3, seed=7)])
+def test_init_tensor_scales_in_place(spec):
+    for i, shape in enumerate([(16, 3, 3, 3), (64, 32, 1, 1), (10, 64), (256, 256, 3, 3)]):
+        std = np.sqrt(2.0 / fan_in(shape)) if spec.scheme == "kaiming" else spec.gaussian_std
+        want = stream(spec.seed, i).standard_normal(shape, dtype=np.float64) * std
+        tracemalloc.start()
+        try:
+            got = init_tensor(shape, spec, i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 1.5 * got.nbytes + 4096  # one array, not the draw and its scaled copy
 
 
 def test_kaiming_std():
