@@ -32,14 +32,13 @@ bit-identical weights.
 The forward drops each slot once its last reader has run, so only live
 activations are held.
 
-A forward given a PrefixCache resumes from the stage-boundary activations
-of the previous forward through that cache, where the two plans share a
-prefix, and needs conv weights only for the ops it runs. The cache also
-keeps the last network's conv weights by stream index, so a forward that
-resumes from a checkpoint draws conv i only when the last network had no
-conv of the same shape at index i. Only relu_codes records ReLU codes, so a
-student that needs both takes relu_codes first: its activations then run
-no op.
+A forward given a PrefixCache resumes from a stage-boundary activation of
+the previous forward through that cache, at any block or cell boundary the
+two plans share, and runs only the ops after it. A conv draws its weight
+where it runs and drops it afterwards, so a forward never draws the weights
+of the ops it skips, and no conv weight outlives its conv. Only relu_codes
+records ReLU codes, so a student that needs both takes relu_codes first:
+its activations then run no op.
 """
 
 from __future__ import annotations
@@ -208,21 +207,25 @@ def _compile(desc: ArchDescriptor, space: SearchSpace, hw: tuple[int, int]) -> t
     return tuple(b.ops), cin
 
 
-def _stage_ends(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> frozenset[int]:
-    """Indices of the ops after which a stage ends or the plan does.
+def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tuple[frozenset[int], frozenset[int]]:
+    """Return (one-live points, stage ends) as sets of op indices.
 
-    A stage ends where the op's output is the one live slot and the next op
-    is a conv that changes the spatial size or the channel count.
+    A one-live point is an op after which its output is the one live slot:
+    a block or cell boundary, or an op of the stem. A stage end is a
+    one-live point followed by the end of the plan or by a conv that changes
+    the spatial size or the channel count.
     """
-    ends = set()
+    one_live, ends = set(), set()
     live = {0}
     for i, op in enumerate(plan):
         live.difference_update(frees[i])
         live.add(op.out)
-        nxt = plan[i + 1] if i + 1 < len(plan) else None
-        if len(live) == 1 and (nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.shape[0] != nxt.shape[1])):
-            ends.add(i)
-    return frozenset(ends)
+        if len(live) == 1:
+            one_live.add(i)
+            nxt = plan[i + 1] if i + 1 < len(plan) else None
+            if nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.shape[0] != nxt.shape[1]):
+                ends.add(i)
+    return frozenset(one_live), frozenset(ends)
 
 
 class _Checkpoint(NamedTuple):
@@ -238,27 +241,22 @@ class PrefixCache:
     tensors after op n: conv i draws its weights from the stream
     (init.seed, i) and batch norm reads only the current batch. A forward
     through the cache therefore starts from the last checkpoint inside the
-    prefix its plan shares with the previous forward's plan, and runs only
-    the rest. A forward records ReLU codes exactly when it is relu_codes,
-    and relu_codes resumes only from checkpoints whose codes were recorded.
-    So activations right after relu_codes on the same network runs no op,
-    while relu_codes right after activations resumes only from a checkpoint
-    an earlier relu_codes forward took.
+    prefix its plan shares with the previous forward's plan at which its
+    own plan has a single live slot (see _boundaries), and runs only the
+    rest. That point may lie inside one of its stages: 7-7-5 right after
+    7-7-3 resumes from the end of 7-7-3, its own third stage-3 block
+    boundary, and runs two blocks. A forward records
+    ReLU codes exactly when it is relu_codes, and relu_codes resumes only
+    from checkpoints whose codes were recorded. So activations right after
+    relu_codes on the same network runs no op, while relu_codes right after
+    activations resumes only from a checkpoint an earlier relu_codes
+    forward took.
 
-    Checkpoints are taken where a stage ends (see _stage_ends) and hold the
-    one live tensor there, so the cache keeps one tensor per stage of the
-    last network, plus that network's ReLU codes when its last forward was
-    relu_codes.
-
-    The cache also keeps conv weights by stream index. Weight i depends only
-    on (init.seed, i, shape), so a forward takes conv i's weight from the
-    cache when the table holds one at index i, and otherwise draws it and
-    stores it there. A forward that resumes from no checkpoint empties the
-    table; one that resumes keeps only the weights whose shape equals its
-    own plan's conv shape at that index. The table thus never holds more
-    than one plan's conv weights, and nothing from a network that shares no
-    stage with the next. The teacher forward runs without a cache, so its
-    weights never enter it.
+    Checkpoints are taken only where a stage ends and hold the one live
+    tensor there. A forward that resumes keeps only the checkpoints at its
+    own plan's stage ends, so the cache holds at most one tensor per stage
+    end of the last network, plus that network's ReLU codes when its last
+    forward was relu_codes. It holds no weights.
 
     The cache is bound to one image array and one InitSpec; a forward with
     other images or another InitSpec raises ValueError. It is not
@@ -271,9 +269,8 @@ class PrefixCache:
         self._plan: tuple = ()  # op records of the last forward's plan
         self._checkpoints: list[_Checkpoint] = []
         self._codes: list[Tensor] = []
-        self._weights: dict[int, Tensor] = {}  # conv weight stream index -> weight
 
-    def _resume(self, plan, ends, images, init, record: bool):
+    def _resume(self, plan, one_live, ends, images, init, record: bool):
         """Return (first op to run, slots, codes list or None) and start this plan's path."""
         if images is not self.images or init != self.init:
             raise ValueError("a PrefixCache serves only the image array and InitSpec it was made with")
@@ -282,22 +279,19 @@ class PrefixCache:
             if a != b:
                 break
             shared += 1
-        kept = 0
-        for k, cp in enumerate(self._checkpoints):
-            if cp.index < shared and cp.index in ends and (cp.codes is not None or not record):
-                kept = k + 1
+        start = None
+        for cp in self._checkpoints:
+            if cp.index < shared and cp.index in one_live and (cp.codes is not None or not record):
+                start = cp
         self._plan = plan
-        del self._checkpoints[kept:]
-        if not kept:
+        if start is None:
+            self._checkpoints = []
             self._codes = []
-            self._weights = {}
             return 0, {0: images}, self._codes if record else None
-        shapes = [op.shape for op in plan if op.kind == "conv"]
-        self._weights = {i: w for i, w in self._weights.items() if i < len(shapes) and w.shape == shapes[i]}
-        cp = self._checkpoints[-1]
-        if cp.codes is not None:
-            del self._codes[cp.codes:]
-        return cp.index + 1, {plan[cp.index].out: cp.tensor}, self._codes if record else None
+        self._checkpoints = [cp for cp in self._checkpoints if cp.index <= start.index and cp.index in ends]
+        if start.codes is not None:
+            del self._codes[start.codes:]
+        return start.index + 1, {plan[start.index].out: start.tensor}, self._codes if record else None
 
     def _mark(self, index: int, tensor: Tensor, codes: list | None) -> None:
         self._checkpoints.append(_Checkpoint(index, tensor, None if codes is None else len(codes)))
@@ -306,10 +300,9 @@ class PrefixCache:
 class NetworkInstance:
     """A built, seeded network; its weights are fixed by (descriptor, init).
 
-    Conv weights are drawn on first use, so a forward resumed from a
-    PrefixCache never draws the weights of the ops it skips. A forward
-    through a PrefixCache keeps its conv weights in the cache's table, not
-    in the instance, and takes the ones it finds there.
+    Conv weights are drawn where they are used and dropped afterwards, so a
+    forward resumed from a PrefixCache never draws the weights of the ops it
+    skips, and only the classifier weight lives as long as the instance.
     """
 
     def __init__(self, descriptor: ArchDescriptor, space: SearchSpace, init: InitSpec):
@@ -318,30 +311,16 @@ class NetworkInstance:
         self.init = init
         self._plan, feature_width = _compile(descriptor, space, (space.input_hw, space.input_hw))
         self._frees = _last_reads(self._plan)
-        self._stage_ends = _stage_ends(self._plan, self._frees)
+        self._one_live, self._stage_ends = _boundaries(self._plan, self._frees)
         convs = [op.out for op in self._plan if op.kind == "conv"]
         self._conv_index = {slot: i for i, slot in enumerate(convs)}  # output slot -> weight stream
-        self._conv_weights: dict[int, Tensor] = {}  # weight stream -> weight, when no cache is given
         self._fc_weight = init_tensor((space.num_classes, feature_width), init, len(convs))
 
-    def _conv_weight(self, op: _Op, cache: PrefixCache | None) -> Tensor:
-        """Conv op's weight from the cache's table (or the instance's), drawn on a miss.
-
-        PrefixCache._resume has already dropped every cached weight whose
-        shape differs from this plan's conv at the same index.
-        """
-        i = self._conv_index[op.out]
-        table = self._conv_weights if cache is None else cache._weights
-        weight = table.get(i)
-        if weight is None:
-            weight = table[i] = init_tensor(op.shape, self.init, i)
-        return weight
-
     def named_weights(self):
-        """All trainable tensors at init (conv/FC weights, BN affine, FC bias)."""
+        """All trainable tensors at init (conv/FC weights, BN affine, FC bias), each conv's drawn afresh."""
         convs = [op for op in self._plan if op.kind == "conv"]
         for i, op in enumerate(convs):
-            yield f"conv{i}.weight", self._conv_weight(op, None)
+            yield f"conv{i}.weight", init_tensor(op.shape, self.init, i)
         bns = [op for op in self._plan if op.kind == "bn"]
         for i, op in enumerate(bns):
             yield f"bn{i}.gamma", np.ones(op.shape)
@@ -354,12 +333,12 @@ class NetworkInstance:
         if cache is None:
             start, slots, codes = 0, {0: images}, [] if record else None
         else:
-            start, slots, codes = cache._resume(self._plan, self._stage_ends, images, self.init, record)
+            start, slots, codes = cache._resume(self._plan, self._one_live, self._stage_ends, images, self.init, record)
         for index in range(start, len(self._plan)):
             op = self._plan[index]
             x = slots[op.ins[0]]
             if op.kind == "conv":
-                y = conv2d(x, self._conv_weight(op, cache), op.stride, op.shape[2] // 2)
+                y = conv2d(x, init_tensor(op.shape, self.init, self._conv_index[op.out]), op.stride, op.shape[2] // 2)
             elif op.kind == "bn":
                 y = batchnorm_batchstats(x)
             elif op.kind == "relu":

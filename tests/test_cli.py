@@ -57,6 +57,26 @@ def test_score_jobs_do_not_change_output(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_score_arch_order_never_changes_a_value(tmp_path):
+    # The order of --arch sets where each student resumes in the prefix
+    # cache, and --jobs splits the list into runs; neither may change a value.
+    archs = ["1-1-1", "1-1-3", "1-3-1", "3-1-1", "3-1-3", "3-3-1", "5-3-1", "1-1-5"]
+    common = ["score", "--space", "s0", "--proxy", "diswot", "--proxy", "nwot", "--batch-size", "4", "--seed", "3"]
+
+    def values(order, jobs):
+        out = tmp_path / f"{jobs}-{'_'.join(order)}.csv"
+        flags = [arg for a in order for arg in ("--arch", a)]
+        assert run(common + flags + ["--jobs", jobs, "--out", str(out)]) == 0
+        return {(r.arch_id, r.proxy): r.value for r in read_scores_csv(out)}
+
+    reference = values(sorted(archs), "1")
+    assert len(reference) == 2 * len(archs)
+    shuffled = [archs[i] for i in np.random.default_rng(0).permutation(len(archs))]
+    assert shuffled != sorted(archs)
+    for jobs in ("1", "2"):
+        assert values(shuffled, jobs) == reference
+
+
 def test_score_all_s0_peak_memory(tmp_path):
     # 68 418 598 bytes is this command's tracemalloc peak when every student
     # runs two full forwards and nwot makes one float64 copy of all its ReLU
@@ -155,7 +175,9 @@ def test_score_reads_teacher_file_once(tmp_path, monkeypatch):
 def test_score_proxy_order_never_changes_the_work(tmp_path, monkeypatch):
     # A student that needs nwot takes its relu_codes forward first, so its
     # bundle is a full prefix-cache hit in either order: the convs run are
-    # the teacher's 45 and the students' 13 + 17 + 10 + 13, as for diswot alone.
+    # the teacher's 45 and the students' 13 + 14 + 7 + 13, as for diswot
+    # alone. 3-1-3 resumes where 1-1-3's stage 1 ends, after the first of
+    # its three stage-1 blocks, and 3-3-1 after the first stage-2 block.
     convs = []
     conv2d = network.conv2d
     monkeypatch.setattr(network, "conv2d", lambda *a: convs.append(1) or conv2d(*a))
@@ -166,7 +188,7 @@ def test_score_proxy_order_never_changes_the_work(tmp_path, monkeypatch):
         out = tmp_path / f"{'-'.join(proxies)}.csv"
         flags = [arg for p in proxies for arg in ("--proxy", p)]
         assert run(["score", "--space", "s0", *archs, *flags, "--batch-size", "4", "--out", str(out)]) == 0
-        assert len(convs) == 98
+        assert len(convs) == 92
         values[proxies] = {(r.arch_id, r.proxy): r.value for r in read_scores_csv(out)}
     assert values[("diswot", "nwot")] == values[("nwot", "diswot")]
     assert len(values[("diswot", "nwot")]) == 8
