@@ -333,6 +333,29 @@ def max_descriptor(space: SearchSpace) -> ArchDescriptor:
     return S2Config(space.stem_channels, stages)
 
 
+def min_descriptor(space: SearchSpace) -> ArchDescriptor:
+    """The smallest member of the sampling domain: no member has fewer params, FLOPs or blocks.
+
+    A bottleneck block is the smaller kind: its kxk conv runs at a quarter
+    of the width (at least 8), between two 1x1 convs.
+    """
+    if space.kind == "s0":
+        return S0Depths(*(min(space.depth_choices),) * 3)
+    if space.kind == "nb201":
+        return NB201Cell(("none",) * 6)
+    stages = tuple(
+        S2Stage(
+            block="bottleneck",
+            kernel=min(S2_KERNEL_CHOICES),
+            channels=clamp_channels(base * min(S2_WIDTH_SAMPLE_FACTORS)),
+            depth=min(space.depth_choices),
+            stride=stride,
+        )
+        for base, stride in zip(space.s2_base_channels, space.s2_strides)
+    )
+    return S2Config(space.stem_channels, stages)
+
+
 # ---------------------------------------------------------------------------
 # Sampling and mutation (structural; constraint checks live in network.py)
 

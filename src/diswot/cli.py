@@ -24,12 +24,14 @@ from .arch import (
     Constraints,
     S0Depths,
     arch_id,
+    block_count,
     descriptor_from_json,
     descriptor_in_space,
     descriptor_to_json,
     enumerate_s0,
     make_space,
     max_descriptor,
+    min_descriptor,
     parse_nb201,
 )
 from .data import load_accuracy_csv, load_cifar_batch, synth_batch, ScoreRow, write_report_csv, write_scores_csv
@@ -46,7 +48,7 @@ from .metrics import (
     kd_distance,
     nwot_from_codes,
 )
-from .network import NetworkInstance, PrefixCache
+from .network import NetworkInstance, PrefixCache, count_flops, count_params, satisfies_constraints, trie_order
 from .rankstats import MissingArchError, evaluate_proxy, format_report_table
 from .rng import InitSpec, derive_seed, stream
 from .search import EvoConfig, evolve, random_search
@@ -171,18 +173,22 @@ def _needs_teacher(proxies) -> bool:
 
 
 def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, use_relation: bool):
-    """Return new_scorer at this seed; new_scorer() makes one scorer.
+    """Return new_scorer at this seed; new_scorer(networks) makes one scorer.
 
     teacher is the resolved teacher descriptor, or None when no requested
     proxy needs one. scorer(desc) maps a descriptor to {proxy: value}. Each
-    scorer owns one PrefixCache over the batch, so a student resumes from
-    the stage-boundary activations of the network that scorer scored before
-    it: give each thread its own scorer. A student that needs nwot takes
-    its relu_codes forward first, whatever the proxy order, so its bundle
-    is then a full cache hit. The batch and the teacher forward are made
-    once, here, and only when a requested proxy needs them. Each call builds
-    the student once. A non-finite value raises ValueError naming the proxy
-    and the architecture.
+    scorer owns one PrefixCache over the batch, which keeps the stage-end
+    activations of about the last `networks` students it scored, so a
+    student resumes from the deepest of them its plan shares: give each
+    thread its own scorer. score keeps one network and scores in prefix-trie
+    order, which on --all-s0 already runs each shared prefix once. search
+    keeps its population, since a child is a mutant of a population member:
+    population 20 at batch 64 on s0 holds up to 20 x 14 MiB. A student that
+    needs nwot takes its relu_codes forward first, whatever the proxy order,
+    so its bundle is then a full cache hit. The batch and the teacher
+    forward are made once, here, and only when a requested proxy needs
+    them. Each call builds the student once. A non-finite value raises
+    ValueError naming the proxy and the architecture.
     """
     batch = _make_batch(args, space, seed) if teacher is not None or NWOT in proxies else None
     init = _init_spec(args, seed)
@@ -190,8 +196,8 @@ def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, u
     if teacher is not None:
         teacher_bundle = NetworkInstance(teacher, space, init).activations(batch.images, batch.labels)
 
-    def new_scorer():
-        cache = None if batch is None else PrefixCache(batch.images, init)
+    def new_scorer(networks: int = 1):
+        cache = None if batch is None else PrefixCache(batch.images, init, networks)
 
         def scorer(desc) -> dict[str, float]:
             out = {}
@@ -245,23 +251,27 @@ def cmd_score(args, parser) -> int:
 
     teacher = _resolve_teacher(space, args.teacher) if _needs_teacher(proxies) else None
 
-    by_seed: dict[int, list[dict[str, float]]] = {}
+    # Scored in prefix-trie order, so each student resumes as deep as it can;
+    # rows keep the input order.
+    order = trie_order(archs, space)
+    by_seed: dict[int, dict[int, dict[str, float]]] = {}  # seed -> input index -> values
     for seed in seeds:
         new_scorer = _make_scorer(args, space, seed, proxies, teacher, not args.relation_only, not args.semantic_only)
 
-        def score_run(descs):
+        def score_run(indices):
             scorer = new_scorer()
-            return [scorer(desc) for desc in descs]
+            return [scorer(archs[i]) for i in indices]
 
         if args.jobs > 1:
-            # Each thread scores one contiguous run of archs with its own
-            # scorer, so neighbours that share a prefix stay together.
-            bounds = [len(archs) * i // args.jobs for i in range(args.jobs + 1)]
+            # Each thread scores one contiguous run of the trie order with
+            # its own scorer, so neighbours that share a prefix stay together.
+            bounds = [len(order) * i // args.jobs for i in range(args.jobs + 1)]
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                runs = [pool.submit(score_run, archs[a:b]) for a, b in zip(bounds, bounds[1:])]
-                by_seed[seed] = [out for run in runs for out in run.result()]
+                runs = [pool.submit(score_run, order[a:b]) for a, b in zip(bounds, bounds[1:])]
+                outs = [out for run in runs for out in run.result()]
         else:
-            by_seed[seed] = score_run(archs)
+            outs = score_run(order)
+        by_seed[seed] = dict(zip(order, outs))
 
     rows = [
         ScoreRow(arch_id(desc), proxy, by_seed[seed][index][proxy], True, seed)
@@ -290,6 +300,13 @@ def cmd_score(args, parser) -> int:
 
 def cmd_search(args, parser) -> int:
     space = _build_space(args)
+    smallest = min_descriptor(space)
+    if not satisfies_constraints(smallest, space):
+        parser.error(
+            f"the constraints admit no member of space {space.kind!r}: its smallest, {arch_id(smallest)},"
+            f" has {count_params(smallest, space)} params, {count_flops(smallest, space)} FLOPs"
+            f" and {block_count(smallest, space)} blocks"
+        )
     seeds = _resolve_seeds(args)
     if len(seeds) != 1:
         parser.error("search takes a single --seed")
@@ -298,7 +315,7 @@ def cmd_search(args, parser) -> int:
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
     teacher = _resolve_teacher(space, args.teacher) if _needs_teacher([name]) else None
-    scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)()
+    scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)(args.population)
     # Weights depend only on the descriptor's plan and the init seed, so the
     # fitness is a pure function of the descriptor and a memo is exact.
     memo: dict[str, float] = {}

@@ -32,13 +32,15 @@ bit-identical weights.
 The forward drops each slot once its last reader has run, so only live
 activations are held.
 
-A forward given a PrefixCache resumes from a stage-boundary activation of
-the previous forward through that cache, at any block or cell boundary the
-two plans share, and runs only the ops after it. A conv draws its weight
-where it runs and drops it afterwards, so a forward never draws the weights
-of the ops it skips, and no conv weight outlives its conv. Only relu_codes
-records ReLU codes, so a student that needs both takes relu_codes first:
-its activations then run no op.
+A PrefixCache keeps the stage-end activations of recent forwards, keyed by
+plan prefix. A forward given one resumes at the deepest block or cell
+boundary of its plan whose prefix the cache holds, and runs only the ops
+after it. A conv draws its weight where it runs and drops it afterwards,
+so a forward never draws the weights of the ops it skips, and no conv
+weight outlives its conv. Only relu_codes records ReLU codes, so a student
+that needs both takes relu_codes first: its activations then run no op.
+trie_order sorts networks so that those sharing the longest prefixes run
+one after another.
 """
 
 from __future__ import annotations
@@ -207,94 +209,118 @@ def _compile(desc: ArchDescriptor, space: SearchSpace, hw: tuple[int, int]) -> t
     return tuple(b.ops), cin
 
 
-def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tuple[frozenset[int], frozenset[int]]:
-    """Return (one-live points, stage ends) as sets of op indices.
+def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+    """Return (one-live points, deepest first; stage ends) over op indices.
 
     A one-live point is an op after which its output is the one live slot:
     a block or cell boundary, or an op of the stem. A stage end is a
     one-live point followed by the end of the plan or by a conv that changes
-    the spatial size or the channel count.
+    the spatial size or the channel count. Each stage end maps to the bytes
+    per sample of its float64 output and of the ReLU codes recorded up to it.
     """
-    one_live, ends = set(), set()
+    one_live, ends = [], {}
     live = {0}
+    channels = {0: plan[0].shape[1]}
+    codes = 0
     for i, op in enumerate(plan):
+        channels[op.out] = op.shape[0] if op.shape else channels[op.ins[0]]
+        size = channels[op.out] * op.hw[0] * op.hw[1]
+        if op.kind == "relu":
+            codes += size
         live.difference_update(frees[i])
         live.add(op.out)
         if len(live) == 1:
-            one_live.add(i)
+            one_live.append(i)
             nxt = plan[i + 1] if i + 1 < len(plan) else None
             if nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.shape[0] != nxt.shape[1]):
-                ends.add(i)
-    return frozenset(one_live), frozenset(ends)
+                ends[i] = (8 * size, codes)
+    return tuple(reversed(one_live)), ends
 
 
 class _Checkpoint(NamedTuple):
-    index: int           # op whose output it holds, the one live slot there
-    tensor: Tensor
-    codes: int | None    # ReLU codes recorded up to here; None if they were not
+    tensor: Tensor                 # the one live tensor after the prefix
+    codes: tuple[Tensor, ...] | None  # ReLU codes recorded up to here; None if they were not
+    nbytes: int                    # of the tensor and the codes, from the plan's shapes
 
 
 class PrefixCache:
-    """Stage-boundary activations of the last forward, for the next one to resume from.
+    """Stage-end activations of recent forwards, keyed by plan prefix, for later forwards to resume from.
 
     Two plans that agree on their first n op records hold bit-identical
     tensors after op n: conv i draws its weights from the stream
-    (init.seed, i) and batch norm reads only the current batch. A forward
-    through the cache therefore starts from the last checkpoint inside the
-    prefix its plan shares with the previous forward's plan at which its
-    own plan has a single live slot (see _boundaries), and runs only the
-    rest. That point may lie inside one of its stages: 7-7-5 right after
-    7-7-3 resumes from the end of 7-7-3, its own third stage-3 block
-    boundary, and runs two blocks. A forward records
-    ReLU codes exactly when it is relu_codes, and relu_codes resumes only
-    from checkpoints whose codes were recorded. So activations right after
-    relu_codes on the same network runs no op, while relu_codes right after
-    activations resumes only from a checkpoint an earlier relu_codes
-    forward took.
+    (init.seed, i) and batch norm reads only the current batch. The cache
+    maps a plan prefix that ends at a stage end to the one live tensor
+    there, plus the ReLU codes up to there when its forward recorded them,
+    least recently used first. A forward through the cache starts from the
+    deepest point of its own plan at which that plan has a single live slot
+    (see _boundaries) and whose prefix the cache holds, and runs only the
+    rest. That point may lie inside one of its stages: 7-7-5 after 7-7-3
+    resumes from the end of 7-7-3, its own third stage-3 block boundary,
+    and runs two blocks. A forward records ReLU codes exactly when it is
+    relu_codes, and relu_codes resumes only from checkpoints whose codes
+    were recorded. So activations right after relu_codes on the same
+    network runs no op, while relu_codes right after activations resumes
+    only from a checkpoint an earlier relu_codes forward took.
 
-    Checkpoints are taken only where a stage ends and hold the one live
-    tensor there. A forward that resumes keeps only the checkpoints at its
-    own plan's stage ends, so the cache holds at most one tensor per stage
-    end of the last network, plus that network's ReLU codes when its last
-    forward was relu_codes. It holds no weights.
+    Each forward then stores the tensor at each of its stage ends. Before it
+    runs any op it makes room: it evicts the least recently used checkpoints
+    other than its own stage ends until the held bytes plus the bytes it is
+    about to store fit in `networks` times the bytes of its own stage ends
+    (ReLU codes included when it records them). So the cache holds the
+    stage ends of about the last `networks` networks, and with networks=1
+    exactly those of the last one. A search passes its population size: a
+    child is a mutant of a population member, so it resumes from its
+    parent's checkpoints. It holds no weights.
 
     The cache is bound to one image array and one InitSpec; a forward with
     other images or another InitSpec raises ValueError. It is not
     thread-safe: give each thread its own.
     """
 
-    def __init__(self, images: Tensor, init: InitSpec):
+    def __init__(self, images: Tensor, init: InitSpec, networks: int = 1):
         self.images = images
         self.init = init
-        self._plan: tuple = ()  # op records of the last forward's plan
-        self._checkpoints: list[_Checkpoint] = []
-        self._codes: list[Tensor] = []
+        self.networks = networks
+        self._store: dict[tuple[_Op, ...], _Checkpoint] = {}  # least recently used first
 
-    def _resume(self, plan, one_live, ends, images, init, record: bool):
-        """Return (first op to run, slots, codes list or None) and start this plan's path."""
-        if images is not self.images or init != self.init:
+    def _resume(self, net: NetworkInstance, images: Tensor, record: bool):
+        """Return (first op to run, slots, codes list or None) and make room for net's stage ends."""
+        if images is not self.images or net.init != self.init:
             raise ValueError("a PrefixCache serves only the image array and InitSpec it was made with")
-        shared = 0
-        for a, b in zip(plan, self._plan):
-            if a != b:
+        plan, ends, store = net._plan, net._stage_ends, self._store
+        start, slots, codes = 0, {0: images}, [] if record else None
+        for i in net._one_live:
+            key = plan[:i + 1]
+            cp = store.get(key)
+            if cp is not None and (cp.codes is not None or not record):
+                start, slots = i + 1, {plan[i].out: cp.tensor}
+                if record:
+                    codes = list(cp.codes)
+                store[key] = store.pop(key)  # now the most recently used
                 break
-            shared += 1
-        start = None
-        for cp in self._checkpoints:
-            if cp.index < shared and cp.index in one_live and (cp.codes is not None or not record):
-                start = cp
-        self._plan = plan
-        if start is None:
-            self._checkpoints = []
-            self._codes = []
-            return 0, {0: images}, self._codes if record else None
-        self._checkpoints = [cp for cp in self._checkpoints if cp.index <= start.index and cp.index in ends]
-        if start.codes is not None:
-            del self._codes[start.codes:]
-        return start.index + 1, {plan[start.index].out: start.tensor}, self._codes if record else None
+        # Take this plan's own stage ends out: those before start stay, the
+        # rest are stored again as this forward runs.
+        own = {}
+        for i in ends:
+            key = plan[:i + 1]
+            cp = store.pop(key, None)
+            if cp is not None and i < start:
+                own[key] = cp
+        batch = images.shape[0]
+        size = {i: batch * (t + (c if record else 0)) for i, (t, c) in ends.items()}
+        room = self.networks * sum(size.values()) - sum(size[i] for i in ends if i >= start)
+        room -= sum(cp.nbytes for cp in own.values())
+        held = sum(cp.nbytes for cp in store.values())
+        while store and held > room:
+            held -= store.pop(next(iter(store))).nbytes
+        store.update(own)
+        return start, slots, codes
 
-    def _mark(self, index: int, tensor: Tensor, codes: list | None) -> None:
-        self._checkpoints.append(_Checkpoint(index, tensor, None if codes is None else len(codes)))
+    def _mark(self, prefix: tuple[_Op, ...], tensor: Tensor, codes: list | None, size: tuple[int, int]) -> None:
+        tensor_bytes, codes_bytes = size
+        batch = tensor.shape[0]
+        nbytes = batch * (tensor_bytes + (0 if codes is None else codes_bytes))
+        self._store[prefix] = _Checkpoint(tensor, None if codes is None else tuple(codes), nbytes)
 
 
 class NetworkInstance:
@@ -333,7 +359,7 @@ class NetworkInstance:
         if cache is None:
             start, slots, codes = 0, {0: images}, [] if record else None
         else:
-            start, slots, codes = cache._resume(self._plan, self._one_live, self._stage_ends, images, self.init, record)
+            start, slots, codes = cache._resume(self, images, record)
         for index in range(start, len(self._plan)):
             op = self._plan[index]
             x = slots[op.ins[0]]
@@ -355,7 +381,7 @@ class NetworkInstance:
                 del slots[slot]
             slots[op.out] = y
             if cache is not None and index in self._stage_ends:
-                cache._mark(index, y, codes)
+                cache._mark(self._plan[:index + 1], y, codes, self._stage_ends[index])
         return slots[self._plan[-1].out], codes
 
     def activations(self, images: Tensor, labels: np.ndarray, *, cache: PrefixCache | None = None) -> ActivationBundle:
@@ -385,6 +411,21 @@ def count_flops(desc: ArchDescriptor, space: SearchSpace) -> int:
     plan, feature_width = _compile(desc, space, (space.input_hw, space.input_hw))
     total = sum(2 * math.prod(op.shape) * op.hw[0] * op.hw[1] for op in plan if op.kind == "conv")
     return total + 2 * space.num_classes * feature_width
+
+
+def trie_order(descs: list[ArchDescriptor], space: SearchSpace) -> list[int]:
+    """Indices of descs sorted by compiled plan.
+
+    Lexicographic order over op records is a depth-first walk of the trie
+    of the plans' prefixes: the longest prefix a network shares with any
+    other it shares with a neighbour in this order.
+    """
+    hw = (space.input_hw, space.input_hw)
+    # One object per distinct op record: 64 s0 plans with their own records
+    # raise the peak RSS of score --all-s0 by about 0.6 MiB.
+    records: dict[_Op, _Op] = {}
+    plans = [tuple(records.setdefault(op, op) for op in _compile(desc, space, hw)[0]) for desc in descs]
+    return sorted(range(len(descs)), key=plans.__getitem__)
 
 
 def satisfies_constraints(desc: ArchDescriptor, space: SearchSpace) -> bool:

@@ -175,9 +175,11 @@ def test_score_reads_teacher_file_once(tmp_path, monkeypatch):
 def test_score_proxy_order_never_changes_the_work(tmp_path, monkeypatch):
     # A student that needs nwot takes its relu_codes forward first, so its
     # bundle is a full prefix-cache hit in either order: the convs run are
-    # the teacher's 45 and the students' 13 + 14 + 7 + 13, as for diswot
-    # alone. 3-1-3 resumes where 1-1-3's stage 1 ends, after the first of
-    # its three stage-1 blocks, and 3-3-1 after the first stage-2 block.
+    # the teacher's 45 and the students' 13 + 7 + 14 + 7, as for diswot
+    # alone. The students run in prefix-trie order, 1-1-3, 1-3-1, 3-1-3,
+    # 3-3-1: 1-3-1 resumes where 1-1-3's stage 2 ends, after the first of
+    # its three stage-2 blocks, 3-1-3 where 1-3-1's stage 1 ends, and 3-3-1
+    # where 3-1-3's stage 2 ends.
     convs = []
     conv2d = network.conv2d
     monkeypatch.setattr(network, "conv2d", lambda *a: convs.append(1) or conv2d(*a))
@@ -188,11 +190,28 @@ def test_score_proxy_order_never_changes_the_work(tmp_path, monkeypatch):
         out = tmp_path / f"{'-'.join(proxies)}.csv"
         flags = [arg for p in proxies for arg in ("--proxy", p)]
         assert run(["score", "--space", "s0", *archs, *flags, "--batch-size", "4", "--out", str(out)]) == 0
-        assert len(convs) == 92
+        assert len(convs) == 86
         values[proxies] = {(r.arch_id, r.proxy): r.value for r in read_scores_csv(out)}
     assert values[("diswot", "nwot")] == values[("nwot", "diswot")]
     assert len(values[("diswot", "nwot")]) == 8
     assert values[("diswot",)].items() <= values[("diswot", "nwot")].items()
+
+
+def test_score_arch_list_runs_in_prefix_trie_order(tmp_path, monkeypatch):
+    # The 64 students, reversed: sorted by plan they run the same convs as
+    # --all-s0, whose lexicographic order is already the trie order.
+    convs = []
+    conv2d = network.conv2d
+    monkeypatch.setattr(network, "conv2d", lambda *a: convs.append(1) or conv2d(*a))
+    common = ["score", "--space", "s0", "--proxy", "diswot", "--batch-size", "2", "--seed", "0"]
+    assert run(common + ["--all-s0", "--out", str(tmp_path / "all.csv")]) == 0
+    all_s0 = len(convs)
+    convs.clear()
+    reversed_archs = [arg for desc in reversed(enumerate_s0()) for arg in ("--arch", arch_id(desc))]
+    out = tmp_path / "reversed.csv"
+    assert run(common + reversed_archs + ["--out", str(out)]) == 0
+    assert len(convs) == all_s0 == 360
+    assert [r.arch_id for r in read_scores_csv(out)] == [arch_id(d) for d in reversed(enumerate_s0())]
 
 
 def test_score_unknown_proxy_exit_2(tmp_path):
@@ -333,6 +352,36 @@ def test_search_diswot_fitness_smoke(tmp_path):
                 "--topk", "2", "--seed", "0", "--out", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("space", ["s0", "nb201", "s2_cifar", "s2_imagenet"])
+def test_search_unsatisfiable_constraints_exit_2(tmp_path, space, capsys):
+    # No member of any space has 1000 params or fewer; the search says so
+    # before it draws a candidate or builds a teacher.
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--space", space, "--fitness", "params", "--max-params", "1000",
+             "--out", str(tmp_path / "s.jsonl")])
+    assert exc.value.code == 2
+    assert "the constraints admit no member" in capsys.readouterr().err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_search_child_resumes_from_its_parent(tmp_path, monkeypatch):
+    # The search-s0 benchmark command, variant 0. The prefix cache keeps the
+    # stage ends of the last 10 networks, the population, so a child resumes
+    # from its parent: 380 convs, against 624 with the last network only.
+    g = np.random.default_rng(0)
+    labels, pixels = g.integers(0, 10, size=(4, 1)), g.integers(0, 256, size=(4, 3072))
+    np.concatenate([labels, pixels], axis=1).astype(np.uint8).tofile(tmp_path / "batch.bin")
+    convs = []
+    conv2d = network.conv2d
+    monkeypatch.setattr(network, "conv2d", lambda *a: convs.append(1) or conv2d(*a))
+    code = run(["search", "--space", "s0", "--strategy", "evo", "--fitness", "diswot",
+                "--population", "10", "--iters", "38", "--topk", "3", "--teacher", "resnet56",
+                "--batch-size", "4", "--data", str(tmp_path / "batch.bin"), "--data-format", "cifar10",
+                "--seed", "0", "--out", str(tmp_path / "s.jsonl")])
+    assert code == 0
+    assert len(convs) == 380
 
 
 def test_search_builds_each_student_once(tmp_path, monkeypatch):

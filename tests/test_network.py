@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from diswot.arch import (
     Constraints,
+    block_count,
+    min_descriptor,
     mutate,
     S0Depths,
     S2Config,
@@ -246,6 +248,20 @@ def test_unsatisfiable_constraints_raise():
         sample_random(space, stream(0, 0))
 
 
+@pytest.mark.parametrize("make_space", [s0_space, nb201_space, s2_cifar_space, s2_imagenet_space])
+def test_min_descriptor_is_smallest(make_space):
+    # No drawn member has fewer params, FLOPs or blocks than the smallest.
+    space = make_space()
+    small = min_descriptor(space)
+    assert satisfies_constraints(small, space)
+    floor = (count_params(small, space), count_flops(small, space), block_count(small, space))
+    rng = stream(9, 0)
+    descs = enumerate_s0() if space.kind == "s0" else [sample_descriptor(space, rng) for _ in range(300)]
+    for desc in descs:
+        cost = (count_params(desc, space), count_flops(desc, space), block_count(desc, space))
+        assert all(c >= f for c, f in zip(cost, floor))
+
+
 def test_teacher_template_larger_than_space():
     space = s0_space()
     teacher = S0Depths(18, 18, 18)
@@ -404,20 +420,25 @@ def _bundle_bytes(bundle) -> list[bytes]:
 
 
 def _arch_list(space, seed: int, size: int) -> list:
-    """Random descriptors, each a fresh draw, a repeat or a neighbour of the one before.
+    """Random descriptors, each a fresh draw, a repeat or a neighbour of an earlier one.
 
-    Neighbours thus share plan prefixes. A neighbour is a one-locus mutant
-    or, for S0 and S2, the same network with its last stage one block
-    deeper, whose plan extends the last one past an interior block boundary.
-    An S2 mutant may instead flip one stage's stride between 1 and 2, which
-    leaves every op record of the two plans equal except for stride and
-    spatial size.
+    Neighbours thus share plan prefixes. Most steps take the one before;
+    some go back to any earlier one, so a cache that keeps several networks
+    meets a network it held a while ago, or a neighbour of it. A neighbour
+    is a one-locus mutant or, for S0 and S2, the same network with its last
+    stage one block deeper, whose plan extends the other one past an
+    interior block boundary. An S2 mutant may instead flip one stage's
+    stride between 1 and 2, which leaves every op record of the two plans
+    equal except for stride and spatial size.
     """
     rng = stream(seed, 1)
     descs = [sample_descriptor(space, rng)]
     while len(descs) < size:
         last = descs[-1]
-        kind = int(rng.integers(5))
+        kind = int(rng.integers(6))
+        if kind == 5:
+            last = descs[int(rng.integers(len(descs)))]
+            kind = int(rng.integers(1, 5))
         if kind == 0:
             descs.append(sample_descriptor(space, rng))
         elif kind == 1:
@@ -438,11 +459,27 @@ def _arch_list(space, seed: int, size: int) -> list:
     return descs
 
 
-def _assert_checkpoints_bounded(cache, net):
-    """The cache holds checkpoints only at stage ends of net, the last plan it ran, one per end."""
-    indices = [cp.index for cp in cache._checkpoints]
-    assert len(set(indices)) == len(indices)
-    assert set(indices) <= net._stage_ends
+def _assert_checkpoints_bounded(cache, net, stage_ends: set):
+    """Check the cache after a forward of net.
+
+    stage_ends collects the stage-end prefixes of every plan run through
+    the cache so far; each key the cache holds is one of them. Each
+    checkpoint's byte count, taken from the plan's shapes, is the bytes it
+    holds. In all the cache holds at most cache.networks times net's
+    stage-end bytes, ReLU codes counted, and with networks=1 exactly net's
+    stage ends.
+    """
+    own = {net._plan[:i + 1] for i in net._stage_ends}
+    stage_ends |= own
+    assert set(cache._store) <= stage_ends
+    held = 0
+    for cp in cache._store.values():
+        assert cp.nbytes == cp.tensor.nbytes + sum(c.nbytes for c in cp.codes or ())
+        held += cp.nbytes
+    batch = cache.images.shape[0]
+    assert held <= cache.networks * batch * sum(t + c for t, c in net._stage_ends.values())
+    if cache.networks == 1:
+        assert set(cache._store) == own
 
 
 def _weight_bytes(net) -> list[bytes]:
@@ -459,60 +496,79 @@ def _weight_bytes(net) -> list[bytes]:
 def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
     # One cache serves runs of descriptors from several spaces, so conv i
     # of one network meets conv i of a network from another space, of the
-    # same or another shape.
+    # same or another shape. Each run goes through a cache of the last
+    # network and through one of the last three.
     spaces = [FINITE_SPACES[name]() for name in names]
     num_classes = min(space.num_classes for space in spaces)
     batch = synth_batch(2, 3, 32, 32, num_classes, seed=seed % 7)
     init = InitSpec(seed=seed % 5)
-    cache = PrefixCache(batch.images, init)
     archs = [(space, desc) for k, space in enumerate(spaces) for desc in _arch_list(space, seed + k, size)]
-    for (space, desc), call in zip(archs, calls):
-        fresh = NetworkInstance(desc, space, init)
-        net = NetworkInstance(desc, space, init)
-        order = {"activations": ["a"], "relu_codes": ["c"], "both": ["a", "c"], "codes_first": ["c", "a"]}[call]
-        for step in order:
-            if step == "a":
-                got = net.activations(batch.images, batch.labels, cache=cache)
-                assert _bundle_bytes(got) == _bundle_bytes(fresh.activations(batch.images, batch.labels))
-            else:
-                assert net.relu_codes(batch.images, cache=cache).tobytes() == fresh.relu_codes(batch.images).tobytes()
-            _assert_checkpoints_bounded(cache, net)
-        assert _weight_bytes(net) == _weight_bytes(fresh)
+    for networks in (1, 3):
+        cache = PrefixCache(batch.images, init, networks)
+        stage_ends = set()
+        for (space, desc), call in zip(archs, calls):
+            fresh = NetworkInstance(desc, space, init)
+            net = NetworkInstance(desc, space, init)
+            order = {"activations": ["a"], "relu_codes": ["c"], "both": ["a", "c"], "codes_first": ["c", "a"]}[call]
+            for step in order:
+                if step == "a":
+                    got = net.activations(batch.images, batch.labels, cache=cache)
+                    assert _bundle_bytes(got) == _bundle_bytes(fresh.activations(batch.images, batch.labels))
+                else:
+                    got = net.relu_codes(batch.images, cache=cache)
+                    assert got.tobytes() == fresh.relu_codes(batch.images).tobytes()
+                _assert_checkpoints_bounded(cache, net, stage_ends)
+            assert _weight_bytes(net) == _weight_bytes(fresh)
 
 
-def test_score_all_s0_draws_each_weight_once(monkeypatch, tmp_path):
-    # Drawing, for each student, the weights of every conv its forward runs
-    # takes 20 088 688 normals for this command (teacher included).
-    normals = []
-    init_tensor = network.init_tensor
+def test_score_all_s0_runs_the_trie_minimum(monkeypatch, tmp_path):
+    # In lexicographic order each student resumes from the network before
+    # it at the deepest block boundary their plans share, so the 64
+    # students run the 315 convs of their prefix trie; the teacher (7-7-7)
+    # runs 45. Each conv that runs draws its weight once: 9 601 120 normals.
+    # Drawing every conv of every student instead takes 20 088 688.
+    convs, normals = [], []
+    conv2d, init_tensor = network.conv2d, network.init_tensor
+    monkeypatch.setattr(network, "conv2d", lambda *a: convs.append(1) or conv2d(*a))
     monkeypatch.setattr(network, "init_tensor", lambda shape, *a: normals.append(math.prod(shape)) or init_tensor(shape, *a))
     code = cli.main(["score", "--space", "s0", "--all-s0", "--proxy", "diswot", "--proxy", "nwot",
                      "--batch-size", "4", "--jobs", "1", "--seed", "0", "--out", str(tmp_path / "s.csv")])
     assert code == 0
-    assert sum(normals) <= 20_088_688 // 2
+    assert len(convs) == 360
+    assert sum(normals) == 9_601_120
 
 
-def test_prefix_cache_runs_only_unshared_ops(monkeypatch):
-    space = s0_space()
-    batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=0)
-    init = InitSpec(seed=0)
+@pytest.fixture
+def s0_batch():
+    return synth_batch(2, 3, 32, 32, s0_space().num_classes, seed=0)
+
+
+@pytest.fixture
+def conv_count(monkeypatch, s0_batch):
+    """conv_count(desc, method, cache): the convs one forward of a new s0 network on s0_batch runs."""
+    space, batch = s0_space(), s0_batch
     convs = []
     conv2d = network.conv2d
     monkeypatch.setattr(network, "conv2d", lambda x, w, *a: convs.append(w.shape) or conv2d(x, w, *a))
 
-    def conv_count(desc, method, cache):
+    def count(desc, method, cache):
         convs.clear()
-        net = NetworkInstance(desc, space, init)
+        net = NetworkInstance(desc, space, InitSpec(seed=0))
         if method == "activations":
             net.activations(batch.images, batch.labels, cache=cache)
         else:
             net.relu_codes(batch.images, cache=cache)
         return len(convs)
 
+    return count
+
+
+def test_prefix_cache_runs_only_unshared_ops(conv_count, s0_batch):
+    init = InitSpec(seed=0)
     # The stem is one conv, a block two, plus a shortcut in the first block
     # of stages 2 and 3: 3-1-1 has 1 + 6 + 3 + 3 = 13.
     assert conv_count(S0Depths(3, 1, 1), "activations", None) == 13
-    cache = PrefixCache(batch.images, init)
+    cache = PrefixCache(s0_batch.images, init)
     assert conv_count(S0Depths(3, 1, 1), "relu_codes", cache) == 13
     assert conv_count(S0Depths(3, 1, 1), "activations", cache) == 0  # a full hit
     # 3-1-1 ends after the first stage-3 block of 3-1-3, a block boundary,
@@ -528,10 +584,29 @@ def test_prefix_cache_runs_only_unshared_ops(monkeypatch):
     assert conv_count(S0Depths(3, 3, 1), "activations", cache) == 14
     assert conv_count(S0Depths(5, 3, 1), "activations", cache) == 14
     # activations records no codes, so relu_codes after it runs again.
-    plain = PrefixCache(batch.images, init)
+    plain = PrefixCache(s0_batch.images, init)
     assert conv_count(S0Depths(3, 1, 1), "activations", plain) == 13
     assert conv_count(S0Depths(3, 1, 1), "relu_codes", plain) == 13
     assert conv_count(S0Depths(3, 1, 1), "activations", plain) == 0
+
+
+@pytest.mark.parametrize("networks,child,again", [(1, 34, 3), (2, 4, 0)])
+def test_prefix_cache_keeps_the_last_networks(conv_count, s0_batch, networks, child, again):
+    # 7-7-1 runs 1 + 14 + 15 + 3 convs. 1-1-1 shares only the stem and the
+    # first block with it, and 7-7-1 holds no checkpoint there, so it runs
+    # all 9 of its own. 7-7-3, a neighbour of 7-7-1, resumes from the end
+    # of 7-7-1 when the cache still holds it, and runs two blocks. A cache
+    # of one network holds only the stage ends of 1-1-1, so 7-7-3 resumes
+    # after its first block, where the first stage of 1-1-1 ends. Resuming
+    # made the end of 7-7-1 the most recently used checkpoint, so to make
+    # room for 7-7-3 the cache of two drops a stage end of 1-1-1 instead,
+    # and 7-7-1 is then a full hit; the cache of one resumes it where its
+    # stage 2 ends.
+    cache = PrefixCache(s0_batch.images, InitSpec(seed=0), networks)
+    assert conv_count(S0Depths(7, 7, 1), "activations", cache) == 33
+    assert conv_count(S0Depths(1, 1, 1), "activations", cache) == 9
+    assert conv_count(S0Depths(7, 7, 3), "activations", cache) == child
+    assert conv_count(S0Depths(7, 7, 1), "activations", cache) == again
 
 
 def test_prefix_cache_rejects_other_images_or_init():
