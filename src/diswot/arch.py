@@ -316,39 +316,32 @@ def clamp_channels(raw: float) -> int:
 
 def max_descriptor(space: SearchSpace) -> ArchDescriptor:
     """The largest member of the sampling domain, used as the default teacher."""
-    if space.kind == "s0":
-        return S0Depths(7, 7, 7)
-    if space.kind == "nb201":
-        return NB201Cell(("nor_conv_3x3",) * 6)
-    stages = tuple(
-        S2Stage(
-            block="basic",
-            kernel=7,
-            channels=clamp_channels(base * max(S2_WIDTH_SAMPLE_FACTORS)),
-            depth=max(space.depth_choices),
-            stride=stride,
-        )
-        for base, stride in zip(space.s2_base_channels, space.s2_strides)
-    )
-    return S2Config(space.stem_channels, stages)
+    return _extreme_descriptor(space, largest=True)
 
 
 def min_descriptor(space: SearchSpace) -> ArchDescriptor:
-    """The smallest member of the sampling domain: no member has fewer params, FLOPs or blocks.
+    """The smallest member of the sampling domain: no member has fewer params, FLOPs or blocks."""
+    return _extreme_descriptor(space, largest=False)
 
-    A bottleneck block is the smaller kind: its kxk conv runs at a quarter
-    of the width (at least 8), between two 1x1 convs.
+
+def _extreme_descriptor(space: SearchSpace, largest: bool) -> ArchDescriptor:
+    """Take the largest or smallest of each locus's choices that sample_descriptor draws from.
+
+    The cell op and the S2 block kind are not ordered by size, so they are
+    named: a bottleneck block is the smaller kind, as its kxk conv runs at a
+    quarter of the width (at least 8), between two 1x1 convs.
     """
+    pick = max if largest else min
     if space.kind == "s0":
-        return S0Depths(*(min(space.depth_choices),) * 3)
+        return S0Depths(*(pick(space.depth_choices),) * 3)
     if space.kind == "nb201":
-        return NB201Cell(("none",) * 6)
+        return NB201Cell(("nor_conv_3x3" if largest else "none",) * 6)
     stages = tuple(
         S2Stage(
-            block="bottleneck",
-            kernel=min(S2_KERNEL_CHOICES),
-            channels=clamp_channels(base * min(S2_WIDTH_SAMPLE_FACTORS)),
-            depth=min(space.depth_choices),
+            block="basic" if largest else "bottleneck",
+            kernel=pick(S2_KERNEL_CHOICES),
+            channels=clamp_channels(base * pick(S2_WIDTH_SAMPLE_FACTORS)),
+            depth=pick(space.depth_choices),
             stride=stride,
         )
         for base, stride in zip(space.s2_base_channels, space.s2_strides)
@@ -361,7 +354,11 @@ def min_descriptor(space: SearchSpace) -> ArchDescriptor:
 
 
 def sample_descriptor(space: SearchSpace, rng: np.random.Generator) -> ArchDescriptor:
-    """Uniform draw over the space's discrete choices (no cost constraints)."""
+    """Uniform draw over the space's discrete choices (no cost constraints).
+
+    _extreme_descriptor takes max_descriptor and min_descriptor from the same
+    choices; a locus added here must be added there too.
+    """
     if space.kind == "s0":
         picks = rng.integers(0, len(space.depth_choices), size=3)
         return S0Depths(*(space.depth_choices[int(i)] for i in picks))

@@ -181,9 +181,11 @@ def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, u
     activations of about the last `networks` students it scored, so a
     student resumes from the deepest of them its plan shares: give each
     thread its own scorer. score keeps one network and scores in prefix-trie
-    order, which on --all-s0 already runs each shared prefix once. search
-    keeps its population, since a child is a mutant of a population member:
-    population 20 at batch 64 on s0 holds up to 20 x 14 MiB. A student that
+    order, which on --all-s0 already runs each shared prefix once. An evo
+    search keeps its population, since a child is a mutant of a population
+    member, up to PrefixCache.max_bytes (128 MiB): population 20 at batch 64
+    on s0 would need 20 x 14 MiB, so the cache keeps about 9 networks there.
+    A random search keeps one, since its draws have no parents. A student that
     needs nwot takes its relu_codes forward first, whatever the proxy order,
     so its bundle is then a full cache hit. The batch and the teacher
     forward are made once, here, and only when a requested proxy needs
@@ -315,7 +317,8 @@ def cmd_search(args, parser) -> int:
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
     teacher = _resolve_teacher(space, args.teacher) if _needs_teacher([name]) else None
-    scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)(args.population)
+    new_scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)
+    scorer = new_scorer(args.population if args.strategy == "evo" else 1)
     # Weights depend only on the descriptor's plan and the init seed, so the
     # fitness is a pure function of the descriptor and a memo is exact.
     memo: dict[str, float] = {}

@@ -240,7 +240,7 @@ def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tu
 class _Checkpoint(NamedTuple):
     tensor: Tensor                 # the one live tensor after the prefix
     codes: tuple[Tensor, ...] | None  # ReLU codes recorded up to here; None if they were not
-    nbytes: int                    # of the tensor and the codes, from the plan's shapes
+    nbytes: int                    # of the tensor and the codes
 
 
 class PrefixCache:
@@ -266,16 +266,23 @@ class PrefixCache:
     runs any op it makes room: it evicts the least recently used checkpoints
     other than its own stage ends until the held bytes plus the bytes it is
     about to store fit in `networks` times the bytes of its own stage ends
-    (ReLU codes included when it records them). So the cache holds the
-    stage ends of about the last `networks` networks, and with networks=1
-    exactly those of the last one. A search passes its population size: a
-    child is a mutant of a population member, so it resumes from its
-    parent's checkpoints. It holds no weights.
+    (ReLU codes included when it records them), or in max_bytes if that is
+    less, but never in less than its own stage ends. So the cache holds the
+    stage ends of about the last `networks` networks, at most max_bytes
+    unless one network's stage ends alone exceed it, and with networks=1
+    exactly those of the last one. An evolutionary search passes its
+    population size: a child is a mutant of a population member, so it
+    resumes from its parent's checkpoints. It holds no weights.
 
     The cache is bound to one image array and one InitSpec; a forward with
     other images or another InitSpec raises ValueError. It is not
     thread-safe: give each thread its own.
     """
+
+    # Caps the store when it keeps several networks: about 9 s0 networks at
+    # batch 64 (14 MiB each). An s2_imagenet network at batch 64 holds 0.5
+    # to 0.7 GiB on its own, so there the cache keeps one network only.
+    max_bytes = 128 * 2**20
 
     def __init__(self, images: Tensor, init: InitSpec, networks: int = 1):
         self.images = images
@@ -308,7 +315,9 @@ class PrefixCache:
                 own[key] = cp
         batch = images.shape[0]
         size = {i: batch * (t + (c if record else 0)) for i, (t, c) in ends.items()}
-        room = self.networks * sum(size.values()) - sum(size[i] for i in ends if i >= start)
+        own_bytes = sum(size.values())
+        room = max(own_bytes, min(self.networks * own_bytes, self.max_bytes))
+        room -= sum(size[i] for i in ends if i >= start)
         room -= sum(cp.nbytes for cp in own.values())
         held = sum(cp.nbytes for cp in store.values())
         while store and held > room:
@@ -316,11 +325,9 @@ class PrefixCache:
         store.update(own)
         return start, slots, codes
 
-    def _mark(self, prefix: tuple[_Op, ...], tensor: Tensor, codes: list | None, size: tuple[int, int]) -> None:
-        tensor_bytes, codes_bytes = size
-        batch = tensor.shape[0]
-        nbytes = batch * (tensor_bytes + (0 if codes is None else codes_bytes))
-        self._store[prefix] = _Checkpoint(tensor, None if codes is None else tuple(codes), nbytes)
+    def _mark(self, prefix: tuple[_Op, ...], tensor: Tensor, codes: list | None) -> None:
+        codes = None if codes is None else tuple(codes)
+        self._store[prefix] = _Checkpoint(tensor, codes, tensor.nbytes + sum(c.nbytes for c in codes or ()))
 
 
 class NetworkInstance:
@@ -381,7 +388,7 @@ class NetworkInstance:
                 del slots[slot]
             slots[op.out] = y
             if cache is not None and index in self._stage_ends:
-                cache._mark(self._plan[:index + 1], y, codes, self._stage_ends[index])
+                cache._mark(self._plan[:index + 1], y, codes)
         return slots[self._plan[-1].out], codes
 
     def activations(self, images: Tensor, labels: np.ndarray, *, cache: PrefixCache | None = None) -> ActivationBundle:

@@ -384,6 +384,20 @@ def test_search_child_resumes_from_its_parent(tmp_path, monkeypatch):
     assert len(convs) == 380
 
 
+@pytest.mark.parametrize("strategy,networks", [("evo", 6), ("random", 1)])
+def test_search_keeps_the_population_only_for_evo(tmp_path, monkeypatch, strategy, networks):
+    # An evo child resumes from a population member; random draws have no
+    # parents, so a random search keeps the last network only.
+    kept = []
+    prefix_cache = cli.PrefixCache
+    monkeypatch.setattr(cli, "PrefixCache", lambda images, init, n: kept.append(n) or prefix_cache(images, init, n))
+    code = run(["search", "--space", "s0", "--strategy", strategy, "--fitness", "nwot", "--batch-size", "2",
+                "--population", "6", "--iters", "4", "--topk", "2", "--budget", "4", "--seed", "0",
+                "--out", str(tmp_path / "s.jsonl")])
+    assert code == 0
+    assert kept == [networks]
+
+
 def test_search_builds_each_student_once(tmp_path, monkeypatch):
     built = []
     network_instance = cli.NetworkInstance

@@ -463,21 +463,18 @@ def _assert_checkpoints_bounded(cache, net, stage_ends: set):
     """Check the cache after a forward of net.
 
     stage_ends collects the stage-end prefixes of every plan run through
-    the cache so far; each key the cache holds is one of them. Each
-    checkpoint's byte count, taken from the plan's shapes, is the bytes it
-    holds. In all the cache holds at most cache.networks times net's
-    stage-end bytes, ReLU codes counted, and with networks=1 exactly net's
-    stage ends.
+    the cache so far; each key the cache holds is one of them. The bytes the
+    checkpoints hold, ReLU codes counted, are at most cache.networks times
+    net's stage-end bytes from its plan's shapes, and at most
+    cache.max_bytes unless net's stage ends alone exceed it. With
+    networks=1 the cache holds exactly net's stage ends.
     """
     own = {net._plan[:i + 1] for i in net._stage_ends}
     stage_ends |= own
     assert set(cache._store) <= stage_ends
-    held = 0
-    for cp in cache._store.values():
-        assert cp.nbytes == cp.tensor.nbytes + sum(c.nbytes for c in cp.codes or ())
-        held += cp.nbytes
-    batch = cache.images.shape[0]
-    assert held <= cache.networks * batch * sum(t + c for t, c in net._stage_ends.values())
+    held = sum(cp.tensor.nbytes + sum(c.nbytes for c in cp.codes or ()) for cp in cache._store.values())
+    own_bytes = cache.images.shape[0] * sum(t + c for t, c in net._stage_ends.values())
+    assert held <= max(own_bytes, min(cache.networks * own_bytes, cache.max_bytes))
     if cache.networks == 1:
         assert set(cache._store) == own
 
@@ -590,8 +587,12 @@ def test_prefix_cache_runs_only_unshared_ops(conv_count, s0_batch):
     assert conv_count(S0Depths(3, 1, 1), "activations", plain) == 0
 
 
-@pytest.mark.parametrize("networks,child,again", [(1, 34, 3), (2, 4, 0)])
-def test_prefix_cache_keeps_the_last_networks(conv_count, s0_batch, networks, child, again):
+@pytest.mark.parametrize("networks,max_bytes,child,again", [
+    (1, PrefixCache.max_bytes, 34, 3),
+    (2, PrefixCache.max_bytes, 4, 0),
+    (2, 0, 34, 3),
+])
+def test_prefix_cache_keeps_the_last_networks(conv_count, s0_batch, networks, max_bytes, child, again):
     # 7-7-1 runs 1 + 14 + 15 + 3 convs. 1-1-1 shares only the stem and the
     # first block with it, and 7-7-1 holds no checkpoint there, so it runs
     # all 9 of its own. 7-7-3, a neighbour of 7-7-1, resumes from the end
@@ -601,8 +602,10 @@ def test_prefix_cache_keeps_the_last_networks(conv_count, s0_batch, networks, ch
     # made the end of 7-7-1 the most recently used checkpoint, so to make
     # room for 7-7-3 the cache of two drops a stage end of 1-1-1 instead,
     # and 7-7-1 is then a full hit; the cache of one resumes it where its
-    # stage 2 ends.
+    # stage 2 ends. A cache of two capped below one network's stage ends
+    # keeps one network, like the cache of one.
     cache = PrefixCache(s0_batch.images, InitSpec(seed=0), networks)
+    cache.max_bytes = max_bytes
     assert conv_count(S0Depths(7, 7, 1), "activations", cache) == 33
     assert conv_count(S0Depths(1, 1, 1), "activations", cache) == 9
     assert conv_count(S0Depths(7, 7, 3), "activations", cache) == child
