@@ -6,148 +6,4 @@ architecture spaces with those scores as fitness, and measures how proxy
 rankings correlate with trained accuracy tables.
 """
 
-from .arch import (
-    Constraints,
-    NB201Cell,
-    NB201_OPS,
-    S0Depths,
-    S2Config,
-    S2Stage,
-    SearchSpace,
-    arch_id,
-    clamp_channels,
-    descriptor_from_json,
-    descriptor_in_space,
-    descriptor_to_json,
-    enumerate_s0,
-    make_space,
-    max_descriptor,
-    min_descriptor,
-    mutate,
-    nb201_space,
-    parse_nb201,
-    s0_space,
-    s2_cifar_space,
-    s2_imagenet_space,
-    sample_descriptor,
-    serialize_nb201,
-)
-from .data import (
-    Batch,
-    ScoreRow,
-    load_accuracy_csv,
-    load_cifar_batch,
-    read_scores_csv,
-    synth_batch,
-    write_report_csv,
-    write_scores_csv,
-)
-from .metrics import (
-    COST_PROXIES,
-    KD_KINDS,
-    diswot_score_from_bundles,
-    gradcam_maps,
-    kd_distance,
-    matrix_mean_sq_diff,
-    nwot_from_codes,
-    relation_similarity,
-    semantic_similarity,
-    similarity_matrix,
-)
-from .network import (
-    ActivationBundle,
-    NetworkInstance,
-    PrefixCache,
-    count_flops,
-    count_params,
-    sample_random,
-    satisfies_constraints,
-    trie_order,
-)
-from .rankstats import (
-    CoefficientSummary,
-    CorrelationReport,
-    MissingArchError,
-    average_ranks,
-    evaluate_proxy,
-    format_report_table,
-    kendall_tau,
-    pearson,
-    spearman,
-)
-from .rng import InitSpec, derive_seed, fan_in, init_tensor, stream
-from .search import EvoConfig, SearchState, evolve, get_topk, random_search
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActivationBundle",
-    "Batch",
-    "COST_PROXIES",
-    "CoefficientSummary",
-    "Constraints",
-    "CorrelationReport",
-    "EvoConfig",
-    "InitSpec",
-    "KD_KINDS",
-    "MissingArchError",
-    "NB201Cell",
-    "NB201_OPS",
-    "NetworkInstance",
-    "PrefixCache",
-    "S0Depths",
-    "S2Config",
-    "S2Stage",
-    "ScoreRow",
-    "SearchSpace",
-    "SearchState",
-    "arch_id",
-    "average_ranks",
-    "clamp_channels",
-    "count_flops",
-    "count_params",
-    "derive_seed",
-    "descriptor_from_json",
-    "descriptor_in_space",
-    "descriptor_to_json",
-    "diswot_score_from_bundles",
-    "enumerate_s0",
-    "evaluate_proxy",
-    "evolve",
-    "fan_in",
-    "format_report_table",
-    "get_topk",
-    "gradcam_maps",
-    "init_tensor",
-    "kd_distance",
-    "kendall_tau",
-    "load_accuracy_csv",
-    "load_cifar_batch",
-    "make_space",
-    "matrix_mean_sq_diff",
-    "max_descriptor",
-    "min_descriptor",
-    "mutate",
-    "nb201_space",
-    "nwot_from_codes",
-    "parse_nb201",
-    "pearson",
-    "random_search",
-    "read_scores_csv",
-    "relation_similarity",
-    "s0_space",
-    "s2_cifar_space",
-    "s2_imagenet_space",
-    "sample_descriptor",
-    "sample_random",
-    "satisfies_constraints",
-    "trie_order",
-    "semantic_similarity",
-    "serialize_nb201",
-    "similarity_matrix",
-    "spearman",
-    "stream",
-    "synth_batch",
-    "write_report_csv",
-    "write_scores_csv",
-]

@@ -63,6 +63,11 @@ _RANK_TAG = 0x52414E4B
 
 _S0_TEACHERS = {"resnet56": (9, 9, 9), "resnet110": (18, 18, 18)}
 
+# The prefix cache budget of an evo search: about 9 s0 networks' stage ends
+# at batch 64 (14 MiB each). An s2_imagenet network at batch 64 needs 0.5 to
+# 0.7 GiB on its own, so there the cache keeps one network, as score does.
+_EVO_CACHE_BYTES = 128 * 2**20
+
 
 def _resolve_seeds(args) -> list[int]:
     if args.seed:
@@ -173,24 +178,18 @@ def _needs_teacher(proxies) -> bool:
 
 
 def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, use_relation: bool):
-    """Return new_scorer at this seed; new_scorer(networks) makes one scorer.
+    """Return new_scorer at this seed; new_scorer(max_bytes) makes one scorer.
 
     teacher is the resolved teacher descriptor, or None when no requested
     proxy needs one. scorer(desc) maps a descriptor to {proxy: value}. Each
-    scorer owns one PrefixCache over the batch, which keeps the stage-end
-    activations of about the last `networks` students it scored, so a
-    student resumes from the deepest of them its plan shares: give each
-    thread its own scorer. score keeps one network and scores in prefix-trie
-    order, which on --all-s0 already runs each shared prefix once. An evo
-    search keeps its population, since a child is a mutant of a population
-    member, up to PrefixCache.max_bytes (128 MiB): population 20 at batch 64
-    on s0 would need 20 x 14 MiB, so the cache keeps about 9 networks there.
-    A random search keeps one, since its draws have no parents. A student that
-    needs nwot takes its relu_codes forward first, whatever the proxy order,
-    so its bundle is then a full cache hit. The batch and the teacher
-    forward are made once, here, and only when a requested proxy needs
-    them. Each call builds the student once. A non-finite value raises
-    ValueError naming the proxy and the architecture.
+    scorer owns one PrefixCache over the batch with budget max_bytes (see
+    PrefixCache), so a student resumes from the deepest stored stage end its
+    plan shares: give each thread its own scorer. A student that needs nwot
+    takes its relu_codes forward first, whatever the proxy order, so its
+    bundle is then a full cache hit. The batch and the teacher forward are
+    made once, here, and only when a requested proxy needs them. Each call
+    builds the student once. A non-finite value raises ValueError naming the
+    proxy and the architecture.
     """
     batch = _make_batch(args, space, seed) if teacher is not None or NWOT in proxies else None
     init = _init_spec(args, seed)
@@ -198,8 +197,8 @@ def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, u
     if teacher is not None:
         teacher_bundle = NetworkInstance(teacher, space, init).activations(batch.images, batch.labels)
 
-    def new_scorer(networks: int = 1):
-        cache = None if batch is None else PrefixCache(batch.images, init, networks)
+    def new_scorer(max_bytes: int = 0):
+        cache = None if batch is None else PrefixCache(batch.images, init, max_bytes)
 
         def scorer(desc) -> dict[str, float]:
             out = {}
@@ -313,22 +312,6 @@ def cmd_search(args, parser) -> int:
     if len(seeds) != 1:
         parser.error("search takes a single --seed")
     seed = seeds[0]
-    name = args.fitness
-    sign = -1.0 if args.minimize else 1.0
-    label = f"-{name}" if args.minimize else name
-    teacher = _resolve_teacher(space, args.teacher) if _needs_teacher([name]) else None
-    new_scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)
-    scorer = new_scorer(args.population if args.strategy == "evo" else 1)
-    # Weights depend only on the descriptor's plan and the init seed, so the
-    # fitness is a pure function of the descriptor and a memo is exact.
-    memo: dict[str, float] = {}
-
-    def fitness(desc):
-        key = arch_id(desc)
-        if key not in memo:
-            memo[key] = sign * scorer(desc)[name]
-        return memo[key]
-
     if args.strategy == "evo":
         try:
             cfg = EvoConfig(
@@ -340,12 +323,30 @@ def cmd_search(args, parser) -> int:
             )
         except ValueError as e:
             parser.error(str(e))
+    elif args.budget is None:
+        parser.error("--strategy random needs --budget")
+    elif args.budget < 1:
+        parser.error("--budget must be >= 1")
+    name = args.fitness
+    sign = -1.0 if args.minimize else 1.0
+    label = f"-{name}" if args.minimize else name
+    teacher = _resolve_teacher(space, args.teacher) if _needs_teacher([name]) else None
+    new_scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)
+    # Random draws have no parents, so random search keeps the last network only.
+    scorer = new_scorer(_EVO_CACHE_BYTES if args.strategy == "evo" else 0)
+    # Weights depend only on the descriptor's plan and the init seed, so the
+    # fitness is a pure function of the descriptor and a memo is exact.
+    memo: dict[str, float] = {}
+
+    def fitness(desc):
+        key = arch_id(desc)
+        if key not in memo:
+            memo[key] = sign * scorer(desc)[name]
+        return memo[key]
+
+    if args.strategy == "evo":
         state = evolve(space, fitness, cfg)
     else:
-        if args.budget is None:
-            parser.error("--strategy random needs --budget")
-        if args.budget < 1:
-            parser.error("--budget must be >= 1")
         state = random_search(space, fitness, args.budget, seed)
 
     out = Path(args.out)
@@ -431,6 +432,16 @@ def _add_space_flags(p):
     p.add_argument("--max-depth", type=int, default=None, help="total block/cell count bound")
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_scoring_flags(p):
     p.add_argument("--teacher", default="max", help="'max', 'resnet56', 'resnet110', 'd1,d2,d3[-template]', a cell string, or JSON")
     p.add_argument("--batch-size", type=int, default=64)
@@ -439,8 +450,8 @@ def _add_scoring_flags(p):
     p.add_argument("--seed", type=int, nargs="+", action="extend", default=None,
                    help="one or more seeds (env DISWOT_SEED as fallback, else 0)")
     p.add_argument("--init", choices=("kaiming", "gaussian"), default="kaiming")
-    p.add_argument("--gaussian-std", type=float, default=0.1)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--gaussian-std", type=_positive_float, default=0.1)
+    p.add_argument("--temperature", type=_positive_float, default=1.0)
     p.add_argument("--weight-source", choices=(FC_WEIGHTS, FC_WEIGHT_GRADS), default=FC_WEIGHTS)
     p.add_argument("--normalization", choices=(ROW_L2, MATRIX_L2), default=ROW_L2)
 

@@ -1,10 +1,12 @@
 """Compile descriptors into flat op plans, run them, and account their cost.
 
-A (descriptor, space, input size) triple compiles to a plan: one flat tuple
-of op records over numbered activation slots. Slot 0 holds the input images
-and every op writes a new slot. A skip edge compiles to no op at all; its
-readers use its input slot. The same plan drives the forward pass,
-count_params and count_flops, so the three can never drift apart.
+A (descriptor, space) pair compiles to a plan: one flat tuple of op records
+over numbered activation slots. Slot 0 holds the input images, at the
+space's input size, and every op writes a new slot; its record carries
+that slot's spatial size and channel count. A skip edge compiles to no op
+at all; its readers use its input slot. The same plan drives the forward
+pass, the prefix cache's sizes, count_params and count_flops, so they can
+never drift apart.
 
 Op kinds:
 
@@ -22,7 +24,8 @@ applies neither the batch-norm affine nor the classifier bias, which are
 the identity and zero there; named_weights and count_params still include
 them.
 
-Weight streams are part of the file format: conv i in plan order draws from
+Weight streams are part of the file format: the compiler writes into each
+op record the number of convs before it in plan order, so conv i draws from
 the Philox stream (init.seed, i) and the classifier from the next index.
 Plan order is network order (the stem, then each block or cell in turn);
 a block's body convs precede its shortcut, a cell's edges follow string
@@ -33,14 +36,14 @@ The forward drops each slot once its last reader has run, so only live
 activations are held.
 
 A PrefixCache keeps the stage-end activations of recent forwards, keyed by
-plan prefix. A forward given one resumes at the deepest block or cell
-boundary of its plan whose prefix the cache holds, and runs only the ops
-after it. A conv draws its weight where it runs and drops it afterwards,
-so a forward never draws the weights of the ops it skips, and no conv
-weight outlives its conv. Only relu_codes records ReLU codes, so a student
-that needs both takes relu_codes first: its activations then run no op.
-trie_order sorts networks so that those sharing the longest prefixes run
-one after another.
+plan prefix, under the byte budget its docstring states. A forward given
+one resumes at the deepest block or cell boundary of its plan whose prefix
+the cache holds, and runs only the ops after it. A conv draws its weight
+where it runs and drops it afterwards, so a forward never draws the
+weights of the ops it skips, and no conv weight outlives its conv. Only
+relu_codes records ReLU codes, so a student that needs both takes
+relu_codes first: its activations then run no op. trie_order sorts
+networks so that those sharing the longest prefixes run one after another.
 """
 
 from __future__ import annotations
@@ -98,48 +101,56 @@ class _Op(NamedTuple):
     out: int                    # slot written
     ins: tuple[int, ...]        # slots read
     hw: tuple[int, int]         # spatial size of the slot written, per sample
-    shape: tuple[int, ...] = ()  # conv: weight (cout, cin, k, k); bn: (channels,)
+    channels: int               # channel count of the slot written
+    stream: int                 # convs before this op in plan order: conv i draws from stream i
+    shape: tuple[int, ...] = ()  # conv: weight (cout, cin, k, k)
     stride: int = 1
 
 
 class _PlanBuilder:
+    """Emits op records; slot 0 holds the RGB input images."""
+
     def __init__(self, hw: tuple[int, int]):
         self.ops: list[_Op] = []
-        self.hw = [hw]  # per slot
+        self.hw = [hw]       # per slot
+        self.channels = [3]  # per slot
+        self.convs = 0
 
-    def emit(self, kind: str, ins: tuple[int, ...], hw=None, **fields) -> int:
+    def emit(self, kind: str, ins: tuple[int, ...], hw=None, channels=None, **fields) -> int:
         out = len(self.hw)
         self.hw.append(hw or self.hw[ins[0]])
-        self.ops.append(_Op(kind, out, ins, self.hw[out], **fields))
+        self.channels.append(channels or self.channels[ins[0]])
+        self.ops.append(_Op(kind, out, ins, self.hw[out], self.channels[out], self.convs, **fields))
         return out
 
     def relu(self, x: int) -> int:
         return self.emit("relu", (x,))
 
-    def bn(self, x: int, channels: int) -> int:
-        return self.emit("bn", (x,), shape=(channels,))
+    def bn(self, x: int) -> int:
+        return self.emit("bn", (x,))
 
-    def conv_bn(self, x: int, cin: int, cout: int, kernel: int, stride: int) -> int:
+    def conv_bn(self, x: int, cout: int, kernel: int, stride: int) -> int:
         h, w = self.hw[x]
         pad = kernel // 2
         hw = ((h + 2 * pad - kernel) // stride + 1, (w + 2 * pad - kernel) // stride + 1)
-        y = self.emit("conv", (x,), hw, shape=(cout, cin, kernel, kernel), stride=stride)
-        return self.bn(y, cout)
+        y = self.emit("conv", (x,), hw, cout, shape=(cout, self.channels[x], kernel, kernel), stride=stride)
+        self.convs += 1
+        return self.bn(y)
 
-    def block(self, x: int, cin: int, cout: int, stride: int, kernel: int = 3, bottleneck: bool = False) -> int:
+    def block(self, x: int, cout: int, stride: int, kernel: int = 3, bottleneck: bool = False) -> int:
         """Residual block; a bottleneck is 1x1 reduce, kxk, 1x1 expand at mid width max(8, cout // 4)."""
         if bottleneck:
             mid = max(8, cout // 4)
-            y = self.relu(self.conv_bn(x, cin, mid, 1, 1))
-            y = self.relu(self.conv_bn(y, mid, mid, kernel, stride))
-            y = self.conv_bn(y, mid, cout, 1, 1)
+            y = self.relu(self.conv_bn(x, mid, 1, 1))
+            y = self.relu(self.conv_bn(y, mid, kernel, stride))
+            y = self.conv_bn(y, cout, 1, 1)
         else:
-            y = self.relu(self.conv_bn(x, cin, cout, kernel, stride))
-            y = self.conv_bn(y, cout, cout, kernel, 1)
-        shortcut = self.conv_bn(x, cin, cout, 1, stride) if (stride != 1 or cin != cout) else x
+            y = self.relu(self.conv_bn(x, cout, kernel, stride))
+            y = self.conv_bn(y, cout, kernel, 1)
+        shortcut = self.conv_bn(x, cout, 1, stride) if (stride != 1 or self.channels[x] != cout) else x
         return self.relu(self.emit("add", (y, shortcut)))
 
-    def edge(self, x: int, op: str, channels: int) -> int:
+    def edge(self, x: int, op: str) -> int:
         if op == "none":
             return self.emit("zero", (x,))
         if op == "skip_connect":
@@ -147,19 +158,19 @@ class _PlanBuilder:
         if op == "avg_pool_3x3":
             return self.emit("pool", (x,))
         if op == "nor_conv_1x1":
-            return self.conv_bn(self.relu(x), channels, channels, 1, 1)
+            return self.conv_bn(self.relu(x), self.channels[x], 1, 1)
         if op == "nor_conv_3x3":
-            return self.conv_bn(self.relu(x), channels, channels, 3, 1)
+            return self.conv_bn(self.relu(x), self.channels[x], 3, 1)
         raise ValueError(f"unknown cell operation {op!r}")
 
-    def cell(self, x: int, ops: tuple[str, ...], channels: int) -> int:
+    def cell(self, x: int, ops: tuple[str, ...]) -> int:
         """4-node DAG: node j sums its incoming edges from nodes < j."""
         nodes = [x]
         edges = iter(ops)
         for j in range(1, 4):
-            total = self.edge(nodes[0], next(edges), channels)
+            total = self.edge(nodes[0], next(edges))
             for i in range(1, j):
-                total = self.emit("add", (total, self.edge(nodes[i], next(edges), channels)))
+                total = self.emit("add", (total, self.edge(nodes[i], next(edges))))
             nodes.append(total)
         return nodes[3]
 
@@ -176,37 +187,31 @@ def _last_reads(plan: tuple[_Op, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(f) for f in frees)
 
 
-def _compile(desc: ArchDescriptor, space: SearchSpace, hw: tuple[int, int]) -> tuple[tuple[_Op, ...], int]:
-    """Return (plan, feature width) for inputs of spatial size hw."""
-    b = _PlanBuilder(hw)
+def _compile(desc: ArchDescriptor, space: SearchSpace) -> tuple[_Op, ...]:
+    """Return the plan for inputs of space.input_hw; its last op's channels are the feature width."""
+    b = _PlanBuilder((space.input_hw, space.input_hw))
     if isinstance(desc, S0Depths):
-        x = b.relu(b.conv_bn(0, 3, space.stem_channels, 3, 1))
-        cin = space.stem_channels
+        x = b.relu(b.conv_bn(0, space.stem_channels, 3, 1))
         for stage, (cout, depth) in enumerate(zip(space.stage_channels, desc.depths)):
             for i in range(depth):
-                x = b.block(x, cin, cout, 2 if (stage > 0 and i == 0) else 1)
-                cin = cout
+                x = b.block(x, cout, 2 if (stage > 0 and i == 0) else 1)
     elif isinstance(desc, NB201Cell):
-        x = b.conv_bn(0, 3, space.stem_channels, 3, 1)
-        cin = space.stem_channels
+        x = b.conv_bn(0, space.stem_channels, 3, 1)
         for stage, cout in enumerate(space.stage_channels):
             if stage > 0:
-                x = b.block(x, cin, cout, 2)
-                cin = cout
+                x = b.block(x, cout, 2)
             for _ in range(NB201_CELLS_PER_STAGE):
-                x = b.cell(x, desc.ops, cin)
-        b.relu(b.bn(x, cin))
+                x = b.cell(x, desc.ops)
+        b.relu(b.bn(x))
     elif isinstance(desc, S2Config):
         kernel, stride = (7, 2) if space.kind == "s2_imagenet" else (3, 1)
-        x = b.relu(b.conv_bn(0, 3, desc.stem_channels, kernel, stride))
-        cin = desc.stem_channels
+        x = b.relu(b.conv_bn(0, desc.stem_channels, kernel, stride))
         for st in desc.stages:
             for i in range(st.depth):
-                x = b.block(x, cin, st.channels, st.stride if i == 0 else 1, st.kernel, st.block == "bottleneck")
-                cin = st.channels
+                x = b.block(x, st.channels, st.stride if i == 0 else 1, st.kernel, st.block == "bottleneck")
     else:
         raise TypeError(f"not an architecture descriptor: {desc!r}")
-    return tuple(b.ops), cin
+    return tuple(b.ops)
 
 
 def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
@@ -220,11 +225,9 @@ def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tu
     """
     one_live, ends = [], {}
     live = {0}
-    channels = {0: plan[0].shape[1]}
     codes = 0
     for i, op in enumerate(plan):
-        channels[op.out] = op.shape[0] if op.shape else channels[op.ins[0]]
-        size = channels[op.out] * op.hw[0] * op.hw[1]
+        size = op.channels * op.hw[0] * op.hw[1]
         if op.kind == "relu":
             codes += size
         live.difference_update(frees[i])
@@ -232,7 +235,7 @@ def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tu
         if len(live) == 1:
             one_live.append(i)
             nxt = plan[i + 1] if i + 1 < len(plan) else None
-            if nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.shape[0] != nxt.shape[1]):
+            if nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.channels != op.channels):
                 ends[i] = (8 * size, codes)
     return tuple(reversed(one_live)), ends
 
@@ -265,29 +268,25 @@ class PrefixCache:
     Each forward then stores the tensor at each of its stage ends. Before it
     runs any op it makes room: it evicts the least recently used checkpoints
     other than its own stage ends until the held bytes plus the bytes it is
-    about to store fit in `networks` times the bytes of its own stage ends
-    (ReLU codes included when it records them), or in max_bytes if that is
-    less, but never in less than its own stage ends. So the cache holds the
-    stage ends of about the last `networks` networks, at most max_bytes
-    unless one network's stage ends alone exceed it, and with networks=1
-    exactly those of the last one. An evolutionary search passes its
-    population size: a child is a mutant of a population member, so it
-    resumes from its parent's checkpoints. It holds no weights.
+    about to store fit in max_bytes, or in the bytes of its own stage ends
+    if that is more (ReLU codes included when it records them; the sizes
+    come from the plan's shapes, see _boundaries). So with max_bytes=0 the
+    cache holds exactly the stage ends of the last network, which serves
+    score, where neighbours in prefix-trie order share their prefixes, and
+    a random search, whose draws have no parents. An evolutionary search
+    gives it a budget of several networks, since a child is a mutant of a
+    population member and resumes from its parent's checkpoints. It holds
+    no weights.
 
     The cache is bound to one image array and one InitSpec; a forward with
     other images or another InitSpec raises ValueError. It is not
     thread-safe: give each thread its own.
     """
 
-    # Caps the store when it keeps several networks: about 9 s0 networks at
-    # batch 64 (14 MiB each). An s2_imagenet network at batch 64 holds 0.5
-    # to 0.7 GiB on its own, so there the cache keeps one network only.
-    max_bytes = 128 * 2**20
-
-    def __init__(self, images: Tensor, init: InitSpec, networks: int = 1):
+    def __init__(self, images: Tensor, init: InitSpec, max_bytes: int = 0):
         self.images = images
         self.init = init
-        self.networks = networks
+        self.max_bytes = max_bytes
         self._store: dict[tuple[_Op, ...], _Checkpoint] = {}  # least recently used first
 
     def _resume(self, net: NetworkInstance, images: Tensor, record: bool):
@@ -315,8 +314,7 @@ class PrefixCache:
                 own[key] = cp
         batch = images.shape[0]
         size = {i: batch * (t + (c if record else 0)) for i, (t, c) in ends.items()}
-        own_bytes = sum(size.values())
-        room = max(own_bytes, min(self.networks * own_bytes, self.max_bytes))
+        room = max(sum(size.values()), self.max_bytes)
         room -= sum(size[i] for i in ends if i >= start)
         room -= sum(cp.nbytes for cp in own.values())
         held = sum(cp.nbytes for cp in store.values())
@@ -342,22 +340,21 @@ class NetworkInstance:
         self.descriptor = descriptor
         self.space = space
         self.init = init
-        self._plan, feature_width = _compile(descriptor, space, (space.input_hw, space.input_hw))
+        self._plan = _compile(descriptor, space)
         self._frees = _last_reads(self._plan)
         self._one_live, self._stage_ends = _boundaries(self._plan, self._frees)
-        convs = [op.out for op in self._plan if op.kind == "conv"]
-        self._conv_index = {slot: i for i, slot in enumerate(convs)}  # output slot -> weight stream
-        self._fc_weight = init_tensor((space.num_classes, feature_width), init, len(convs))
+        last = self._plan[-1]  # a bn follows every conv, so last.stream counts every conv
+        self._fc_weight = init_tensor((space.num_classes, last.channels), init, last.stream)
 
     def named_weights(self):
         """All trainable tensors at init (conv/FC weights, BN affine, FC bias), each conv's drawn afresh."""
-        convs = [op for op in self._plan if op.kind == "conv"]
-        for i, op in enumerate(convs):
-            yield f"conv{i}.weight", init_tensor(op.shape, self.init, i)
+        for op in self._plan:
+            if op.kind == "conv":
+                yield f"conv{op.stream}.weight", init_tensor(op.shape, self.init, op.stream)
         bns = [op for op in self._plan if op.kind == "bn"]
         for i, op in enumerate(bns):
-            yield f"bn{i}.gamma", np.ones(op.shape)
-            yield f"bn{i}.beta", np.zeros(op.shape)
+            yield f"bn{i}.gamma", np.ones(op.channels)
+            yield f"bn{i}.beta", np.zeros(op.channels)
         yield "fc.weight", self._fc_weight
         yield "fc.bias", np.zeros(self.space.num_classes)
 
@@ -371,7 +368,7 @@ class NetworkInstance:
             op = self._plan[index]
             x = slots[op.ins[0]]
             if op.kind == "conv":
-                y = conv2d(x, init_tensor(op.shape, self.init, self._conv_index[op.out]), op.stride, op.shape[2] // 2)
+                y = conv2d(x, init_tensor(op.shape, self.init, op.stream), op.stride, op.shape[2] // 2)
             elif op.kind == "bn":
                 y = batchnorm_batchstats(x)
             elif op.kind == "relu":
@@ -407,17 +404,17 @@ class NetworkInstance:
 
 def count_params(desc: ArchDescriptor, space: SearchSpace) -> int:
     """Exact trainable parameter count (convs, BN affine pairs, FC incl. bias)."""
-    plan, feature_width = _compile(desc, space, (space.input_hw, space.input_hw))
+    plan = _compile(desc, space)
     total = sum(math.prod(op.shape) for op in plan if op.kind == "conv")
-    total += sum(2 * op.shape[0] for op in plan if op.kind == "bn")
-    return total + (feature_width + 1) * space.num_classes
+    total += sum(2 * op.channels for op in plan if op.kind == "bn")
+    return total + (plan[-1].channels + 1) * space.num_classes
 
 
 def count_flops(desc: ArchDescriptor, space: SearchSpace) -> int:
     """Multiply-accumulates times two, convs and FC only, for one sample at space.input_hw."""
-    plan, feature_width = _compile(desc, space, (space.input_hw, space.input_hw))
+    plan = _compile(desc, space)
     total = sum(2 * math.prod(op.shape) * op.hw[0] * op.hw[1] for op in plan if op.kind == "conv")
-    return total + 2 * space.num_classes * feature_width
+    return total + 2 * space.num_classes * plan[-1].channels
 
 
 def trie_order(descs: list[ArchDescriptor], space: SearchSpace) -> list[int]:
@@ -427,11 +424,10 @@ def trie_order(descs: list[ArchDescriptor], space: SearchSpace) -> list[int]:
     of the plans' prefixes: the longest prefix a network shares with any
     other it shares with a neighbour in this order.
     """
-    hw = (space.input_hw, space.input_hw)
     # One object per distinct op record: 64 s0 plans with their own records
     # raise the peak RSS of score --all-s0 by about 0.6 MiB.
     records: dict[_Op, _Op] = {}
-    plans = [tuple(records.setdefault(op, op) for op in _compile(desc, space, hw)[0]) for desc in descs]
+    plans = [tuple(records.setdefault(op, op) for op in _compile(desc, space)) for desc in descs]
     return sorted(range(len(descs)), key=plans.__getitem__)
 
 

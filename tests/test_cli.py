@@ -367,9 +367,10 @@ def test_search_unsatisfiable_constraints_exit_2(tmp_path, space, capsys):
 
 
 def test_search_child_resumes_from_its_parent(tmp_path, monkeypatch):
-    # The search-s0 benchmark command, variant 0. The prefix cache keeps the
-    # stage ends of the last 10 networks, the population, so a child resumes
-    # from its parent: 380 convs, against 624 with the last network only.
+    # The search-s0 benchmark command, variant 0. The prefix cache keeps up
+    # to 128 MiB of stage ends, at batch 4 those of every network this search
+    # scores, so a child resumes from its parent: 380 convs, against 624 with
+    # the last network only.
     g = np.random.default_rng(0)
     labels, pixels = g.integers(0, 10, size=(4, 1)), g.integers(0, 256, size=(4, 3072))
     np.concatenate([labels, pixels], axis=1).astype(np.uint8).tofile(tmp_path / "batch.bin")
@@ -384,8 +385,8 @@ def test_search_child_resumes_from_its_parent(tmp_path, monkeypatch):
     assert len(convs) == 380
 
 
-@pytest.mark.parametrize("strategy,networks", [("evo", 6), ("random", 1)])
-def test_search_keeps_the_population_only_for_evo(tmp_path, monkeypatch, strategy, networks):
+@pytest.mark.parametrize("strategy,max_bytes", [("evo", 128 * 2**20), ("random", 0)])
+def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strategy, max_bytes):
     # An evo child resumes from a population member; random draws have no
     # parents, so a random search keeps the last network only.
     kept = []
@@ -395,7 +396,29 @@ def test_search_keeps_the_population_only_for_evo(tmp_path, monkeypatch, strateg
                 "--population", "6", "--iters", "4", "--topk", "2", "--budget", "4", "--seed", "0",
                 "--out", str(tmp_path / "s.jsonl")])
     assert code == 0
-    assert kept == [networks]
+    assert kept == [max_bytes]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--space", "s0", "--topk", "99"],
+    ["search", "--space", "s2_cifar", "--topk", "99"],
+    ["search", "--space", "s0", "--strategy", "random"],
+    ["search", "--space", "s0", "--strategy", "random", "--budget", "0"],
+    ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "kd_kl", "--temperature", "0"],
+    ["score", "--space", "s0", "--arch", "1-1-1", "--init", "gaussian", "--gaussian-std", "0"],
+    ["search", "--space", "s0", "--temperature", "-1"],
+    ["search", "--space", "s0", "--gaussian-std", "nan"],
+], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "temperature-0", "gaussian-std-0",
+        "temperature-negative", "gaussian-std-nan"])
+def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, argv):
+    def no_network(*args):
+        raise AssertionError("a usage error must be reported before any network is built")
+
+    monkeypatch.setattr(cli, "NetworkInstance", no_network)
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_builds_each_student_once(tmp_path, monkeypatch):

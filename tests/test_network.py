@@ -413,6 +413,10 @@ def test_proxies_finite_for_sampled_descriptors(finite_teachers, name, seed):
 # ---------------------------------------------------------------------------
 # prefix cache
 
+# The stage ends of any s0 network at batch 2, without ReLU codes: 16 x 32^2,
+# 32 x 16^2 and 64 x 8^2 floats per sample.
+S0_STAGE_END_BYTES = 2 * 8 * (16 * 32**2 + 32 * 16**2 + 64 * 8**2)
+
 
 def _bundle_bytes(bundle) -> list[bytes]:
     return [bundle.penultimate_features.tobytes(), bundle.pre_gap_map.tobytes(),
@@ -464,18 +468,17 @@ def _assert_checkpoints_bounded(cache, net, stage_ends: set):
 
     stage_ends collects the stage-end prefixes of every plan run through
     the cache so far; each key the cache holds is one of them. The bytes the
-    checkpoints hold, ReLU codes counted, are at most cache.networks times
-    net's stage-end bytes from its plan's shapes, and at most
-    cache.max_bytes unless net's stage ends alone exceed it. With
-    networks=1 the cache holds exactly net's stage ends.
+    checkpoints hold, ReLU codes counted, are at most cache.max_bytes unless
+    net's stage-end bytes from its plan's shapes alone exceed it. With
+    max_bytes=0 the cache holds exactly net's stage ends.
     """
     own = {net._plan[:i + 1] for i in net._stage_ends}
     stage_ends |= own
     assert set(cache._store) <= stage_ends
     held = sum(cp.tensor.nbytes + sum(c.nbytes for c in cp.codes or ()) for cp in cache._store.values())
     own_bytes = cache.images.shape[0] * sum(t + c for t, c in net._stage_ends.values())
-    assert held <= max(own_bytes, min(cache.networks * own_bytes, cache.max_bytes))
-    if cache.networks == 1:
+    assert held <= max(own_bytes, cache.max_bytes)
+    if cache.max_bytes == 0:
         assert set(cache._store) == own
 
 
@@ -494,14 +497,14 @@ def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
     # One cache serves runs of descriptors from several spaces, so conv i
     # of one network meets conv i of a network from another space, of the
     # same or another shape. Each run goes through a cache of the last
-    # network and through one of the last three.
+    # network and through one with room for about three s0 networks.
     spaces = [FINITE_SPACES[name]() for name in names]
     num_classes = min(space.num_classes for space in spaces)
     batch = synth_batch(2, 3, 32, 32, num_classes, seed=seed % 7)
     init = InitSpec(seed=seed % 5)
     archs = [(space, desc) for k, space in enumerate(spaces) for desc in _arch_list(space, seed + k, size)]
-    for networks in (1, 3):
-        cache = PrefixCache(batch.images, init, networks)
+    for max_bytes in (0, 3 * S0_STAGE_END_BYTES):
+        cache = PrefixCache(batch.images, init, max_bytes)
         stage_ends = set()
         for (space, desc), call in zip(archs, calls):
             fresh = NetworkInstance(desc, space, init)
@@ -516,6 +519,29 @@ def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
                     assert got.tobytes() == fresh.relu_codes(batch.images).tobytes()
                 _assert_checkpoints_bounded(cache, net, stage_ends)
             assert _weight_bytes(net) == _weight_bytes(fresh)
+
+
+@pytest.mark.parametrize("batch_size", [2, 3])
+@pytest.mark.parametrize("name", sorted(FINITE_SPACES))
+def test_planned_stage_end_bytes_match_the_checkpoints(name, batch_size):
+    # The cache makes room before a forward from the sizes _boundaries
+    # plans from the op records; each checkpoint the forward then stores
+    # holds exactly that many bytes, ReLU codes included when recorded.
+    space = FINITE_SPACES[name]()
+    batch = synth_batch(batch_size, 3, space.input_hw, space.input_hw, space.num_classes, seed=0)
+    init = InitSpec(seed=0)
+    rng = stream(6, 0)
+    for _ in range(4):
+        net = NetworkInstance(sample_random(space, rng), space, init)
+        for record in (False, True):
+            cache = PrefixCache(batch.images, init)
+            if record:
+                net.relu_codes(batch.images, cache=cache)
+            else:
+                net.activations(batch.images, batch.labels, cache=cache)
+            planned = {net._plan[:i + 1]: batch_size * (t + (c if record else 0))
+                       for i, (t, c) in net._stage_ends.items()}
+            assert {key: cp.nbytes for key, cp in cache._store.items()} == planned
 
 
 def test_score_all_s0_runs_the_trie_minimum(monkeypatch, tmp_path):
@@ -587,12 +613,12 @@ def test_prefix_cache_runs_only_unshared_ops(conv_count, s0_batch):
     assert conv_count(S0Depths(3, 1, 1), "activations", plain) == 0
 
 
-@pytest.mark.parametrize("networks,max_bytes,child,again", [
-    (1, PrefixCache.max_bytes, 34, 3),
-    (2, PrefixCache.max_bytes, 4, 0),
-    (2, 0, 34, 3),
+@pytest.mark.parametrize("max_bytes,child,again", [
+    (0, 34, 3),
+    (1, 34, 3),
+    (2 * S0_STAGE_END_BYTES, 4, 0),
 ])
-def test_prefix_cache_keeps_the_last_networks(conv_count, s0_batch, networks, max_bytes, child, again):
+def test_prefix_cache_keeps_the_last_networks(conv_count, s0_batch, max_bytes, child, again):
     # 7-7-1 runs 1 + 14 + 15 + 3 convs. 1-1-1 shares only the stem and the
     # first block with it, and 7-7-1 holds no checkpoint there, so it runs
     # all 9 of its own. 7-7-3, a neighbour of 7-7-1, resumes from the end
@@ -600,12 +626,11 @@ def test_prefix_cache_keeps_the_last_networks(conv_count, s0_batch, networks, ma
     # of one network holds only the stage ends of 1-1-1, so 7-7-3 resumes
     # after its first block, where the first stage of 1-1-1 ends. Resuming
     # made the end of 7-7-1 the most recently used checkpoint, so to make
-    # room for 7-7-3 the cache of two drops a stage end of 1-1-1 instead,
-    # and 7-7-1 is then a full hit; the cache of one resumes it where its
-    # stage 2 ends. A cache of two capped below one network's stage ends
-    # keeps one network, like the cache of one.
-    cache = PrefixCache(s0_batch.images, InitSpec(seed=0), networks)
-    cache.max_bytes = max_bytes
+    # room for 7-7-3 the cache of two networks drops a stage end of 1-1-1
+    # instead, and 7-7-1 is then a full hit; the cache of one resumes it
+    # where its stage 2 ends. A budget below one network's stage ends keeps
+    # one network, like a budget of 0.
+    cache = PrefixCache(s0_batch.images, InitSpec(seed=0), max_bytes)
     assert conv_count(S0Depths(7, 7, 1), "activations", cache) == 33
     assert conv_count(S0Depths(1, 1, 1), "activations", cache) == 9
     assert conv_count(S0Depths(7, 7, 3), "activations", cache) == child
