@@ -35,26 +35,14 @@ from .arch import (
     parse_nb201,
 )
 from .data import load_accuracy_csv, load_cifar_batch, synth_batch, ScoreRow, write_report_csv, write_scores_csv
-from .metrics import (
-    COST_PROXIES,
-    DISWOT,
-    FC_WEIGHT_GRADS,
-    FC_WEIGHTS,
-    KD_KINDS,
-    MATRIX_L2,
-    NWOT,
-    ROW_L2,
-    diswot_score_from_bundles,
-    kd_distance,
-    nwot_from_codes,
-)
+from .metrics import BUNDLES, CODES, COST, DISWOT, FC_WEIGHT_GRADS, FC_WEIGHTS, MATRIX_L2, PROXIES, ROW_L2
+from .metrics import ProxyOptions, proxy_value
 from .network import NetworkInstance, PrefixCache, count_flops, count_params, satisfies_constraints, trie_order
-from .rankstats import MissingArchError, evaluate_proxy, format_report_table
+from .rankstats import MissingArchError, evaluate_proxy, format_report_table, report_rows
 from .rng import InitSpec, derive_seed, stream
 from .search import EvoConfig, evolve, random_search
 
 SPACE_CHOICES = ("s0", "nb201", "s2_cifar", "s2_imagenet")
-PROXY_CHOICES = (DISWOT, NWOT, *COST_PROXIES, *KD_KINDS)
 
 # Child-seed tags: batch synthesis, weight init, rank subsampling.
 _BATCH_TAG = 0x42415443
@@ -173,63 +161,39 @@ def _scoring_config(args, space) -> dict:
     }
 
 
-def _needs_teacher(proxies) -> bool:
-    return any(p == DISWOT or p in KD_KINDS for p in proxies)
-
-
 def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, use_relation: bool):
     """Return new_scorer at this seed; new_scorer(max_bytes) makes one scorer.
 
     teacher is the resolved teacher descriptor, or None when no requested
-    proxy needs one. scorer(desc) maps a descriptor to {proxy: value}. Each
-    scorer owns one PrefixCache over the batch with budget max_bytes (see
+    proxy reads bundles. scorer(desc) maps a descriptor to {proxy: value},
+    each from metrics.proxy_value given the inputs PROXIES names. Each scorer
+    owns one PrefixCache over the batch with budget max_bytes (see
     PrefixCache), so a student resumes from the deepest stored stage end its
-    plan shares: give each thread its own scorer. A student that needs nwot
-    takes its relu_codes forward first, whatever the proxy order, so its
-    bundle is then a full cache hit. The batch and the teacher forward are
-    made once, here, and only when a requested proxy needs them. Each call
-    builds the student once. A non-finite value raises ValueError naming the
-    proxy and the architecture.
+    plan shares: give each thread its own scorer. The relu_codes forward
+    runs first, so a bundle forward after it is a full cache hit. The batch
+    and the teacher forward are made once, here, and only when a requested
+    proxy reads them.
     """
-    batch = _make_batch(args, space, seed) if teacher is not None or NWOT in proxies else None
+    reads = {PROXIES[p] for p in proxies}
+    batch = _make_batch(args, space, seed) if reads - {COST} else None
     init = _init_spec(args, seed)
     teacher_bundle = None
     if teacher is not None:
         teacher_bundle = NetworkInstance(teacher, space, init).activations(batch.images, batch.labels)
+    options = ProxyOptions(use_semantic, use_relation, args.weight_source, args.normalization, args.temperature)
 
     def new_scorer(max_bytes: int = 0):
         cache = None if batch is None else PrefixCache(batch.images, init, max_bytes)
 
         def scorer(desc) -> dict[str, float]:
-            out = {}
-            student = bundle = None
-            if any(proxy not in COST_PROXIES for proxy in proxies):
+            codes = bundle = None
+            if batch is not None:
                 student = NetworkInstance(desc, space, init)
-            if NWOT in proxies:
-                out[NWOT] = nwot_from_codes(student.relu_codes(batch.images, cache=cache))
-            for proxy in proxies:
-                if proxy in COST_PROXIES:
-                    out[proxy] = float(COST_PROXIES[proxy](desc, space))
-                    continue
-                if proxy == NWOT:
-                    continue
-                if bundle is None:
+                if CODES in reads:
+                    codes = student.relu_codes(batch.images, cache=cache)
+                if BUNDLES in reads:
                     bundle = student.activations(batch.images, batch.labels, cache=cache)
-                if proxy == DISWOT:
-                    out[proxy] = diswot_score_from_bundles(
-                        teacher_bundle,
-                        bundle,
-                        use_semantic=use_semantic,
-                        use_relation=use_relation,
-                        weight_source=args.weight_source,
-                        normalization=args.normalization,
-                    )
-                else:
-                    out[proxy] = kd_distance(proxy, teacher_bundle, bundle, args.temperature)
-            for proxy in proxies:
-                if not math.isfinite(out[proxy]):
-                    raise ValueError(f"proxy {proxy} gave {out[proxy]} for architecture {arch_id(desc)}")
-            return out
+            return {p: proxy_value(p, desc, space, codes, teacher_bundle, bundle, options) for p in proxies}
 
         return scorer
 
@@ -250,7 +214,7 @@ def cmd_score(args, parser) -> int:
         parser.error("--jobs must be >= 1")
     seeds = _resolve_seeds(args)
 
-    teacher = _resolve_teacher(space, args.teacher) if _needs_teacher(proxies) else None
+    teacher = _resolve_teacher(space, args.teacher) if any(PROXIES[p] == BUNDLES for p in proxies) else None
 
     # Scored in prefix-trie order, so each student resumes as deep as it can;
     # rows keep the input order.
@@ -330,7 +294,7 @@ def cmd_search(args, parser) -> int:
     name = args.fitness
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
-    teacher = _resolve_teacher(space, args.teacher) if _needs_teacher([name]) else None
+    teacher = _resolve_teacher(space, args.teacher) if PROXIES[name] == BUNDLES else None
     new_scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)
     # Random draws have no parents, so random search keeps the last network only.
     scorer = new_scorer(_EVO_CACHE_BYTES if args.strategy == "evo" else 0)
@@ -415,7 +379,7 @@ def cmd_rank(args, parser) -> int:
             "seeds": args.seeds,
             "seed": seed,
         }
-        write_report_csv(args.out, reports, config)
+        write_report_csv(args.out, report_rows(reports), config)
     print(format_report_table(reports))
     return 0
 
@@ -468,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scoring_flags(score)
     score.add_argument("--arch", action="append", help="architecture id or JSON (repeatable)")
     score.add_argument("--all-s0", action="store_true", help="score all 64 s0 candidates")
-    score.add_argument("--proxy", action="append", choices=PROXY_CHOICES, help="repeatable; default diswot")
+    score.add_argument("--proxy", action="append", choices=tuple(PROXIES), help="repeatable; default diswot")
     score.add_argument("--semantic-only", action="store_true", help="diswot: drop the relation term")
     score.add_argument("--relation-only", action="store_true", help="diswot: drop the semantic term")
     score.add_argument("--jobs", type=int, default=1, help="parallel scoring threads (output is identical for any value)")
@@ -479,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(search)
     _add_scoring_flags(search)
     search.add_argument("--strategy", choices=("evo", "random"), default="evo")
-    search.add_argument("--fitness", choices=PROXY_CHOICES, default=DISWOT)
+    search.add_argument("--fitness", choices=tuple(PROXIES), default=DISWOT)
     search.add_argument("--minimize", action="store_true", help="negate the fitness (e.g. smallest params)")
     search.add_argument("--population", type=int, default=20)
     search.add_argument("--iters", type=int, default=100)

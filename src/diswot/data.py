@@ -221,13 +221,12 @@ def load_accuracy_csv(path: str | Path) -> dict[str, float]:
     return table
 
 
-def write_report_csv(path: str | Path, reports, config: dict | None = None) -> None:
-    from .rankstats import report_rows
-
+def write_report_csv(path: str | Path, rows, config: dict | None = None) -> None:
+    """Write rankstats.report_rows rows, each percentage to two decimals."""
     with open(path, "w", newline="") as f:
         if config is not None:
             f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         writer = csv.writer(f)
         writer.writerow(REPORT_HEADER)
-        for proxy, metric, mean, std, n_seeds, n_archs in report_rows(reports):
+        for proxy, metric, mean, std, n_seeds, n_archs in rows:
             writer.writerow([proxy, metric, f"{mean:.2f}", f"{std:.2f}", n_seeds, n_archs])

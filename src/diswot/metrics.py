@@ -3,14 +3,19 @@
 Every proxy returns a plain float oriented so that higher is better: diswot
 and the KD distances are negated (they measure teacher-student distance, and
 the best student minimizes it), while nwot/params/flops are positive as
-computed. The proxy names live here only: DISWOT, NWOT, the keys of
-COST_PROXIES and KD_KINDS.
+computed. PROXIES is the one list of proxies: it maps each name, in the
+order the CLI offers them, to what the proxy reads, and proxy_value computes
+any of them.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
+from .arch import arch_id
 from .kernels import Tensor, log_softmax, softmax
 from .network import ActivationBundle, count_flops, count_params
 from .rng import stream
@@ -28,8 +33,6 @@ NWOT = "nwot"
 # Capacity proxies: (descriptor, space) -> int count.
 COST_PROXIES = {"params": count_params, "flops": count_flops}
 
-# Size of the float64 copy of one column chunk of ReLU codes in nwot_from_codes.
-_NWOT_CHUNK_BYTES = 1 << 20
 # Ridge added to the nwot kernel's diagonal.
 _NWOT_EPS = 1e-6
 
@@ -135,23 +138,25 @@ def nwot_from_codes(codes: Tensor) -> float:
     """Log-determinant of the sign-agreement kernel over binary codes [B, U].
 
     K[i, j] counts the units where samples i and j are both active or both
-    inactive; _NWOT_EPS regularizes rank-deficient kernels (duplicate codes).
-    With n_i active units in row i, that count is U - n_i - n_j + 2 A_i.A_j.
-    Every term and every partial sum is an integer below 2**53, so the kernel
-    is exact, and summing A.A^T over column chunks of _NWOT_CHUNK_BYTES
-    float64 bytes gives the same bits as one product.
+    inactive: U minus the Hamming distance of the two codes, counted exactly
+    over the codes packed into zero-padded 64-bit words. _NWOT_EPS
+    regularizes rank-deficient kernels (duplicate codes).
     """
     b, units = codes.shape
     if b < 2:
         raise ValueError("nwot needs a batch of at least 2 samples")
-    n_active = np.count_nonzero(codes, axis=1).astype(np.float64)
-    agree = np.zeros((b, b))
-    step = max(1, _NWOT_CHUNK_BYTES // (8 * b))
-    for start in range(0, units, step):
-        active = codes[:, start:start + step].astype(np.float64)
-        agree += active @ active.T
-    kernel = units - n_active[:, None] - n_active[None, :] + 2.0 * agree
-    kernel = kernel + _NWOT_EPS * np.eye(b)
+    packed = np.zeros((b, -(-units // 64)), np.uint64)
+    for i in range(b):
+        row = np.packbits(codes[i])
+        packed.view(np.uint8)[i, :row.size] = row
+    # Each row against all later rows at once, into buffers reused across rows.
+    diff = np.empty_like(packed[1:])
+    count = np.empty(diff.shape, np.uint8)
+    hamming = np.zeros((b, b), np.int64)
+    for i in range(1, b):
+        np.bitwise_count(np.bitwise_xor(packed[i:], packed[i - 1], out=diff[i - 1:]), out=count[i - 1:])
+        hamming[i - 1, i:] = count[i - 1:].sum(axis=1)
+    kernel = units - (hamming + hamming.T) + _NWOT_EPS * np.eye(b)
     _, logdet = np.linalg.slogdet(kernel)
     return float(logdet)
 
@@ -289,7 +294,6 @@ def kd_distance(
 
     temperature only affects kd_kl.
     """
-    kind = kind.lower()
     if kind not in _KD_DISTANCES:
         raise ValueError(f"unknown kd distance kind {kind!r}")
     if temperature <= 0:
@@ -299,21 +303,48 @@ def kd_distance(
     return -_KD_DISTANCES[kind](teacher, student, temperature)
 
 
-__all__ = [
-    "ROW_L2",
-    "MATRIX_L2",
-    "FC_WEIGHTS",
-    "FC_WEIGHT_GRADS",
-    "DISWOT",
-    "NWOT",
-    "COST_PROXIES",
-    "KD_KINDS",
-    "gradcam_maps",
-    "similarity_matrix",
-    "matrix_mean_sq_diff",
-    "semantic_similarity",
-    "relation_similarity",
-    "diswot_score_from_bundles",
-    "nwot_from_codes",
-    "kd_distance",
-]
+# What a proxy reads: the descriptor's cost, the student's ReLU codes, or
+# the teacher and student activation bundles.
+COST = "cost"
+CODES = "codes"
+BUNDLES = "bundles"
+
+PROXIES = {
+    DISWOT: BUNDLES,
+    NWOT: CODES,
+    **dict.fromkeys(COST_PROXIES, COST),
+    **dict.fromkeys(_KD_DISTANCES, BUNDLES),
+}
+
+
+@dataclass(frozen=True)
+class ProxyOptions:
+    """Settings of the bundle proxies: the first four are diswot's, temperature is kd_kl's."""
+
+    use_semantic: bool = True
+    use_relation: bool = True
+    weight_source: str = FC_WEIGHTS
+    normalization: str = ROW_L2
+    temperature: float = 1.0
+
+
+def proxy_value(name: str, desc, space=None, codes: Tensor | None = None, teacher: ActivationBundle | None = None,
+                student: ActivationBundle | None = None, options: ProxyOptions = ProxyOptions()) -> float:
+    """The value of proxy name for the student desc, from the inputs PROXIES[name] names.
+
+    A cost proxy reads space, nwot codes, and the bundle proxies teacher and
+    student; the other inputs may be None. A non-finite value raises
+    ValueError naming the proxy and the architecture.
+    """
+    if name in COST_PROXIES:
+        value = float(COST_PROXIES[name](desc, space))
+    elif name == NWOT:
+        value = nwot_from_codes(codes)
+    elif name == DISWOT:
+        value = diswot_score_from_bundles(teacher, student, options.use_semantic, options.use_relation,
+                                          options.weight_source, options.normalization)
+    else:
+        value = kd_distance(name, teacher, student, options.temperature)
+    if not math.isfinite(value):
+        raise ValueError(f"proxy {name} gave {value} for architecture {arch_id(desc)}")
+    return value

@@ -15,6 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import read_scores_csv
+
 
 class MissingArchError(ValueError):
     """A sampled arch_id has no entry in the accuracy table."""
@@ -189,8 +191,6 @@ def evaluate_proxy(
     sampling repetitions, cycling over the available series; this is how one
     score file can back several subsampled evaluations.
     """
-    from .data import read_scores_csv
-
     by_proxy: dict[str, dict[tuple[int, int], list]] = {}
     for path_idx, path in enumerate(score_csv_paths):
         for row in read_scores_csv(path):

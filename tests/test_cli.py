@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diswot import cli, network
+from diswot import cli, metrics, network
 from diswot.arch import S0Depths, S2Config, S2Stage, arch_id, descriptor_to_json, enumerate_s0, s0_space, s2_cifar_space
 from diswot.cli import main
 from diswot.data import read_scores_csv
@@ -266,8 +266,16 @@ def test_score_config_echo_excludes_jobs(tmp_path):
     assert config["space"] == "s0"
 
 
+def test_proxy_choices_are_the_metrics_table():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    proxy = next(a for a in commands["score"]._actions if a.dest == "proxy")
+    fitness = next(a for a in commands["search"]._actions if a.dest == "fitness")
+    want = ("diswot", "nwot", "params", "flops", "kd_kl", "fitnets", "at", "sp", "cc", "rkd", "nst", "pkt")
+    assert tuple(proxy.choices) == tuple(fitness.choices) == tuple(metrics.PROXIES) == want
+
+
 def test_score_rejects_non_finite_value(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "nwot_from_codes", lambda codes: float("nan"))
+    monkeypatch.setattr(metrics, "nwot_from_codes", lambda codes: float("nan"))
     out = tmp_path / "x.csv"
     code = run(["score", "--space", "s0", "--arch", "1-3-5", "--proxy", "nwot",
                 "--batch-size", "2", "--out", str(out)])

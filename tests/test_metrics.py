@@ -1,21 +1,26 @@
 """Similarity metric, KD-distance, and training-free score tests."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from diswot import metrics
-from diswot.arch import S0Depths, s0_space
+from diswot.arch import S0Depths, max_descriptor, s0_space
 from diswot.data import synth_batch
 from diswot.kernels import fc_weight_grad, global_avg_pool
 from diswot.metrics import (
+    BUNDLES,
+    CODES,
+    COST,
     KD_KINDS,
+    PROXIES,
     diswot_score_from_bundles,
     gradcam_maps,
     kd_distance,
     matrix_mean_sq_diff,
     nwot_from_codes,
+    proxy_value,
     relation_similarity,
     semantic_similarity,
     similarity_matrix,
@@ -387,16 +392,10 @@ def test_nwot_kernel_exact_against_two_product_formula():
     assert nwot_from_codes(codes) == _nwot_two_product(codes)
 
 
-def test_nwot_kernel_exact_across_column_chunks(monkeypatch):
-    # 2368 bytes is 37 float64 columns at batch 8, so the column sums cross
-    # many chunk boundaries.
-    monkeypatch.setattr(metrics, "_NWOT_CHUNK_BYTES", 2368)
-    test_nwot_kernel_exact_against_two_product_formula()
-
-
 def test_nwot_float_copy_is_bounded():
     # A (64, 303 104) code matrix is s0 5-5-5 at batch 64; one float64 copy
-    # of it, as a single product needs, would take 148 MiB.
+    # of it, as a single product needs, would take 148 MiB. The packed codes
+    # take one eighth of the bool bytes.
     codes = np.random.default_rng(0).random((64, 303_104)) < 0.5
     tracemalloc.start()
     try:
@@ -408,7 +407,8 @@ def test_nwot_float_copy_is_bounded():
 
 
 def test_nwot_small_batch_peak_is_bounded():
-    # 8 MiB of codes at batch 4: each float64 chunk holds _NWOT_CHUNK_BYTES.
+    # 8 MiB of codes at batch 4 pack into 1 MiB of words, and the XOR of one
+    # row against the other three takes 0.75 MiB more.
     codes = np.random.default_rng(0).random((4, 2**21)) < 0.5
     tracemalloc.start()
     try:
@@ -491,3 +491,33 @@ def test_matrix_mean_sq_diff():
     a = np.ones((2, 2))
     b = np.zeros((2, 2))
     assert matrix_mean_sq_diff(a, b) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the proxy table
+
+
+@pytest.fixture(scope="module")
+def proxy_inputs():
+    """s0 1-3-5 at batch 2 against the max teacher: each input kind PROXIES names."""
+    space = s0_space()
+    batch = synth_batch(2, 3, 32, 32, space.num_classes, seed=0)
+    init = InitSpec(seed=0)
+    student = NetworkInstance(S0Depths(1, 3, 5), space, init)
+    teacher = NetworkInstance(max_descriptor(space), space, init)
+    return {
+        COST: {"space": space},
+        CODES: {"codes": student.relu_codes(batch.images)},
+        BUNDLES: {
+            "teacher": teacher.activations(batch.images, batch.labels),
+            "student": student.activations(batch.images, batch.labels),
+        },
+    }
+
+
+@pytest.mark.parametrize("name", list(PROXIES))
+def test_proxy_value_needs_only_what_its_entry_reads(name, proxy_inputs):
+    # The CLI runs only the forwards the entries ask for and passes None
+    # for the rest, so an entry that names the wrong input fails here.
+    value = proxy_value(name, S0Depths(1, 3, 5), **proxy_inputs[PROXIES[name]])
+    assert isinstance(value, float) and math.isfinite(value)

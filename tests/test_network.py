@@ -503,22 +503,32 @@ def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
     batch = synth_batch(2, 3, 32, 32, num_classes, seed=seed % 7)
     init = InitSpec(seed=seed % 5)
     archs = [(space, desc) for k, space in enumerate(spaces) for desc in _arch_list(space, seed + k, size)]
+    fresh = {}  # (space, desc, "a" | "c" | "w") -> bytes of a network run without a cache
+
+    def reference(space, desc, what):
+        if (space, desc, what) not in fresh:
+            net = NetworkInstance(desc, space, init)
+            fresh[space, desc, what] = (
+                _bundle_bytes(net.activations(batch.images, batch.labels)) if what == "a"
+                else net.relu_codes(batch.images).tobytes() if what == "c"
+                else _weight_bytes(net)
+            )
+        return fresh[space, desc, what]
+
     for max_bytes in (0, 3 * S0_STAGE_END_BYTES):
         cache = PrefixCache(batch.images, init, max_bytes)
         stage_ends = set()
         for (space, desc), call in zip(archs, calls):
-            fresh = NetworkInstance(desc, space, init)
             net = NetworkInstance(desc, space, init)
             order = {"activations": ["a"], "relu_codes": ["c"], "both": ["a", "c"], "codes_first": ["c", "a"]}[call]
             for step in order:
                 if step == "a":
-                    got = net.activations(batch.images, batch.labels, cache=cache)
-                    assert _bundle_bytes(got) == _bundle_bytes(fresh.activations(batch.images, batch.labels))
+                    got = _bundle_bytes(net.activations(batch.images, batch.labels, cache=cache))
                 else:
-                    got = net.relu_codes(batch.images, cache=cache)
-                    assert got.tobytes() == fresh.relu_codes(batch.images).tobytes()
+                    got = net.relu_codes(batch.images, cache=cache).tobytes()
+                assert got == reference(space, desc, step)
                 _assert_checkpoints_bounded(cache, net, stage_ends)
-            assert _weight_bytes(net) == _weight_bytes(fresh)
+            assert _weight_bytes(net) == reference(space, desc, "w")
 
 
 @pytest.mark.parametrize("batch_size", [2, 3])

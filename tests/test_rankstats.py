@@ -328,7 +328,7 @@ def test_report_csv_two_decimal_percent(tmp_path):
     from diswot.data import write_report_csv
 
     path = tmp_path / "report.csv"
-    write_report_csv(path, [fake_report()])
+    write_report_csv(path, report_rows([fake_report()]))
     text = path.read_text()
     assert text.splitlines()[0] == "proxy,metric,mean,std,n_seeds,n_archs"
     assert "diswot,kendall_tau,73.98,1.20,10,50" in text
