@@ -25,9 +25,6 @@ import numpy as np
 S0_DEPTH_CHOICES = (1, 3, 5, 7)
 
 NB201_OPS = ("none", "skip_connect", "nor_conv_1x1", "nor_conv_3x3", "avg_pool_3x3")
-# Edge order follows the string format: destination nodes 1, 2, 2, 3, 3, 3
-# with sources 0 | 0, 1 | 0, 1, 2.
-NB201_EDGE_SOURCES = (0, 0, 1, 0, 1, 2)
 # Cells in each of the three stages of the NB201 macro skeleton.
 NB201_CELLS_PER_STAGE = 2
 
@@ -64,7 +61,11 @@ class S0Depths:
 
 @dataclass(frozen=True)
 class NB201Cell:
-    """Operations on the 6 edges of the 4-node cell, in string order."""
+    """Operations on the 6 edges of the 4-node cell, in string order.
+
+    That order is destination nodes 1, 2, 2, 3, 3, 3 with sources
+    0 | 0, 1 | 0, 1, 2.
+    """
 
     ops: tuple[str, ...]
 
@@ -148,7 +149,7 @@ class SearchSpace:
     constraints: Constraints = Constraints()
 
     def __post_init__(self):
-        if self.kind not in ("s0", "nb201", "s2_cifar", "s2_imagenet"):
+        if self.kind not in SPACE_FACTORIES:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
@@ -203,7 +204,8 @@ def s2_imagenet_space(num_classes: int = 1000, constraints: Constraints = Constr
     )
 
 
-_SPACE_FACTORIES = {
+# The one list of space kinds, in the order the CLI offers them.
+SPACE_FACTORIES = {
     "s0": s0_space,
     "nb201": nb201_space,
     "s2_cifar": s2_cifar_space,
@@ -213,7 +215,7 @@ _SPACE_FACTORIES = {
 
 def make_space(kind: str, **kwargs) -> SearchSpace:
     try:
-        factory = _SPACE_FACTORIES[kind]
+        factory = SPACE_FACTORIES[kind]
     except KeyError:
         raise ValueError(f"unknown space kind {kind!r}") from None
     return factory(**kwargs)

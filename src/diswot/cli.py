@@ -1,13 +1,15 @@
 """Command-line front end: score candidates, run searches, rank proxies.
 
-Every artifact embeds the run configuration (a sorted-key JSON comment at the
-top of CSVs, a config object in search summaries) and all randomness flows
-from --seed through named child streams, so rerunning a command with the
-same flags reproduces its outputs byte for byte. --jobs parallelizes
-candidate scoring without affecting output bytes and is therefore the one
-flag excluded from the embedded config.
+The parser is the one list of each command's flags and of the values they
+accept. Every artifact embeds the run configuration (a sorted-key JSON comment
+at the top of CSVs, a config object in search summaries), derived from the
+parsed flags: every flag except --jobs, --out and --summary, which change no
+output byte, with --all-s0 echoed as the archs it expands to. All randomness
+flows from --seed through named child streams, so rerunning a command with the
+same flags reproduces its outputs byte for byte.
 
-Exit codes: 0 success, 1 runtime or data error, 2 usage error.
+Exit codes: 0 success, 1 runtime or data error, 2 usage error (every flag
+value the parser or a cross-flag check rejects).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .arch import (
+    SPACE_FACTORIES,
     Constraints,
     S0Depths,
     arch_id,
@@ -42,8 +45,6 @@ from .rankstats import MissingArchError, evaluate_proxy, format_report_table, re
 from .rng import InitSpec, derive_seed, stream
 from .search import EvoConfig, evolve, random_search
 
-SPACE_CHOICES = ("s0", "nb201", "s2_cifar", "s2_imagenet")
-
 # Child-seed tags: batch synthesis, weight init, rank subsampling.
 _BATCH_TAG = 0x42415443
 _INIT_TAG = 0x494E4954
@@ -56,10 +57,20 @@ _S0_TEACHERS = {"resnet56": (9, 9, 9), "resnet110": (18, 18, 18)}
 # 0.7 GiB on its own, so there the cache keeps one network, as score does.
 _EVO_CACHE_BYTES = 128 * 2**20
 
+# Parsed values that no artifact echoes: func is the command's handler; jobs,
+# out and summary change no output byte; all_s0 is echoed as the archs it
+# expands to.
+_UNECHOED = frozenset({"func", "jobs", "out", "summary", "all_s0"})
 
-def _resolve_seeds(args) -> list[int]:
-    if args.seed:
-        return args.seed
+
+def _config(args, **resolved) -> dict:
+    """The run configuration an artifact embeds: every parsed flag, resolved values overriding raw ones."""
+    return {k: v for k, v in vars(args).items() if k not in _UNECHOED} | resolved
+
+
+def _resolve_seeds(given: list[int] | None) -> list[int]:
+    if given:
+        return given
     env = os.environ.get("DISWOT_SEED")
     if env is not None:
         try:
@@ -69,8 +80,7 @@ def _resolve_seeds(args) -> list[int]:
     return [0]
 
 
-def _build_space(args):
-    constraints = Constraints(args.max_params, args.max_flops, args.max_depth)
+def _build_space(args, constraints: Constraints = Constraints()):
     kwargs = {"constraints": constraints}
     if args.num_classes is not None:
         kwargs["num_classes"] = args.num_classes
@@ -111,12 +121,8 @@ def _resolve_archs(space, args, parser):
     if args.all_s0:
         if space.kind != "s0":
             parser.error("--all-s0 requires --space s0")
-        if args.arch:
-            parser.error("--all-s0 and --arch are mutually exclusive")
         return enumerate_s0()
-    if not args.arch:
-        parser.error("pass --arch at least once, or --all-s0")
-    descs = [_parse_arch(space, a) for a in args.arch]
+    descs = [_parse_arch(space, a) for a in args.archs]
     for desc in descs:
         if not descriptor_in_space(desc, space):
             raise ValueError(f"architecture {arch_id(desc)} is not a member of space {space.kind!r}")
@@ -140,25 +146,6 @@ def _make_batch(args, space, seed: int):
 
 def _init_spec(args, seed: int) -> InitSpec:
     return InitSpec(args.init, args.gaussian_std, derive_seed(seed, _INIT_TAG))
-
-
-def _scoring_config(args, space) -> dict:
-    """The config fields that score and search share; callers add their own."""
-    return {
-        "space": space.kind,
-        "num_classes": space.num_classes,
-        "batch_size": args.batch_size,
-        "data": args.data,
-        "data_format": args.data_format,
-        "init": args.init,
-        "gaussian_std": args.gaussian_std,
-        "temperature": args.temperature,
-        "weight_source": args.weight_source,
-        "normalization": args.normalization,
-        "max_params": args.max_params,
-        "max_flops": args.max_flops,
-        "max_depth": args.max_depth,
-    }
 
 
 def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, use_relation: bool):
@@ -207,12 +194,8 @@ def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, u
 def cmd_score(args, parser) -> int:
     space = _build_space(args)
     archs = _resolve_archs(space, args, parser)
-    proxies = args.proxy or [DISWOT]
-    if args.semantic_only and args.relation_only:
-        parser.error("--semantic-only and --relation-only are mutually exclusive")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    seeds = _resolve_seeds(args)
+    proxies = args.proxies or [DISWOT]
+    seeds = _resolve_seeds(args.seeds)
 
     teacher = _resolve_teacher(space, args.teacher) if any(PROXIES[p] == BUNDLES for p in proxies) else None
 
@@ -244,16 +227,14 @@ def cmd_score(args, parser) -> int:
         for proxy in proxies
         for seed in seeds
     ]
-    config = {
-        **_scoring_config(args, space),
-        "command": "score",
-        "archs": [arch_id(d) for d in archs],
-        "proxies": proxies,
-        "teacher": arch_id(teacher) if teacher is not None else None,
-        "seeds": seeds,
-        "semantic_only": args.semantic_only,
-        "relation_only": args.relation_only,
-    }
+    config = _config(
+        args,
+        num_classes=space.num_classes,
+        archs=[arch_id(d) for d in archs],
+        proxies=proxies,
+        teacher=arch_id(teacher) if teacher is not None else None,
+        seeds=seeds,
+    )
     write_scores_csv(args.out, rows, config)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -264,7 +245,7 @@ def cmd_score(args, parser) -> int:
 
 
 def cmd_search(args, parser) -> int:
-    space = _build_space(args)
+    space = _build_space(args, Constraints(args.max_params, args.max_flops, args.max_depth))
     smallest = min_descriptor(space)
     if not satisfies_constraints(smallest, space):
         parser.error(
@@ -272,7 +253,7 @@ def cmd_search(args, parser) -> int:
             f" has {count_params(smallest, space)} params, {count_flops(smallest, space)} FLOPs"
             f" and {block_count(smallest, space)} blocks"
         )
-    seeds = _resolve_seeds(args)
+    seeds = _resolve_seeds(args.seed)
     if len(seeds) != 1:
         parser.error("search takes a single --seed")
     seed = seeds[0]
@@ -289,8 +270,6 @@ def cmd_search(args, parser) -> int:
             parser.error(str(e))
     elif args.budget is None:
         parser.error("--strategy random needs --budget")
-    elif args.budget < 1:
-        parser.error("--budget must be >= 1")
     name = args.fitness
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
@@ -318,20 +297,7 @@ def cmd_search(args, parser) -> int:
         for record in state.log:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
-    config = {
-        **_scoring_config(args, space),
-        "command": "search",
-        "strategy": args.strategy,
-        "fitness": args.fitness,
-        "minimize": args.minimize,
-        "teacher": args.teacher,
-        "seed": seed,
-        "population": args.population,
-        "iters": args.iters,
-        "sample_ratio": args.sample_ratio,
-        "topk": args.topk,
-        "budget": args.budget,
-    }
+    config = _config(args, num_classes=space.num_classes, seed=seed)
     best_desc, best_score = state.best
     summary = {
         "config": config,
@@ -354,7 +320,7 @@ def cmd_search(args, parser) -> int:
 
 
 def cmd_rank(args, parser) -> int:
-    seeds = _resolve_seeds(args)
+    seeds = _resolve_seeds(args.seed)
     if len(seeds) != 1:
         parser.error("rank takes a single --seed")
     seed = seeds[0]
@@ -371,29 +337,13 @@ def cmd_rank(args, parser) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.out:
-        config = {
-            "command": "rank",
-            "scores": [str(p) for p in args.scores],
-            "accuracy": str(args.accuracy),
-            "sample": args.sample,
-            "seeds": args.seeds,
-            "seed": seed,
-        }
-        write_report_csv(args.out, report_rows(reports), config)
+        write_report_csv(args.out, report_rows(reports), _config(args, seed=seed))
     print(format_report_table(reports))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_space_flags(p):
-    p.add_argument("--space", choices=SPACE_CHOICES, default="s0")
-    p.add_argument("--num-classes", type=int, default=None, help="override the space's class count")
-    p.add_argument("--max-params", type=int, default=None)
-    p.add_argument("--max-flops", type=int, default=None)
-    p.add_argument("--max-depth", type=int, default=None, help="total block/cell count bound")
 
 
 def _positive_float(text: str) -> float:
@@ -406,12 +356,30 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_scoring_flags(p):
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _add_scoring_flags(p, seed_dest: str):
+    """The space and scoring flags of score and search; seed_dest names the --seed list."""
+    p.add_argument("--space", choices=tuple(SPACE_FACTORIES), default="s0")
+    p.add_argument("--num-classes", type=_at_least(1), default=None, help="override the space's class count")
     p.add_argument("--teacher", default="max", help="'max', 'resnet56', 'resnet110', 'd1,d2,d3[-template]', a cell string, or JSON")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=_at_least(2), default=64)
     p.add_argument("--data", default=None, help="CIFAR binary file; omit for synthetic images")
     p.add_argument("--data-format", choices=("auto", "cifar10", "cifar100"), default="auto")
-    p.add_argument("--seed", type=int, nargs="+", action="extend", default=None,
+    p.add_argument("--seed", dest=seed_dest, metavar="SEED", type=int, nargs="+", action="extend", default=None,
                    help="one or more seeds (env DISWOT_SEED as fallback, else 0)")
     p.add_argument("--init", choices=("kaiming", "gaussian"), default="kaiming")
     p.add_argument("--gaussian-std", type=_positive_float, default=0.1)
@@ -428,20 +396,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     score = sub.add_parser("score", help="score architectures with training-free proxies")
-    _add_space_flags(score)
-    _add_scoring_flags(score)
-    score.add_argument("--arch", action="append", help="architecture id or JSON (repeatable)")
-    score.add_argument("--all-s0", action="store_true", help="score all 64 s0 candidates")
-    score.add_argument("--proxy", action="append", choices=tuple(PROXIES), help="repeatable; default diswot")
-    score.add_argument("--semantic-only", action="store_true", help="diswot: drop the relation term")
-    score.add_argument("--relation-only", action="store_true", help="diswot: drop the semantic term")
-    score.add_argument("--jobs", type=int, default=1, help="parallel scoring threads (output is identical for any value)")
+    _add_scoring_flags(score, "seeds")
+    archs = score.add_mutually_exclusive_group(required=True)
+    archs.add_argument("--arch", dest="archs", metavar="ARCH", action="append", help="architecture id or JSON (repeatable)")
+    archs.add_argument("--all-s0", action="store_true", help="score all 64 s0 candidates")
+    score.add_argument("--proxy", dest="proxies", action="append", choices=tuple(PROXIES), help="repeatable; default diswot")
+    terms = score.add_mutually_exclusive_group()
+    terms.add_argument("--semantic-only", action="store_true", help="diswot: drop the relation term")
+    terms.add_argument("--relation-only", action="store_true", help="diswot: drop the semantic term")
+    score.add_argument("--jobs", type=_at_least(1), default=1, help="parallel scoring threads (output is identical for any value)")
     score.add_argument("--out", required=True, help="scores CSV path")
     score.set_defaults(func=cmd_score)
 
     search = sub.add_parser("search", help="evolutionary or random architecture search")
-    _add_space_flags(search)
-    _add_scoring_flags(search)
+    _add_scoring_flags(search, "seed")
+    search.add_argument("--max-params", type=int, default=None)
+    search.add_argument("--max-flops", type=int, default=None)
+    search.add_argument("--max-depth", type=int, default=None, help="total block/cell count bound")
     search.add_argument("--strategy", choices=("evo", "random"), default="evo")
     search.add_argument("--fitness", choices=tuple(PROXIES), default=DISWOT)
     search.add_argument("--minimize", action="store_true", help="negate the fitness (e.g. smallest params)")
@@ -449,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--iters", type=int, default=100)
     search.add_argument("--sample-ratio", type=float, default=0.5)
     search.add_argument("--topk", type=int, default=5)
-    search.add_argument("--budget", type=int, default=None, help="evaluation count for --strategy random")
+    search.add_argument("--budget", type=_at_least(1), default=None, help="evaluation count for --strategy random")
     search.add_argument("--out", required=True, help="JSONL run log path")
     search.add_argument("--summary", default=None, help="summary JSON path (default: <out>.summary.json)")
     search.set_defaults(func=cmd_search)
@@ -457,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="correlate proxy scores against an accuracy table")
     rank.add_argument("--scores", nargs="+", required=True, help="score CSVs (one or more)")
     rank.add_argument("--accuracy", required=True, help="accuracy CSV (arch_id,accuracy)")
-    rank.add_argument("--sample", type=int, default=None, help="architectures sampled per repetition")
-    rank.add_argument("--seeds", type=int, default=None, help="number of sampling repetitions")
+    rank.add_argument("--sample", type=_at_least(3), default=None,
+                      help="architectures sampled per repetition (the statistics need 3)")
+    rank.add_argument("--seeds", type=_at_least(1), default=None, help="number of sampling repetitions")
     rank.add_argument("--seed", type=int, action="append", default=None,
                       help="rng seed for subsampling (env DISWOT_SEED as fallback, else 0)")
     rank.add_argument("--out", default=None, help="report CSV path")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diswot import cli, metrics, network
+from diswot import arch, cli, metrics, network
 from diswot.arch import S0Depths, S2Config, S2Stage, arch_id, descriptor_to_json, enumerate_s0, s0_space, s2_cifar_space
 from diswot.cli import main
 from diswot.data import read_scores_csv
@@ -266,12 +266,80 @@ def test_score_config_echo_excludes_jobs(tmp_path):
     assert config["space"] == "s0"
 
 
-def test_proxy_choices_are_the_metrics_table():
+def subcommand_actions(name):
     commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
-    proxy = next(a for a in commands["score"]._actions if a.dest == "proxy")
-    fitness = next(a for a in commands["search"]._actions if a.dest == "fitness")
+    return {a.dest: a for a in commands[name]._actions if a.dest != "help"}
+
+
+def test_proxy_choices_are_the_metrics_table():
+    proxy = subcommand_actions("score")["proxies"]
+    fitness = subcommand_actions("search")["fitness"]
     want = ("diswot", "nwot", "params", "flops", "kd_kl", "fitnets", "at", "sp", "cc", "rkd", "nst", "pkt")
     assert tuple(proxy.choices) == tuple(fitness.choices) == tuple(metrics.PROXIES) == want
+
+
+def test_space_choices_are_the_arch_table():
+    want = ("s0", "nb201", "s2_cifar", "s2_imagenet")
+    for command in ("score", "search"):
+        assert tuple(subcommand_actions(command)["space"].choices) == tuple(arch.SPACE_FACTORIES) == want
+
+
+# Parsed values no artifact echoes: --jobs, --out and --summary change no
+# output byte, and --all-s0 is echoed as the archs it expands to.
+UNECHOED = {"jobs", "out", "summary", "all_s0"}
+
+
+def echoed_dests(command):
+    return (set(subcommand_actions(command)) | {"command"}) - UNECHOED
+
+
+def test_config_echoes_every_flag(tmp_path, monkeypatch):
+    monkeypatch.setenv("DISWOT_SEED", "9")
+    teacher = tmp_path / "t.json"
+    teacher.write_text(json.dumps(descriptor_to_json(S0Depths(3, 1, 3), s0_space())))
+    scores = tmp_path / "s.csv"
+    assert run(["score", "--space", "s0", "--num-classes", "7", "--teacher", str(teacher),
+                "--batch-size", "3", "--init", "gaussian", "--gaussian-std", "0.2", "--temperature", "2",
+                "--weight-source", "fc_weight_grads", "--normalization", "matrix_l2",
+                "--arch", "1-3-1", "--arch", "1-1-1", "--proxy", "kd_kl", "--proxy", "params",
+                "--relation-only", "--jobs", "2", "--out", str(scores)]) == 0
+    config = json.loads(scores.read_text().splitlines()[0][len("# config: "):])
+    assert set(config) == echoed_dests("score")
+    assert config == {
+        "command": "score", "space": "s0", "num_classes": 7, "teacher": "3-1-3", "batch_size": 3,
+        "data": None, "data_format": "auto", "seeds": [9], "init": "gaussian", "gaussian_std": 0.2,
+        "temperature": 2.0, "weight_source": "fc_weight_grads", "normalization": "matrix_l2",
+        "archs": ["1-3-1", "1-1-1"], "proxies": ["kd_kl", "params"], "semantic_only": False,
+        "relation_only": True,
+    }
+
+    out, summary = tmp_path / "r.jsonl", tmp_path / "r.json"
+    assert run(["search", "--space", "nb201", "--num-classes", "5", "--teacher", "max",
+                "--max-params", "90000", "--max-flops", "20000000", "--max-depth", "8",
+                "--strategy", "random", "--budget", "3", "--fitness", "params", "--minimize",
+                "--population", "4", "--iters", "2", "--sample-ratio", "0.75", "--topk", "2",
+                "--batch-size", "5", "--seed", "4", "--out", str(out), "--summary", str(summary)]) == 0
+    config = json.loads(summary.read_text())["config"]
+    assert set(config) == echoed_dests("search")
+    assert config == {
+        "command": "search", "space": "nb201", "num_classes": 5, "teacher": "max", "batch_size": 5,
+        "data": None, "data_format": "auto", "seed": 4, "init": "kaiming", "gaussian_std": 0.1,
+        "temperature": 1.0, "weight_source": "fc_weights", "normalization": "row_l2",
+        "max_params": 90000, "max_flops": 20000000, "max_depth": 8, "strategy": "random",
+        "fitness": "params", "minimize": True, "population": 4, "iters": 2, "sample_ratio": 0.75,
+        "topk": 2, "budget": 3,
+    }
+
+    score_paths, acc_path = write_rank_fixture(tmp_path, n=10, seeds=(0,))
+    report = tmp_path / "report.csv"
+    assert run(["rank", "--scores", str(score_paths[0]), "--accuracy", str(acc_path),
+                "--sample", "6", "--seeds", "2", "--out", str(report)]) == 0
+    config = json.loads(report.read_text().splitlines()[0][len("# config: "):])
+    assert set(config) == echoed_dests("rank")
+    assert config == {
+        "command": "rank", "scores": [str(score_paths[0])], "accuracy": str(acc_path),
+        "sample": 6, "seeds": 2, "seed": 9,
+    }
 
 
 def test_score_rejects_non_finite_value(tmp_path, monkeypatch, capsys):
@@ -416,17 +484,30 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
     ["score", "--space", "s0", "--arch", "1-1-1", "--init", "gaussian", "--gaussian-std", "0"],
     ["search", "--space", "s0", "--temperature", "-1"],
     ["search", "--space", "s0", "--gaussian-std", "nan"],
+    ["score", "--space", "s0", "--arch", "1-1-1", "--batch-size", "1"],
+    ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--num-classes", "0"],
+    ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--max-params", "10"],
+    ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "diswot", "--semantic-only", "--relation-only"],
+    ["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seeds", "0"],
+    ["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--sample", "2"],
 ], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "temperature-0", "gaussian-std-0",
-        "temperature-negative", "gaussian-std-nan"])
+        "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0", "score-max-params",
+        "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2"])
 def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, argv):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")
 
     monkeypatch.setattr(cli, "NetworkInstance", no_network)
+    # rank reads well-formed tables from the working directory, so only the flag is at fault.
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    write_rank_fixture(inputs, seeds=(0,))
+    monkeypatch.chdir(inputs)
     with pytest.raises(SystemExit) as exc:
         run([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [inputs]
+    assert sorted(p.name for p in inputs.iterdir()) == ["acc.csv", "scores0.csv"]
 
 
 def test_search_builds_each_student_once(tmp_path, monkeypatch):
