@@ -4,9 +4,10 @@ The parser is the one list of each command's flags and of the values they
 accept. Every artifact embeds the run configuration (a sorted-key JSON comment
 at the top of CSVs, a config object in search summaries), derived from the
 parsed flags: every flag except --jobs, --out and --summary, which change no
-output byte, with --all-s0 echoed as the archs it expands to. All randomness
-flows from --seed through named child streams, so rerunning a command with the
-same flags reproduces its outputs byte for byte.
+output byte, with --all-s0 echoed as the archs it expands to. A search reads
+and echoes only its strategy's flags; one of the other strategy is a usage
+error. All randomness flows from --seed through named child streams, so
+rerunning a command with the same flags reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error (every flag
 value the parser or a cross-flag check rejects).
@@ -41,7 +42,7 @@ from .data import load_accuracy_csv, load_cifar_batch, synth_batch, ScoreRow, wr
 from .metrics import BUNDLES, CODES, COST, DISWOT, FC_WEIGHT_GRADS, FC_WEIGHTS, MATRIX_L2, PROXIES, ROW_L2
 from .metrics import ProxyOptions, proxy_value
 from .network import NetworkInstance, PrefixCache, count_flops, count_params, satisfies_constraints, trie_order
-from .rankstats import MissingArchError, evaluate_proxy, format_report_table, report_rows
+from .rankstats import MIN_ROWS, MissingArchError, evaluate_proxy, format_report_table, report_rows
 from .rng import InitSpec, derive_seed, stream
 from .search import EvoConfig, evolve, random_search
 
@@ -56,6 +57,10 @@ _S0_TEACHERS = {"resnet56": (9, 9, 9), "resnet110": (18, 18, 18)}
 # at batch 64 (14 MiB each). An s2_imagenet network at batch 64 needs 0.5 to
 # 0.7 GiB on its own, so there the cache keeps one network, as score does.
 _EVO_CACHE_BYTES = 128 * 2**20
+
+# Evo's flags and defaults. They and random's --budget are parsed only when
+# given, so search can reject a flag of the other strategy.
+_EVO_FLAGS = {"population": 20, "iters": 100, "sample_ratio": 0.5, "topk": 5}
 
 # Parsed values that no artifact echoes: func is the command's handler; jobs,
 # out and summary change no output byte; all_s0 is echoed as the archs it
@@ -245,6 +250,10 @@ def cmd_score(args, parser) -> int:
 
 
 def cmd_search(args, parser) -> int:
+    foreign = ["budget"] if args.strategy == "evo" else list(_EVO_FLAGS)
+    stray = [f"--{dest.replace('_', '-')}" for dest in foreign if dest in vars(args)]
+    if stray:
+        parser.error(f"--strategy {args.strategy} does not take {', '.join(stray)}")
     space = _build_space(args, Constraints(args.max_params, args.max_flops, args.max_depth))
     smallest = min_descriptor(space)
     if not satisfies_constraints(smallest, space):
@@ -258,6 +267,8 @@ def cmd_search(args, parser) -> int:
         parser.error("search takes a single --seed")
     seed = seeds[0]
     if args.strategy == "evo":
+        for dest, default in _EVO_FLAGS.items():
+            vars(args).setdefault(dest, default)
         try:
             cfg = EvoConfig(
                 population_size=args.population,
@@ -268,7 +279,7 @@ def cmd_search(args, parser) -> int:
             )
         except ValueError as e:
             parser.error(str(e))
-    elif args.budget is None:
+    elif "budget" not in vars(args):
         parser.error("--strategy random needs --budget")
     name = args.fitness
     sign = -1.0 if args.minimize else 1.0
@@ -416,11 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--strategy", choices=("evo", "random"), default="evo")
     search.add_argument("--fitness", choices=tuple(PROXIES), default=DISWOT)
     search.add_argument("--minimize", action="store_true", help="negate the fitness (e.g. smallest params)")
-    search.add_argument("--population", type=int, default=20)
-    search.add_argument("--iters", type=int, default=100)
-    search.add_argument("--sample-ratio", type=float, default=0.5)
-    search.add_argument("--topk", type=int, default=5)
-    search.add_argument("--budget", type=_at_least(1), default=None, help="evaluation count for --strategy random")
+    for dest, default in _EVO_FLAGS.items():
+        search.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=argparse.SUPPRESS,
+                            help=f"evo only; default {default}")
+    search.add_argument("--budget", type=_at_least(1), default=argparse.SUPPRESS, help="random only; required there")
     search.add_argument("--out", required=True, help="JSONL run log path")
     search.add_argument("--summary", default=None, help="summary JSON path (default: <out>.summary.json)")
     search.set_defaults(func=cmd_search)
@@ -428,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="correlate proxy scores against an accuracy table")
     rank.add_argument("--scores", nargs="+", required=True, help="score CSVs (one or more)")
     rank.add_argument("--accuracy", required=True, help="accuracy CSV (arch_id,accuracy)")
-    rank.add_argument("--sample", type=_at_least(3), default=None,
-                      help="architectures sampled per repetition (the statistics need 3)")
+    rank.add_argument("--sample", type=_at_least(MIN_ROWS), default=None,
+                      help=f"architectures sampled per repetition (the statistics need {MIN_ROWS})")
     rank.add_argument("--seeds", type=_at_least(1), default=None, help="number of sampling repetitions")
     rank.add_argument("--seed", type=int, action="append", default=None,
                       help="rng seed for subsampling (env DISWOT_SEED as fallback, else 0)")

@@ -18,6 +18,9 @@ import numpy as np
 from .data import read_scores_csv
 
 
+MIN_ROWS = 3  # the fewest rows pearson, spearman and a rank report are defined on
+
+
 class MissingArchError(ValueError):
     """A sampled arch_id has no entry in the accuracy table."""
 
@@ -112,8 +115,8 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
 
 def pearson(x, y) -> float:
     x, y = _as_xy(x, y)
-    if len(x) < 3:
-        raise ValueError("pearson needs at least 3 entries")
+    if len(x) < MIN_ROWS:
+        raise ValueError(f"pearson needs at least {MIN_ROWS} entries")
     if _is_constant(x) or _is_constant(y):
         raise ValueError("pearson is undefined for a zero-variance series")
     xc = x - x.mean()
@@ -124,8 +127,8 @@ def pearson(x, y) -> float:
 def spearman(x, y) -> float:
     """Pearson correlation of the average ranks."""
     x, y = _as_xy(x, y)
-    if len(x) < 3:
-        raise ValueError("spearman needs at least 3 entries")
+    if len(x) < MIN_ROWS:
+        raise ValueError(f"spearman needs at least {MIN_ROWS} entries")
     if _is_constant(x) or _is_constant(y):
         warnings.warn("spearman of a constant series is 0 by convention", RuntimeWarning, stacklevel=2)
         return 0.0
@@ -170,8 +173,8 @@ def _series_from_rows(rows, accuracy: Mapping[str, float], sample_size, rng) -> 
         if i not in accuracy:
             raise MissingArchError(f"arch_id {i!r} missing from the accuracy table")
         targets.append(accuracy[i])
-    if len(ids) < 3:
-        raise ValueError(f"need at least 3 joined rows per seed, got {len(ids)}")
+    if len(ids) < MIN_ROWS:
+        raise ValueError(f"need at least {MIN_ROWS} joined rows per seed, got {len(ids)}")
     return np.array(targets), np.array([r.value for r in rows])
 
 

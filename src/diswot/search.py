@@ -6,10 +6,12 @@ child satisfies the space's constraints, scores it, inserts it, and evicts
 the globally worst member. Constraint-violating children consume the
 iteration without insertion.
 
+The initial population is a random search at budget population_size, so
+evolve and random search at equal seed share their first draws.
+
 Determinism: loop decisions draw from one stream keyed by the master seed;
-every candidate (initial samples and offspring alike) gets its own stream
-keyed by (master_seed, serial). Scoring candidates concurrently therefore
-cannot change any outcome, as long as results are reduced in serial order.
+every candidate gets its own stream keyed by (master_seed, serial): random
+draw i by serial i, and the child of iteration i by population_size + i.
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ class EvoConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0 < self.sample_ratio <= 1:
             raise ValueError(f"sample_ratio must be in (0, 1], got {self.sample_ratio}")
-        pool = math.ceil(self.sample_ratio * self.population_size)
-        if not 1 <= self.topk <= pool:
+        if not 1 <= self.topk <= self.pool_size:
             raise ValueError(
-                f"topk must be in [1, ceil(sample_ratio * population_size)] = [1, {pool}],"
+                f"topk must be in [1, ceil(sample_ratio * population_size)] = [1, {self.pool_size}],"
                 f" got {self.topk}"
             )
 
@@ -84,18 +85,8 @@ def _log_record(iteration: int, best: tuple[ArchDescriptor, float], evaluations:
 def evolve(space: SearchSpace, fitness: Fitness, cfg: EvoConfig) -> SearchState:
     """Run exactly cfg.max_iterations evolution steps; fully seeded."""
     loop_rng = stream(cfg.master_seed, _LOOP_STREAM)
-    population: list[tuple[ArchDescriptor, float]] = []
-    evaluations = 0
-    serial = 0
-
-    for _ in range(cfg.population_size):
-        desc = sample_random(space, stream(cfg.master_seed, serial))
-        serial += 1
-        score = fitness(desc)
-        evaluations += 1
-        population.append((desc, score))
-
-    best = max(population, key=lambda member: member[1])
+    seeded = random_search(space, fitness, cfg.population_size, cfg.master_seed)
+    population, best, evaluations = seeded.population, seeded.best, seeded.evaluations
     log: list[dict] = []
 
     for iteration in range(cfg.max_iterations):
@@ -105,9 +96,7 @@ def evolve(space: SearchSpace, fitness: Fitness, cfg: EvoConfig) -> SearchState:
         top = get_topk(pool, cfg.topk)
         parent = top[int(loop_rng.integers(len(top)))]
 
-        child_rng = stream(cfg.master_seed, serial)
-        serial += 1
-        child = mutate(parent[0], space, child_rng)
+        child = mutate(parent[0], space, stream(cfg.master_seed, cfg.population_size + iteration))
 
         if satisfies_constraints(child, space):
             score = fitness(child)
@@ -124,11 +113,7 @@ def evolve(space: SearchSpace, fitness: Fitness, cfg: EvoConfig) -> SearchState:
 
 
 def random_search(space: SearchSpace, fitness: Fitness, budget: int, seed: int = 0) -> SearchState:
-    """budget independent constraint-satisfying draws; keep the argmax.
-
-    Candidate streams are keyed exactly like evolve's, so paired comparisons
-    at equal budget see the same sampling randomness.
-    """
+    """budget independent constraint-satisfying draws; keep the first argmax."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     population: list[tuple[ArchDescriptor, float]] = []

@@ -226,15 +226,6 @@ def test_score_missing_arch_flag_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_score_jobs_below_one_exit_2(tmp_path, jobs):
-    out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--jobs", jobs, "--out", str(out)])
-    assert exc.value.code == 2
-    assert not out.exists()
-
-
 def test_score_bad_data_path_exit_1(tmp_path, capsys):
     code = run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "diswot",
                 "--data", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "x.csv")])
@@ -287,6 +278,8 @@ def test_space_choices_are_the_arch_table():
 # Parsed values no artifact echoes: --jobs, --out and --summary change no
 # output byte, and --all-s0 is echoed as the archs it expands to.
 UNECHOED = {"jobs", "out", "summary", "all_s0"}
+# A search echoes only its own strategy's flags.
+EVO_KEYS = {"population", "iters", "sample_ratio", "topk"}
 
 
 def echoed_dests(command):
@@ -313,22 +306,28 @@ def test_config_echoes_every_flag(tmp_path, monkeypatch):
         "relation_only": True,
     }
 
-    out, summary = tmp_path / "r.jsonl", tmp_path / "r.json"
-    assert run(["search", "--space", "nb201", "--num-classes", "5", "--teacher", "max",
-                "--max-params", "90000", "--max-flops", "20000000", "--max-depth", "8",
-                "--strategy", "random", "--budget", "3", "--fitness", "params", "--minimize",
-                "--population", "4", "--iters", "2", "--sample-ratio", "0.75", "--topk", "2",
-                "--batch-size", "5", "--seed", "4", "--out", str(out), "--summary", str(summary)]) == 0
-    config = json.loads(summary.read_text())["config"]
-    assert set(config) == echoed_dests("search")
-    assert config == {
+    search_flags = ["search", "--space", "nb201", "--num-classes", "5", "--teacher", "max",
+                    "--max-params", "90000", "--max-flops", "20000000", "--max-depth", "8",
+                    "--fitness", "params", "--minimize", "--batch-size", "5", "--seed", "4"]
+    search_config = {
         "command": "search", "space": "nb201", "num_classes": 5, "teacher": "max", "batch_size": 5,
         "data": None, "data_format": "auto", "seed": 4, "init": "kaiming", "gaussian_std": 0.1,
         "temperature": 1.0, "weight_source": "fc_weights", "normalization": "row_l2",
-        "max_params": 90000, "max_flops": 20000000, "max_depth": 8, "strategy": "random",
-        "fitness": "params", "minimize": True, "population": 4, "iters": 2, "sample_ratio": 0.75,
-        "topk": 2, "budget": 3,
+        "max_params": 90000, "max_flops": 20000000, "max_depth": 8, "fitness": "params", "minimize": True,
     }
+    out, summary = tmp_path / "r.jsonl", tmp_path / "r.json"
+    assert run([*search_flags, "--strategy", "random", "--budget", "3",
+                "--out", str(out), "--summary", str(summary)]) == 0
+    config = json.loads(summary.read_text())["config"]
+    assert set(config) == echoed_dests("search") - EVO_KEYS
+    assert config == search_config | {"strategy": "random", "budget": 3}
+    # --topk is left out, so the evo summary echoes its default.
+    assert run([*search_flags, "--population", "8", "--iters", "2", "--sample-ratio", "0.75",
+                "--out", str(out), "--summary", str(summary)]) == 0
+    config = json.loads(summary.read_text())["config"]
+    assert set(config) == echoed_dests("search") - {"budget"}
+    assert config == search_config | {"strategy": "evo", "population": 8, "iters": 2, "sample_ratio": 0.75,
+                                      "topk": 5}
 
     score_paths, acc_path = write_rank_fixture(tmp_path, n=10, seeds=(0,))
     report = tmp_path / "report.csv"
@@ -407,20 +406,6 @@ def test_search_random_strategy(tmp_path):
     assert summary["evaluations"] == 200
 
 
-def test_search_budget_zero_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["search", "--space", "s0", "--strategy", "random", "--budget", "0",
-             "--fitness", "params", "--out", str(tmp_path / "x.jsonl")])
-    assert exc.value.code == 2
-
-
-def test_search_random_needs_budget(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["search", "--space", "s0", "--strategy", "random",
-             "--fitness", "params", "--out", str(tmp_path / "x.jsonl")])
-    assert exc.value.code == 2
-
-
 def test_search_diswot_fitness_smoke(tmp_path):
     out = tmp_path / "d.jsonl"
     code = run(["search", "--space", "s0", "--fitness", "diswot",
@@ -468,32 +453,38 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
     kept = []
     prefix_cache = cli.PrefixCache
     monkeypatch.setattr(cli, "PrefixCache", lambda images, init, n: kept.append(n) or prefix_cache(images, init, n))
-    code = run(["search", "--space", "s0", "--strategy", strategy, "--fitness", "nwot", "--batch-size", "2",
-                "--population", "6", "--iters", "4", "--topk", "2", "--budget", "4", "--seed", "0",
-                "--out", str(tmp_path / "s.jsonl")])
+    own = {"evo": ["--population", "6", "--iters", "4", "--topk", "2"], "random": ["--budget", "4"]}[strategy]
+    code = run(["search", "--space", "s0", "--strategy", strategy, *own, "--fitness", "nwot", "--batch-size", "2",
+                "--seed", "0", "--out", str(tmp_path / "s.jsonl")])
     assert code == 0
     assert kept == [max_bytes]
 
 
-@pytest.mark.parametrize("argv", [
-    ["search", "--space", "s0", "--topk", "99"],
-    ["search", "--space", "s2_cifar", "--topk", "99"],
-    ["search", "--space", "s0", "--strategy", "random"],
-    ["search", "--space", "s0", "--strategy", "random", "--budget", "0"],
-    ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "kd_kl", "--temperature", "0"],
-    ["score", "--space", "s0", "--arch", "1-1-1", "--init", "gaussian", "--gaussian-std", "0"],
-    ["search", "--space", "s0", "--temperature", "-1"],
-    ["search", "--space", "s0", "--gaussian-std", "nan"],
-    ["score", "--space", "s0", "--arch", "1-1-1", "--batch-size", "1"],
-    ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--num-classes", "0"],
-    ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--max-params", "10"],
-    ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "diswot", "--semantic-only", "--relation-only"],
-    ["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seeds", "0"],
-    ["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--sample", "2"],
-], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "temperature-0", "gaussian-std-0",
-        "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0", "score-max-params",
-        "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2"])
-def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("argv,says", [
+    (["search", "--space", "s0", "--topk", "99"], "topk"),
+    (["search", "--space", "s2_cifar", "--topk", "99"], "topk"),
+    (["search", "--space", "s0", "--strategy", "random"], "--budget"),
+    (["search", "--space", "s0", "--strategy", "random", "--budget", "0"], "--budget"),
+    (["search", "--space", "s0", "--strategy", "random", "--budget", "3", "--population", "5"], "--population"),
+    (["search", "--space", "s0", "--strategy", "random", "--budget", "3", "--topk", "3"], "--topk"),
+    (["search", "--space", "s0", "--fitness", "params", "--budget", "5"], "--budget"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "kd_kl", "--temperature", "0"], "--temperature"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--init", "gaussian", "--gaussian-std", "0"], "--gaussian-std"),
+    (["search", "--space", "s0", "--temperature", "-1"], "--temperature"),
+    (["search", "--space", "s0", "--gaussian-std", "nan"], "--gaussian-std"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--batch-size", "1"], "--batch-size"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--num-classes", "0"], "--num-classes"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--max-params", "10"], "--max-params"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--jobs", "0"], "--jobs"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--jobs", "-1"], "--jobs"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "diswot", "--semantic-only", "--relation-only"],
+     "--relation-only"),
+    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seeds", "0"], "--seeds"),
+    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--sample", "2"], "--sample"),
+], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "random-population", "random-topk", "evo-budget",
+        "temperature-0", "gaussian-std-0", "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0",
+        "score-max-params", "jobs-0", "jobs-negative", "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2"])
+def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, argv, says):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")
 
@@ -506,6 +497,7 @@ def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, argv):
     with pytest.raises(SystemExit) as exc:
         run([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+    assert says in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [inputs]
     assert sorted(p.name for p in inputs.iterdir()) == ["acc.csv", "scores0.csv"]
 

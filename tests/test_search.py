@@ -187,6 +187,20 @@ def test_random_search_budget_validation():
         random_search(space, neg_params_fitness(space), budget=0, seed=0)
 
 
+def test_evolve_seeds_with_random_search():
+    # The initial population is the random search at budget population_size,
+    # so the paired comparison below shares its first draws.
+    space = s0_space()
+    score = neg_params_fitness(space)
+    for seed in (0, 5):
+        evolved, drawn = [], []
+        cfg = EvoConfig(population_size=7, max_iterations=5, sample_ratio=0.5, topk=2, master_seed=seed)
+        evolve(space, lambda desc: evolved.append(desc) or score(desc), cfg)
+        random_search(space, lambda desc: drawn.append(desc) or score(desc), budget=7, seed=seed)
+        assert evolved[:7] == drawn
+        assert len(evolved) > 7
+
+
 def test_evolve_beats_or_ties_random_at_equal_budget():
     space = s0_space()
     fitness = neg_params_fitness(space)
