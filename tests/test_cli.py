@@ -406,6 +406,20 @@ def test_search_random_strategy(tmp_path):
     assert summary["evaluations"] == 200
 
 
+def test_search_budget_zero_exit_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--space", "s0", "--strategy", "random", "--budget", "0",
+             "--fitness", "params", "--out", str(tmp_path / "x.jsonl")])
+    assert exc.value.code == 2
+
+
+def test_search_random_needs_budget(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--space", "s0", "--strategy", "random",
+             "--fitness", "params", "--out", str(tmp_path / "x.jsonl")])
+    assert exc.value.code == 2
+
+
 def test_search_diswot_fitness_smoke(tmp_path):
     out = tmp_path / "d.jsonl"
     code = run(["search", "--space", "s0", "--fitness", "diswot",
