@@ -62,10 +62,10 @@ _EVO_CACHE_BYTES = 128 * 2**20
 # given, so search can reject a flag of the other strategy.
 _EVO_FLAGS = {"population": 20, "iters": 100, "sample_ratio": 0.5, "topk": 5}
 
-# Parsed values that no artifact echoes: func is the command's handler; jobs,
-# out and summary change no output byte; all_s0 is echoed as the archs it
-# expands to.
-_UNECHOED = frozenset({"func", "jobs", "out", "summary", "all_s0"})
+# Parsed values that no artifact echoes: func is the command's handler and
+# parser its subparser, which reports its usage errors; jobs, out and summary
+# change no output byte; all_s0 is echoed as the archs it expands to.
+_UNECHOED = frozenset({"func", "parser", "jobs", "out", "summary", "all_s0"})
 
 
 def _config(args, **resolved) -> dict:
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     terms.add_argument("--relation-only", action="store_true", help="diswot: drop the semantic term")
     score.add_argument("--jobs", type=_at_least(1), default=1, help="parallel scoring threads (output is identical for any value)")
     score.add_argument("--out", required=True, help="scores CSV path")
-    score.set_defaults(func=cmd_score)
+    score.set_defaults(func=cmd_score, parser=score)
 
     search = sub.add_parser("search", help="evolutionary or random architecture search")
     _add_scoring_flags(search, "seed")
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--budget", type=_at_least(1), default=argparse.SUPPRESS, help="random only; required there")
     search.add_argument("--out", required=True, help="JSONL run log path")
     search.add_argument("--summary", default=None, help="summary JSON path (default: <out>.summary.json)")
-    search.set_defaults(func=cmd_search)
+    search.set_defaults(func=cmd_search, parser=search)
 
     rank = sub.add_parser("rank", help="correlate proxy scores against an accuracy table")
     rank.add_argument("--scores", nargs="+", required=True, help="score CSVs (one or more)")
@@ -444,16 +444,17 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--seed", type=int, action="append", default=None,
                       help="rng seed for subsampling (env DISWOT_SEED as fallback, else 0)")
     rank.add_argument("--out", default=None, help="report CSV path")
-    rank.set_defaults(func=cmd_rank)
+    rank.set_defaults(func=cmd_rank, parser=rank)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except Exception as e:  # argparse SystemExit passes through untouched
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +132,7 @@ def load_cifar_batch(
 # CSV artifacts
 
 
-@dataclass(frozen=True)
-class ScoreRow:
+class ScoreRow(NamedTuple):
     arch_id: str
     proxy: str
     value: float
@@ -157,14 +157,24 @@ def write_scores_csv(path: str | Path, rows, config: dict | None = None) -> None
 
 
 def _data_lines(path):
-    """(line_number, fields) for non-comment lines, csv-parsed."""
+    """(line_number, fields) for each non-blank, non-comment record.
+
+    One csv.reader parses a stream of the file's non-comment lines, so no
+    line list is held; line_number is the record's physical line, counting
+    comment lines.
+    """
     with open(path, newline="") as f:
-        for n, line in enumerate(f, start=1):
-            if line.startswith("#"):
-                continue
-            parsed = next(csv.reader([line]), None)
-            if parsed:
-                yield n, parsed
+        number = 0
+
+        def records():
+            nonlocal number
+            for number, line in enumerate(f, start=1):
+                if not line.startswith("#"):
+                    yield line
+
+        for fields in csv.reader(records()):
+            if fields:
+                yield number, fields
 
 
 def read_scores_csv(path: str | Path) -> list[ScoreRow]:

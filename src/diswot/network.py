@@ -21,8 +21,7 @@ Op kinds:
 The classifier (global average pool, then a linear layer) follows the
 plan. Networks are only ever scored at initialization, so the forward
 applies neither the batch-norm affine nor the classifier bias, which are
-the identity and zero there; named_weights and count_params still include
-them.
+the identity and zero there; count_params still includes them.
 
 Weight streams are part of the file format: the compiler writes into each
 op record the number of convs before it in plan order, so conv i draws from
@@ -345,18 +344,6 @@ class NetworkInstance:
         self._one_live, self._stage_ends = _boundaries(self._plan, self._frees)
         last = self._plan[-1]  # a bn follows every conv, so last.stream counts every conv
         self._fc_weight = init_tensor((space.num_classes, last.channels), init, last.stream)
-
-    def named_weights(self):
-        """All trainable tensors at init (conv/FC weights, BN affine, FC bias), each conv's drawn afresh."""
-        for op in self._plan:
-            if op.kind == "conv":
-                yield f"conv{op.stream}.weight", init_tensor(op.shape, self.init, op.stream)
-        bns = [op for op in self._plan if op.kind == "bn"]
-        for i, op in enumerate(bns):
-            yield f"bn{i}.gamma", np.ones(op.channels)
-            yield f"bn{i}.beta", np.zeros(op.channels)
-        yield "fc.weight", self._fc_weight
-        yield "fc.bias", np.zeros(self.space.num_classes)
 
     def _forward(self, images: Tensor, record: bool, cache: PrefixCache | None):
         """Return (pre-GAP map, ReLU codes in plan order or None)."""

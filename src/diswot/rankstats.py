@@ -9,6 +9,7 @@ tau-b denominator used by most statistics libraries.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -156,26 +157,41 @@ def _summary(values: list[float]) -> CoefficientSummary:
     return CoefficientSummary(float(arr.mean()), float(arr.std()))
 
 
-def _series_from_rows(rows, accuracy: Mapping[str, float], sample_size, rng) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, scores) of one seed's rows joined on arch_id, after sampling."""
-    ids = [r.arch_id for r in rows]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise ValueError(f"duplicate arch_id {dup!r} within one seed's scores")
-    if sample_size is not None and sample_size < len(ids):
-        if rng is None:
-            raise ValueError("subsampling needs an rng")
-        picked = rng.choice(len(ids), size=sample_size, replace=False)
-        rows = [rows[int(i)] for i in np.sort(picked)]
+class _Series:
+    """One (file, seed) score series, joined to the accuracy table once.
+
+    Holds the series' arch ids, their scores and accuracies as arrays, and
+    which ids the accuracy table has; draw() then only picks indices.
+    """
+
+    def __init__(self, rows, accuracy: Mapping[str, float]):
         ids = [r.arch_id for r in rows]
-    targets = []
-    for i in ids:
-        if i not in accuracy:
-            raise MissingArchError(f"arch_id {i!r} missing from the accuracy table")
-        targets.append(accuracy[i])
-    if len(ids) < MIN_ROWS:
-        raise ValueError(f"need at least {MIN_ROWS} joined rows per seed, got {len(ids)}")
-    return np.array(targets), np.array([r.value for r in rows])
+        if len(set(ids)) != len(ids):
+            counts = Counter(ids)
+            dup = next(i for i in ids if counts[i] > 1)
+            raise ValueError(f"duplicate arch_id {dup!r} within one seed's scores")
+        found = [accuracy.get(i) for i in ids]
+        self.ids = ids
+        self.scores = np.array([r.value for r in rows])
+        self.present = np.array([t is not None for t in found])
+        self.targets = np.array([np.nan if t is None else t for t in found])
+
+    def draw(self, sample_size: int | None, rng) -> tuple[np.ndarray, np.ndarray]:
+        """(targets, scores) of one repetition: a sorted sample without replacement, or the whole series."""
+        n = len(self.ids)
+        if sample_size is not None and sample_size < n:
+            if rng is None:
+                raise ValueError("subsampling needs an rng")
+            picked = np.sort(rng.choice(n, size=sample_size, replace=False))
+        else:
+            picked = np.arange(n)
+        missing = ~self.present[picked]
+        if missing.any():
+            first = self.ids[picked[np.argmax(missing)]]
+            raise MissingArchError(f"arch_id {first!r} missing from the accuracy table")
+        if len(picked) < MIN_ROWS:
+            raise ValueError(f"need at least {MIN_ROWS} joined rows per seed, got {len(picked)}")
+        return self.targets[picked], self.scores[picked]
 
 
 def evaluate_proxy(
@@ -187,12 +203,14 @@ def evaluate_proxy(
 ) -> list[CorrelationReport]:
     """Correlate each proxy found in the score CSVs against the accuracy table.
 
-    Rows are grouped into per-seed series by (file, seed column). Each series
-    is sampled down to sample_size without replacement (when given), joined
-    on arch_id, and reduced to the three coefficients; means and stds
-    (population) aggregate over series. n_repeats, when given, runs that many
-    sampling repetitions, cycling over the available series; this is how one
-    score file can back several subsampled evaluations.
+    Each score CSV is streamed once. Rows are grouped into per-seed series by
+    (file, seed column). The first repetition that uses a series checks it
+    for duplicate arch_ids and joins it to the accuracy table; every
+    repetition then samples it down to sample_size without replacement (when
+    given) and reduces it to the three coefficients. Means and stds
+    (population) aggregate over repetitions. n_repeats, when given, runs that
+    many sampling repetitions, cycling over the available series; this is how
+    one score file can back several subsampled evaluations.
     """
     by_proxy: dict[str, dict[tuple[int, int], list]] = {}
     for path_idx, path in enumerate(score_csv_paths):
@@ -208,9 +226,13 @@ def evaluate_proxy(
         repeats = len(groups) if n_repeats is None else n_repeats
         if repeats < 1:
             raise ValueError("n_repeats must be >= 1")
+        joined: dict[int, _Series] = {}
         taus, rhos, rs, sizes = [], [], [], []
         for rep in range(repeats):
-            targets, scores = _series_from_rows(groups[rep % len(groups)], accuracy_table, sample_size, rng)
+            index = rep % len(groups)
+            if index not in joined:
+                joined[index] = _Series(groups[index], accuracy_table)
+            targets, scores = joined[index].draw(sample_size, rng)
             taus.append(kendall_tau(targets, scores))
             rhos.append(spearman(targets, scores))
             rs.append(pearson(targets, scores))

@@ -2,7 +2,9 @@
 
 Everything here is written the slow, obvious way (explicit loops, direct
 textbook formulas) and deliberately shares no code with the package under
-test. Oracles are for correctness checks on tiny inputs only.
+test, apart from named_weights, which walks a built network's compiled plan
+and draws each tensor with the package's seeded initializer. Oracles are for
+correctness checks on tiny inputs only.
 """
 
 import itertools
@@ -10,6 +12,8 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from diswot.rng import init_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +331,66 @@ def spearman_closed_form(x, y):
     m = len(rx)
     d2 = float(((rx - ry) ** 2).sum())
     return 1.0 - 6.0 * d2 / (m * (m * m - 1))
+
+
+def rank_join_naive(rows, accuracy, sample_size, rng):
+    """(targets, scores) of one seed's rows joined on arch_id, after sampling.
+
+    The join done afresh in every repetition: check the ids for duplicates,
+    draw sorted sample indices, then look each sampled id up.
+    """
+    ids = [r.arch_id for r in rows]
+    if len(set(ids)) != len(ids):
+        dup = next(i for i in ids if ids.count(i) > 1)
+        raise ValueError(f"duplicate arch_id {dup!r} within one seed's scores")
+    if sample_size is not None and sample_size < len(ids):
+        picked = rng.choice(len(ids), size=sample_size, replace=False)
+        rows = [rows[int(i)] for i in np.sort(picked)]
+        ids = [r.arch_id for r in rows]
+    targets = []
+    for i in ids:
+        if i not in accuracy:
+            raise KeyError(f"arch_id {i!r} missing from the accuracy table")
+        targets.append(accuracy[i])
+    return np.array(targets), np.array([r.value for r in rows])
+
+
+def rank_repetitions_naive(tables, accuracy, sample_size=None, rng=None, n_repeats=None):
+    """{proxy: [(targets, scores) of each repetition]} for score tables given as row lists.
+
+    Proxies go in sorted order; each proxy's series are its (table index,
+    seed) groups in sorted order, and repetition k joins series k modulo
+    their count.
+    """
+    series = {}
+    for index, rows in enumerate(tables):
+        for r in rows:
+            series.setdefault(r.proxy, {}).setdefault((index, r.seed), []).append(r)
+    out = {}
+    for proxy in sorted(series):
+        groups = [series[proxy][key] for key in sorted(series[proxy])]
+        repeats = len(groups) if n_repeats is None else n_repeats
+        out[proxy] = [rank_join_naive(groups[k % len(groups)], accuracy, sample_size, rng) for k in range(repeats)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# network weights
+
+
+def named_weights(net):
+    """All trainable tensors of a built network at init, in plan order.
+
+    Conv weights are drawn afresh from their streams, then come the batch-norm
+    affine pairs, the classifier weight and its bias: the parameter-count
+    oracle for count_params.
+    """
+    for op in net._plan:
+        if op.kind == "conv":
+            yield f"conv{op.stream}.weight", init_tensor(op.shape, net.init, op.stream)
+    bns = [op for op in net._plan if op.kind == "bn"]
+    for i, op in enumerate(bns):
+        yield f"bn{i}.gamma", np.ones(op.channels)
+        yield f"bn{i}.beta", np.zeros(op.channels)
+    yield "fc.weight", net._fc_weight
+    yield "fc.bias", np.zeros(net.space.num_classes)

@@ -99,7 +99,7 @@ def test_02_count_matches_built_weights():
     init = InitSpec(seed=0)
     for desc in enumerate_s0():
         net = NetworkInstance(desc, space, init)
-        built = sum(w.size for _, w in net.named_weights())
+        built = sum(w.size for _, w in oracles.named_weights(net))
         assert count_params(desc, space) == built, desc
     _report("PASS 02 structural parameter count equals built weight elements for all 64 candidates")
 

@@ -495,9 +495,13 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
      "--relation-only"),
     (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seeds", "0"], "--seeds"),
     (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--sample", "2"], "--sample"),
+    (["score", "--space", "nb201", "--all-s0"], "--all-s0 requires --space s0"),
+    (["search", "--space", "s0", "--fitness", "params", "--seed", "1", "2"], "a single --seed"),
+    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seed", "1", "--seed", "2"], "a single --seed"),
 ], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "random-population", "random-topk", "evo-budget",
         "temperature-0", "gaussian-std-0", "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0",
-        "score-max-params", "jobs-0", "jobs-negative", "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2"])
+        "score-max-params", "jobs-0", "jobs-negative", "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2", "nb201-all-s0",
+        "search-two-seeds", "rank-two-seeds"])
 def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, argv, says):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")
@@ -511,7 +515,10 @@ def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, a
     with pytest.raises(SystemExit) as exc:
         run([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert says in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert says in err
+    # Cross-flag checks report on the subcommand's parser, as argparse's own checks do.
+    assert err.splitlines()[0].startswith(f"usage: diswot {argv[0]} ")
     assert list(tmp_path.iterdir()) == [inputs]
     assert sorted(p.name for p in inputs.iterdir()) == ["acc.csv", "scores0.csv"]
 

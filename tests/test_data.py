@@ -222,6 +222,51 @@ def test_scores_csv_wrong_field_count(tmp_path):
         read_scores_csv(path)
 
 
+def test_scores_csv_skips_comment_and_blank_lines(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "# config: {}\n"
+        "arch_id,proxy,value,higher_is_better,seed\n"
+        "a,diswot,0.5,true,0\n"
+        "# a note between rows\n"
+        "\n"
+        "b,diswot,-1.5,false,2\n"
+        "\n"
+    )
+    assert read_scores_csv(path) == [ScoreRow("a", "diswot", 0.5, True, 0), ScoreRow("b", "diswot", -1.5, False, 2)]
+
+
+def test_scores_csv_quoted_comma_round_trip(tmp_path):
+    path = tmp_path / "scores.csv"
+    rows = [ScoreRow('{"depths": [1, 2]}', "params", 7.0, True, 0), ScoreRow("1-1-1", "params", 8.0, True, 0)]
+    write_scores_csv(path, rows, config={"space": "s0"})
+    assert '"{""depths"": [1, 2]}"' in path.read_text()
+    assert read_scores_csv(path) == rows
+
+
+def test_scores_csv_error_counts_comment_lines(tmp_path):
+    # The bad record is the fourth data line but the sixth line of the file.
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "# config: {}\n"
+        "arch_id,proxy,value,higher_is_better,seed\n"
+        "a,diswot,0.5,true,0\n"
+        "# note\n"
+        "b,diswot,0.7,true,0\n"
+        "c,diswot,oops,true,0\n"
+    )
+    with pytest.raises(ValueError, match=r"bad\.csv:6: "):
+        read_scores_csv(path)
+
+
+def test_score_row_is_an_immutable_tuple():
+    row = ScoreRow("1-1-1", "diswot", 0.5, True, 3)
+    assert row == ("1-1-1", "diswot", 0.5, True, 3)
+    assert row._fields == ("arch_id", "proxy", "value", "higher_is_better", "seed")
+    with pytest.raises(AttributeError):
+        row.value = 1.0
+
+
 # ---------------------------------------------------------------------------
 # accuracy CSV
 
@@ -251,6 +296,13 @@ def test_accuracy_csv_bad_float(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("arch_id,accuracy\na,high\n")
     with pytest.raises(ValueError, match=r":2:"):
+        load_accuracy_csv(path)
+
+
+def test_accuracy_csv_error_counts_comment_lines(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# source: synthetic\narch_id,accuracy\n\n# note\na,1.0\nb,high\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:6: bad accuracy value 'high'"):
         load_accuracy_csv(path)
 
 

@@ -1,14 +1,22 @@
 """Correlation coefficient and proxy-evaluation tests."""
 
 import itertools
+import re
+import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
+from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diswot.data import ScoreRow, write_scores_csv
 from diswot.rankstats import (
+    CoefficientSummary,
     CorrelationReport,
     MissingArchError,
     average_ranks,
@@ -298,13 +306,112 @@ def test_evaluate_proxy_noisy_against_reference_stats(tmp_path):
     assert rep.pearson.mean == pytest.approx(want_r, abs=0.05)
 
 
+def expected_reports(repetitions):
+    """CorrelationReports from the oracle's joined series, with the package's coefficients."""
+    reports = []
+    for proxy, series in repetitions.items():
+        coeffs = [[f(t, s) for t, s in series] for f in (kendall_tau, spearman, pearson)]
+        summaries = [CoefficientSummary(float(np.mean(c)), float(np.std(c))) for c in coeffs]
+        reports.append(CorrelationReport(proxy, *summaries, len(series), len(series[0][0])))
+    return reports
+
+
+@st.composite
+def tied_rank_tables(draw):
+    """Score tables over a tied accuracy table: several files, seeds and proxies, rows shuffled."""
+    n = draw(st.integers(4, 16))
+    ids = [f"arch{i}" for i in range(n)]
+    accuracy = {i: draw(st.sampled_from([60.0, 61.5, 65.0, 70.25, 75.5, 80.0])) for i in ids}
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for proxy in draw(st.lists(st.sampled_from(["diswot", "nwot", "params"]), min_size=1, max_size=3, unique=True)):
+            for seed in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+                rows += [ScoreRow(i, proxy, float(draw(st.integers(-5, 5))), True, seed) for i in ids]
+        tables.append(draw(st.permutations(rows)))
+    subsample = st.integers(max(3, n // 2), n - 1)
+    sample = draw(st.one_of(st.none(), st.just(n), subsample, subsample))
+    repeats = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return tables, accuracy, sample, repeats
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=tied_rank_tables(), seed=st.integers(0, 2**32 - 1))
+def test_evaluate_proxy_matches_per_repetition_join(case, seed):
+    # Joining each series once gives the reports that joining it afresh in
+    # every repetition gives, rng draw for rng draw.
+    tables, accuracy, sample, repeats = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"s{k}.csv" for k in range(len(tables))]
+        for path, rows in zip(paths, tables):
+            write_scores_csv(path, rows, config={"table": path.name})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # constant samples
+            try:
+                want = expected_reports(oracles.rank_repetitions_naive(
+                    tables, accuracy, sample, np.random.default_rng(seed), repeats))
+            except ValueError as e:  # a constant sample has no pearson
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    evaluate_proxy(paths, accuracy, sample, np.random.default_rng(seed), repeats)
+                return
+            got = evaluate_proxy(paths, accuracy, sample, np.random.default_rng(seed), repeats)
+    assert got == want
+
+
+class CountingTable(Mapping):
+    """An accuracy table that counts the lookups of each key."""
+
+    def __init__(self, table):
+        self.table = table
+        self.lookups = Counter()
+
+    def __getitem__(self, key):
+        self.lookups[key] += 1
+        return self.table[key]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def test_evaluate_proxy_joins_each_series_once(tmp_path):
+    # Two seeds' series over the same ids, sampled in ten repetitions: each
+    # id is looked up once per series, however often a repetition draws it.
+    ids = [f"a{i}" for i in range(8)]
+    rows = [ScoreRow(a, "diswot", float(i % 3), True, seed) for seed in (0, 1) for i, a in enumerate(ids)]
+    path = write_fixture(tmp_path, "two.csv", rows)
+    table = CountingTable(accuracy_map(ids, [float(i) for i in range(8)]))
+    evaluate_proxy([path], table, sample_size=6, rng=np.random.default_rng(0), n_repeats=10)
+    assert table.lookups == Counter({a: 2 for a in ids})
+
+
+def test_evaluate_proxy_missing_arch_is_first_in_sample_order(tmp_path):
+    ids = ["a", "b", "c", "ghost2", "d", "ghost1"]
+    rows = [ScoreRow(a, "diswot", float(i), True, 0) for i, a in enumerate(ids)]
+    path = write_fixture(tmp_path, "m.csv", rows)
+    with pytest.raises(MissingArchError, match="'ghost2'"):
+        evaluate_proxy([path], accuracy_map(["a", "b", "c", "d"], [1.0, 2.0, 3.0, 4.0]))
+
+
+def test_evaluate_proxy_unused_series_not_checked(tmp_path):
+    # Only series a repetition uses are joined: with one repetition, seed 1's
+    # duplicate goes unread.
+    rows = [ScoreRow(a, "diswot", float(i), True, 0) for i, a in enumerate(["a", "b", "c"])]
+    rows += [ScoreRow(a, "diswot", float(i), True, 1) for i, a in enumerate(["a", "a", "b"])]
+    path = write_fixture(tmp_path, "dup1.csv", rows)
+    acc = accuracy_map(["a", "b", "c"], [1.0, 2.0, 3.0])
+    assert evaluate_proxy([path], acc, n_repeats=1)[0].n_archs == 3
+    with pytest.raises(ValueError, match="duplicate arch_id 'a'"):
+        evaluate_proxy([path], acc, n_repeats=2)
+
+
 # ---------------------------------------------------------------------------
 # report formatting
 
 
 def fake_report():
-    from diswot.rankstats import CoefficientSummary
-
     return CorrelationReport(
         proxy_name="diswot",
         kendall_tau=CoefficientSummary(0.7398, 0.012),
