@@ -240,10 +240,11 @@ def test_evaluate_proxy_single_seed_zero_std(tmp_path):
 
 
 def test_evaluate_proxy_missing_arch_named(tmp_path):
-    ids = ["a", "b", "c", "ghost"]
+    # The first missing id in row order is named.
+    ids = ["a", "b", "ghost2", "c", "ghost1"]
     rows = [ScoreRow(a, "diswot", float(i), True, 0) for i, a in enumerate(ids)]
     path = write_fixture(tmp_path, "m.csv", rows)
-    with pytest.raises(MissingArchError, match="ghost"):
+    with pytest.raises(MissingArchError, match="'ghost2'"):
         evaluate_proxy([path], accuracy_map(["a", "b", "c"], [1.0, 2.0, 3.0]))
 
 
@@ -385,14 +386,6 @@ def test_evaluate_proxy_joins_each_series_once(tmp_path):
     table = CountingTable(accuracy_map(ids, [float(i) for i in range(8)]))
     evaluate_proxy([path], table, sample_size=6, rng=np.random.default_rng(0), n_repeats=10)
     assert table.lookups == Counter({a: 2 for a in ids})
-
-
-def test_evaluate_proxy_missing_arch_is_first_in_sample_order(tmp_path):
-    ids = ["a", "b", "c", "ghost2", "d", "ghost1"]
-    rows = [ScoreRow(a, "diswot", float(i), True, 0) for i, a in enumerate(ids)]
-    path = write_fixture(tmp_path, "m.csv", rows)
-    with pytest.raises(MissingArchError, match="'ghost2'"):
-        evaluate_proxy([path], accuracy_map(["a", "b", "c", "d"], [1.0, 2.0, 3.0, 4.0]))
 
 
 def test_evaluate_proxy_unused_series_not_checked(tmp_path):
