@@ -9,11 +9,13 @@ fc_weight_grad.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 Tensor = np.ndarray
 
 BN_EPS = 1e-5  # added to the batch variance before its square root
+_COLUMN_BYTES = 2 << 20  # conv2d's column buffer: about one L2 cache
+_SMALL_GEMM = 1 << 20  # multiply-adds; OpenBLAS runs GEMMs of at most 100**3 on small-matrix kernels
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -21,22 +23,39 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1. No bias.
     Implemented as im2col: the column matrix [B*Ho*Wo, Cin*k*k] has rows
-    ordered (b, oy, ox) and columns (c, ky, kx), and one matmul against the
+    ordered (b, oy, ox) and columns (c, ky, kx), and a matmul against the
     flattened kernels follows. The result is a [B,Cout,Ho,Wo] view of an
     NHWC-ordered buffer.
 
     A padded input is copied into a zeroed buffer with np.pad's memory
-    order. For k > 1 indexed gathers (np.take) fill the C-contiguous column
-    matrix; the per-sample offsets are the outer sum of a row offset
-    (oy, ox) and a column offset (c, ky, kx). The index covers only as many
-    output rows as keep it no larger than the conv output, and is reused
-    for the next rows by shifting the sample it reads, so the gather never
-    holds more memory than the matmul after it. A 1x1 kernel needs no gather:
-    its rows are strided samples of the input, channels innermost, which a
-    reshape copies in long runs. Where the strided window view already is
-    the matrix without a copy (a single sample, or a 1x1 output map), BLAS
-    gets that view. BLAS thus always sees the matrix, values and memory
-    layout, of the strided-window im2col, so every output bit stays the same.
+    order. Where the strided window view already is the matrix without a
+    copy (a 1x1 kernel at stride 1 on an NHWC-backed input, say), BLAS gets
+    that view in one matmul. Otherwise the matrix is built one chunk at a
+    time in a single reused C-contiguous buffer, and np.matmul writes each
+    chunk's rows straight into the output. A chunk holds at most
+    _COLUMN_BYTES of columns: runs of whole samples whose lengths differ by
+    one at most, so a conv whose matrix fits is one chunk and one matmul; or,
+    when one sample's columns exceed the budget, runs of whole output rows of
+    one sample, at least one row. A 1x1 kernel's chunk is a copy of strided
+    input samples, channels innermost. For k > 1 indexed gathers (np.take)
+    fill it: the per-sample offsets are the outer sum of a row offset
+    (oy, ox) and a column offset (c, ky, kx). The index covers at most one
+    chunk's output rows of one sample, and no more than keep it within the
+    conv output's size, and is reused for the next rows by shifting the
+    sample it reads.
+
+    Every output bit is that of one matmul over the whole matrix. A GEMM
+    row's sums run over k in an order that does not depend on how many rows
+    the call has, while OpenBLAS stays off its small-matrix kernels, which
+    take GEMMs of at most 100**3 multiply-adds and sum in another order. So
+    each chunk also does at least _SMALL_GEMM multiply-adds on at least two
+    rows, even past the budget, which a conv with fewer than about 12 output
+    channels needs. No run is shorter than a third of the longest, so the
+    longest gets three times those rows. A one-channel conv is never split:
+    numpy runs it as a matrix-vector product, whose bits depend on a row's
+    place in the call. This holds for the OpenBLAS build numpy ships, not
+    for BLAS in general; the byte tests against tests/oracles.py's
+    single-matmul im2col are the guard.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.shape} and {weight.shape}")
@@ -67,30 +86,52 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     windows = as_strided(
         src, (b, ho, wo, cin, k, k), (sb, sy * stride, sx * stride, sc, sy, sx), writeable=False
     )
-    if k == 1:
-        patches = windows.reshape(m, kk)
+    kernels = weight.reshape(cout, kk).T
+    try:
+        out = windows.reshape(m, kk, copy=False) @ kernels
+        return out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+    except ValueError:
+        pass
+    least = max(2, -(-_SMALL_GEMM // (cout * kk)))  # matrix rows a chunk needs
+    most = m if cout == 1 else max(_COLUMN_BYTES // (kk * src.itemsize), 3 * least)
+    if ho * wo <= most:
+        samples, out_rows = _runs(b, most // (ho * wo)), [(0, ho)]
     else:
-        try:
-            patches = windows.reshape(m, kk, copy=False)
-        except ValueError:
-            # ny output rows per index: ny * wo * kk <= b * ho * wo * cout.
-            ny = min(ho, max(1, b * ho * cout // kk))
-            rows = np.add.outer(np.arange(ny) * (stride * wp), np.arange(wo) * stride)
-            cols = np.add.outer(np.arange(cin) * (hp * wp), np.add.outer(np.arange(k) * wp, np.arange(k)))
-            idx = np.add.outer(rows.ravel(), cols.ravel())
-            flat = src.reshape(b, -1)
-            patches = np.empty((b, ho * wo, kk), dtype=src.dtype)
-            for i in range(b):
-                for y0 in range(0, ho, ny):
-                    n = min(ny, ho - y0)
-                    dst = patches[i, y0 * wo:(y0 + n) * wo]
-                    # "clip" writes straight into dst ("raise" buffers it); every index is in range.
-                    np.take(flat[i, y0 * stride * wp:], idx[:n * wo], out=dst, mode="clip")
-            patches = patches.reshape(m, kk)
-            del idx, flat
-    del src, windows
-    out = patches @ weight.reshape(cout, kk).T
-    return out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+        samples, out_rows = _runs(b, 1), _runs(ho, max(1, most // wo))
+    ns, ny = samples[0][1], out_rows[0][1]  # the longest runs come first
+    columns = np.empty(ns * ny * wo * kk, dtype=src.dtype)
+    out = np.empty((b, ho, wo, cout), dtype=np.result_type(src, weight))
+    if k > 1:
+        # n_idx output rows per index: n_idx * wo * kk <= b * ho * wo * cout.
+        n_idx = min(ny, max(1, b * ho * cout // kk))
+        rows = np.add.outer(np.arange(n_idx) * (stride * wp), np.arange(wo) * stride)
+        cols = np.add.outer(np.arange(cin) * (hp * wp), np.add.outer(np.arange(k) * wp, np.arange(k)))
+        idx = np.add.outer(rows.ravel(), cols.ravel())
+        flat = src.reshape(b, -1)
+    for i0, i1 in samples:
+        for y0, y1 in out_rows:
+            chunk = columns[:(i1 - i0) * (y1 - y0) * wo * kk].reshape(i1 - i0, y1 - y0, wo, kk, copy=False)
+            if k == 1:
+                np.copyto(chunk.reshape(i1 - i0, y1 - y0, wo, cin, 1, 1, copy=False), windows[i0:i1, y0:y1])
+            else:
+                for i in range(i0, i1):
+                    for y in range(y0, y1, n_idx):
+                        n = min(n_idx, y1 - y)
+                        # "clip" writes straight into the chunk ("raise" buffers it); every index is in range.
+                        np.take(flat[i, y * stride * wp:], idx[:n * wo],
+                                out=chunk[i - i0, y - y0:y - y0 + n].reshape(n * wo, kk, copy=False), mode="clip")
+            np.matmul(chunk.reshape(-1, kk), kernels, out=out[i0:i1, y0:y1].reshape(-1, cout, copy=False))
+    return out.transpose(0, 3, 1, 2)
+
+
+def _runs(n: int, most: int) -> list[tuple[int, int]]:
+    """Split range(n) into the fewest runs of at most `most`, whose lengths differ by at most one, longest first."""
+    runs = -(-n // most)
+    q, r = divmod(n, runs)
+    bounds = [0]
+    for j in range(runs):
+        bounds.append(bounds[-1] + q + (j < r))
+    return list(zip(bounds, bounds[1:]))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -134,12 +175,21 @@ def avg_pool2d(x: Tensor) -> Tensor:
     Padding adds zeros to a window's sum but not to its divisor, which counts
     only real pixels: 4 at a corner, 6 on an edge, 9 inside. A constant
     input therefore stays constant at the borders.
+
+    Each window sum is separable: the three width-shifted slices of the
+    padded input are added left to right, then the three height-shifted
+    slices of that sum. Its bytes and strides equal those of a sum over the
+    3x3 window view, on C-ordered and NHWC-backed inputs alike, which
+    tests/test_kernels.py checks.
     """
     if x.ndim != 4:
         raise ValueError(f"avg_pool2d expects [B,C,H,W], got shape {x.shape}")
     h, w = x.shape[2:]
     padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    sums = sliding_window_view(padded, (3, 3), axis=(2, 3)).sum(axis=(4, 5))
+    across = padded[..., :w] + padded[..., 1:w + 1]
+    across += padded[..., 2:]
+    sums = across[:, :, :h] + across[:, :, 1:h + 1]
+    sums += across[:, :, 2:]
     rows, cols = np.full(h, 3.0), np.full(w, 3.0)
     for real in (rows, cols):
         real[0] -= 1

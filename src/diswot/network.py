@@ -383,10 +383,22 @@ class NetworkInstance:
         return ActivationBundle(features, pre_gap, logits, self._fc_weight, grad)
 
     def relu_codes(self, images: Tensor, *, cache: PrefixCache | None = None) -> np.ndarray:
-        """Binary activation pattern per sample, concatenated over every ReLU."""
+        """Binary activation pattern per sample, concatenated over every ReLU.
+
+        Row i holds sample i's codes, each ReLU's in plan order and each in
+        its [C,H,W] order. Every ReLU's codes are copied once, straight into
+        their columns of the one (B, units) bool array returned, so the
+        assembly holds a single copy beyond the per-ReLU codes.
+        """
         codes = self._forward(images, True, cache)[1]
         b = images.shape[0]
-        return np.concatenate([c.reshape(b, -1) for c in codes], axis=1)
+        out = np.empty((b, sum(c.size for c in codes) // b), dtype=bool)
+        o = 0
+        for c in codes:
+            n = c.size // b
+            out[:, o:o + n].reshape(c.shape, copy=False)[...] = c
+            o += n
+        return out
 
 
 def count_params(desc: ArchDescriptor, space: SearchSpace) -> int:

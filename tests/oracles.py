@@ -49,7 +49,8 @@ def conv2d_sliding_window(x, w, stride=1, padding=0):
     Pads with np.pad, copies the (b, oy, ox) x (c, ky, kx) windows into a
     C-contiguous matrix by reshape and does one matmul, returning the
     [B,Cout,Ho,Wo] view of the NHWC-ordered product. Any conv2d that feeds
-    BLAS the same matrix must match it byte for byte.
+    BLAS the same matrix must match it byte for byte, including one that
+    feeds it the matrix a chunk of rows at a time.
     """
     b, cin, _, _ = x.shape
     cout, _, k, _ = w.shape
@@ -60,6 +61,22 @@ def conv2d_sliding_window(x, w, stride=1, padding=0):
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, cin * k * k)
     out = cols @ w.reshape(cout, cin * k * k).T
     return out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+
+
+def avg_pool_window_sum(x):
+    """NB201's 3x3 average pool as one sum over the padded 3x3 window view.
+
+    The divisor counts the real pixels of each window. This is the pool's
+    former form, the bit-exact reference for the separable sum.
+    """
+    h, w = x.shape[2:]
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    sums = sliding_window_view(padded, (3, 3), axis=(2, 3)).sum(axis=(4, 5))
+    rows, cols = np.full(h, 3.0), np.full(w, 3.0)
+    for real in (rows, cols):
+        real[0] -= 1
+        real[-1] -= 1
+    return sums / np.outer(rows, cols)
 
 
 def batchnorm_two_pass(x, gamma, beta, eps=1e-5):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diswot.arch import make_space, max_descriptor, min_descriptor, sample_descriptor
 from diswot.kernels import (
+    _COLUMN_BYTES,
     BN_EPS,
     avg_pool2d,
     batchnorm_batchstats,
@@ -21,7 +23,9 @@ from diswot.kernels import (
     softmax,
 )
 
-from oracles import batchnorm_two_pass, conv2d_naive, conv2d_sliding_window, fc_grad_fd
+from diswot.network import _compile
+
+from oracles import avg_pool_window_sum, batchnorm_two_pass, conv2d_naive, conv2d_sliding_window, fc_grad_fd
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +151,102 @@ def test_conv_and_batchnorm_bit_identical_to_reference(b, cin, cout, h, w, k, st
         assert got_bn.strides == want_bn.strides
 
 
+def _nhwc(x):
+    """x with the NHWC memory order of a conv2d output."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _space_conv_shapes(kind):
+    """(weight shape, stride, input hw) of every conv in the max, min and three sampled descriptors."""
+    space = make_space(kind)
+    rng = np.random.default_rng(0)
+    shapes = set()
+    for desc in [max_descriptor(space), min_descriptor(space), *(sample_descriptor(space, rng) for _ in range(3))]:
+        hw = {0: (space.input_hw, space.input_hw)}
+        for op in _compile(desc, space):
+            hw[op.out] = op.hw
+            if op.kind == "conv":
+                shapes.add((op.shape, op.stride, hw[op.ins[0]]))
+    return sorted(shapes)
+
+
+def _conv_mismatches(cases, seed):
+    """The cases, given as (batch, weight shape, stride, input hw, nhwc), where conv2d's bytes or strides differ from one matmul's."""
+    rng = np.random.default_rng(seed)
+    bad = []
+    for b, wshape, stride, (h, w), nhwc in cases:
+        x = rng.standard_normal((b, wshape[1], h, w))
+        weight = rng.standard_normal(wshape)
+        if nhwc:
+            x = _nhwc(x)
+        pad = wshape[2] // 2
+        got = conv2d(x, weight, stride, pad)
+        want = conv2d_sliding_window(x, weight, stride, pad)
+        if got.tobytes() != want.tobytes() or got.strides != want.strides:
+            bad.append((b, wshape, stride, (h, w), nhwc))
+    return bad
+
+
+def _column_bytes(b, wshape, stride, hw):
+    k = wshape[2]
+    ho, wo = ((side + 2 * (k // 2) - k) // stride + 1 for side in hw)
+    return b * ho * wo * wshape[1] * k * k * 8
+
+
+@pytest.mark.parametrize("batch", [2, 4, 64])
+@pytest.mark.parametrize("kind", ["s0", "nb201", "s2_cifar", "s2_imagenet"])
+def test_conv_chunks_equal_one_matmul_on_space_shapes(kind, batch):
+    # conv2d builds its column matrix a chunk at a time; the scores are
+    # pinned to the last bit, so each chunk's rows must come out as they do
+    # from one matmul over the whole matrix. Every conv shape of the spaces'
+    # networks is checked, the stem on C-ordered images and the rest on the
+    # NHWC-backed tensors a forward feeds them. Matrices over 400 MiB are
+    # left out.
+    cases = [
+        (batch, wshape, stride, hw, wshape[1] != 3)
+        for wshape, stride, hw in _space_conv_shapes(kind)
+        if _column_bytes(batch, wshape, stride, hw) <= 400 * 2**20
+    ]
+    assert cases
+    assert _conv_mismatches(cases, seed=batch) == []
+
+
+def test_conv_uneven_and_output_row_chunks_equal_one_matmul():
+    # Batches 5 and 7 split into runs of unequal length, and a sample whose
+    # columns exceed the budget is split into runs of its output rows.
+    cases = [(b, wshape, stride, hw, nhwc) for b in (5, 7) for wshape, stride, hw in _space_conv_shapes("s0")
+             for nhwc in (False, True)]
+    assert any(b * sample > _COLUMN_BYTES and b % max(1, _COLUMN_BYTES // sample)
+               for b, wshape, stride, hw, _ in cases for sample in [_column_bytes(1, wshape, stride, hw)])
+    big = [(1, (16, 32, 5, 5), 1, (56, 56)), (2, (32, 32, 5, 5), 1, (56, 56)), (2, (24, 48, 7, 7), 2, (45, 45)),
+           (3, (8, 64, 3, 3), 1, (64, 64)), (2, (40, 3, 7, 7), 2, (224, 224))]
+    for b, wshape, stride, hw in big:
+        assert _column_bytes(1, wshape, stride, hw) > _COLUMN_BYTES
+        cases += [(b, wshape, stride, hw, nhwc) for nhwc in (False, True)]
+    assert _conv_mismatches(cases, seed=11) == []
+
+
+@pytest.mark.parametrize("shape,kernel", [((64, 16, 32, 32), 3), ((2, 32, 56, 56), 5)], ids=["whole-samples", "output-rows"])
+def test_conv_peak_memory_bounded(shape, kernel):
+    # Beyond its input, weight and output, a conv holds at most the padded
+    # copy, one chunk's columns (_COLUMN_BYTES) and a gather index no larger
+    # than a chunk. Before chunking, the first case held a 75 MiB column
+    # matrix and the second a 39 MiB one.
+    b, c, h, w = shape
+    pad = kernel // 2
+    x = _nhwc(np.random.default_rng(0).standard_normal(shape))
+    weight = np.random.default_rng(1).standard_normal((c, c, kernel, kernel))
+    padded = b * c * (h + 2 * pad) * (w + 2 * pad) * 8
+    tracemalloc.start()
+    try:
+        out = conv2d(x, weight, 1, pad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _column_bytes(b, weight.shape, 1, (h, w)) > 16 * _COLUMN_BYTES
+    assert peak - out.nbytes <= padded + 2 * _COLUMN_BYTES + 65536
+
+
 # ---------------------------------------------------------------------------
 # relu / residual / pooling
 
@@ -210,6 +310,21 @@ def test_avg_pool_hand_case():
         [8.5, 9.0, 10.0, 10.5],
         [10.5, 11.0, 12.0, 12.5],
     ])
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 16, 64])
+@pytest.mark.parametrize("nhwc", [False, True])
+def test_avg_pool_bit_identical_to_window_sum(b, nhwc):
+    # The separable sum must give the window view's sum exactly: NB201
+    # scores pass through it. Odd, even and one-pixel maps are covered.
+    rng = np.random.default_rng(b)
+    for c, h, w in [(16, 32, 32), (5, 7, 7), (3, 1, 5), (8, 2, 9), (32, 16, 16)]:
+        x = rng.standard_normal((b, c, h, w))
+        if nhwc:
+            x = _nhwc(x)
+        got, want = avg_pool2d(x), avg_pool_window_sum(x)
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,26 @@ def test_relu_codes_shape_and_dtype():
     assert codes.shape[1] > 0
 
 
+def test_relu_codes_assemble_one_copy():
+    # relu_codes copies each ReLU's codes straight into their columns of the
+    # array it returns. Concatenating reshaped copies held two assembled
+    # copies at once beyond the per-ReLU codes.
+    net = NetworkInstance(S0Depths(7, 7, 7), s0_space(), InitSpec(seed=0))
+    batch = synth_batch(8, 3, 32, 32, 100, seed=0)
+    cache = PrefixCache(batch.images, net.init)
+    first = net.relu_codes(batch.images, cache=cache)
+    per_relu = cache._store[net._plan].codes  # the plan's end is a stage end
+    tracemalloc.start()
+    try:
+        codes = net.relu_codes(batch.images, cache=cache)  # resumes at the end: it only assembles
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.tobytes() == first.tobytes()
+    assert codes.tobytes() == np.concatenate([c.reshape(8, -1) for c in per_relu], axis=1).tobytes()
+    assert peak < 1.5 * codes.nbytes
+
+
 # ---------------------------------------------------------------------------
 # constraints
 
