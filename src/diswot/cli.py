@@ -178,14 +178,14 @@ def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, u
         cache = None if batch is None else PrefixCache(batch.images, init, max_bytes)
 
         def scorer(desc) -> dict[str, float]:
-            codes = bundle = None
+            codes = units = bundle = None
             if batch is not None:
                 student = NetworkInstance(desc, space, init)
                 if CODES in reads:
-                    codes = student.relu_codes(batch.images, cache=cache)
+                    codes, units = student.relu_codes(batch.images, cache=cache), student.relu_units
                 if BUNDLES in reads:
                     bundle = student.activations(batch.images, batch.labels, cache=cache)
-            return {p: proxy_value(p, desc, space, codes, teacher_bundle, bundle, options) for p in proxies}
+            return {p: proxy_value(p, desc, space, codes, units, teacher_bundle, bundle, options) for p in proxies}
 
         return scorer
 
@@ -308,7 +308,8 @@ def cmd_search(args, parser) -> int:
         for record in state.log:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
-    config = _config(args, num_classes=space.num_classes, seed=seed)
+    config = _config(args, num_classes=space.num_classes, seed=seed,
+                     teacher=arch_id(teacher) if teacher is not None else None)
     best_desc, best_score = state.best
     summary = {
         "config": config,

@@ -134,21 +134,22 @@ def diswot_score_from_bundles(
     return -total
 
 
-def nwot_from_codes(codes: Tensor) -> float:
-    """Log-determinant of the sign-agreement kernel over binary codes [B, U].
+def nwot_from_codes(codes: np.ndarray, units: int) -> float:
+    """Log-determinant of the sign-agreement kernel over packed binary codes.
 
-    K[i, j] counts the units where samples i and j are both active or both
-    inactive: U minus the Hamming distance of the two codes, counted exactly
-    over the codes packed into zero-padded 64-bit words. _NWOT_EPS
-    regularizes rank-deficient kernels (duplicate codes).
+    codes is a (B, bytes) uint8 array of bits, as relu_codes returns it, and
+    units the number of real units among them; every other bit is padding
+    and 0 in every row. K[i, j] counts the units where samples i and j are
+    both active or both inactive: units minus the Hamming distance of the two
+    rows, counted exactly over the rows copied into zero-padded 64-bit words.
+    Padding bits agree, so they add no distance. _NWOT_EPS regularizes
+    rank-deficient kernels (duplicate codes).
     """
-    b, units = codes.shape
+    b, nbytes = codes.shape
     if b < 2:
         raise ValueError("nwot needs a batch of at least 2 samples")
-    packed = np.zeros((b, -(-units // 64)), np.uint64)
-    for i in range(b):
-        row = np.packbits(codes[i])
-        packed.view(np.uint8)[i, :row.size] = row
+    packed = np.zeros((b, -(-nbytes // 8)), np.uint64)
+    packed.view(np.uint8)[:, :nbytes] = codes
     # Each row against all later rows at once, into buffers reused across rows.
     diff = np.empty_like(packed[1:])
     count = np.empty(diff.shape, np.uint8)
@@ -328,18 +329,20 @@ class ProxyOptions:
     temperature: float = 1.0
 
 
-def proxy_value(name: str, desc, space=None, codes: Tensor | None = None, teacher: ActivationBundle | None = None,
-                student: ActivationBundle | None = None, options: ProxyOptions = ProxyOptions()) -> float:
+def proxy_value(name: str, desc, space=None, codes: np.ndarray | None = None, units: int | None = None,
+                teacher: ActivationBundle | None = None, student: ActivationBundle | None = None,
+                options: ProxyOptions = ProxyOptions()) -> float:
     """The value of proxy name for the student desc, from the inputs PROXIES[name] names.
 
-    A cost proxy reads space, nwot codes, and the bundle proxies teacher and
-    student; the other inputs may be None. A non-finite value raises
-    ValueError naming the proxy and the architecture.
+    A cost proxy reads space, nwot the student's packed codes and its
+    relu_units, and the bundle proxies teacher and student; the other inputs
+    may be None. A non-finite value raises ValueError naming the proxy and
+    the architecture.
     """
     if name in COST_PROXIES:
         value = float(COST_PROXIES[name](desc, space))
     elif name == NWOT:
-        value = nwot_from_codes(codes)
+        value = nwot_from_codes(codes, units)
     elif name == DISWOT:
         value = diswot_score_from_bundles(teacher, student, options.use_semantic, options.use_relation,
                                           options.weight_source, options.normalization)

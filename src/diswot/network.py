@@ -12,7 +12,8 @@ Op kinds:
 
 * conv: no bias, zero padding kernel // 2;
 * bn: batch statistics, no affine;
-* relu: relu_codes records its input's sign pattern for nwot, in plan order;
+* relu: relu_codes records its input's sign pattern for nwot, in plan order,
+  packed to bits as the ReLU runs;
 * add: residual sums and cell-node sums, left to right;
 * pool: 3x3 average pooling at stride 1, padding 1;
 * zero: the NB201 "none" edge, an explicit zero array that is still added
@@ -220,7 +221,8 @@ def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tu
     a block or cell boundary, or an op of the stem. A stage end is a
     one-live point followed by the end of the plan or by a conv that changes
     the spatial size or the channel count. Each stage end maps to the bytes
-    per sample of its float64 output and of the ReLU codes recorded up to it.
+    per sample of its float64 output and of the ReLU codes recorded up to it,
+    ceil(units / 8) per ReLU.
     """
     one_live, ends = [], {}
     live = {0}
@@ -228,7 +230,7 @@ def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tu
     for i, op in enumerate(plan):
         size = op.channels * op.hw[0] * op.hw[1]
         if op.kind == "relu":
-            codes += size
+            codes += -(-size // 8)
         live.difference_update(frees[i])
         live.add(op.out)
         if len(live) == 1:
@@ -241,7 +243,7 @@ def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tu
 
 class _Checkpoint(NamedTuple):
     tensor: Tensor                 # the one live tensor after the prefix
-    codes: tuple[Tensor, ...] | None  # ReLU codes recorded up to here; None if they were not
+    codes: tuple[np.ndarray, ...] | None  # packed ReLU codes recorded up to here; None if they were not
     nbytes: int                    # of the tensor and the codes
 
 
@@ -252,7 +254,8 @@ class PrefixCache:
     tensors after op n: conv i draws its weights from the stream
     (init.seed, i) and batch norm reads only the current batch. The cache
     maps a plan prefix that ends at a stage end to the one live tensor
-    there, plus the ReLU codes up to there when its forward recorded them,
+    there, plus the packed ReLU codes up to there (one (B, ceil(units / 8))
+    uint8 array per ReLU) when its forward recorded them,
     least recently used first. A forward through the cache starts from the
     deepest point of its own plan at which that plan has a single live slot
     (see _boundaries) and whose prefix the cache holds, and runs only the
@@ -333,6 +336,7 @@ class NetworkInstance:
     Conv weights are drawn where they are used and dropped afterwards, so a
     forward resumed from a PrefixCache never draws the weights of the ops it
     skips, and only the classifier weight lives as long as the instance.
+    relu_units is the number of ReLU units per sample, summed over the plan.
     """
 
     def __init__(self, descriptor: ArchDescriptor, space: SearchSpace, init: InitSpec):
@@ -342,11 +346,12 @@ class NetworkInstance:
         self._plan = _compile(descriptor, space)
         self._frees = _last_reads(self._plan)
         self._one_live, self._stage_ends = _boundaries(self._plan, self._frees)
+        self.relu_units = sum(op.channels * op.hw[0] * op.hw[1] for op in self._plan if op.kind == "relu")
         last = self._plan[-1]  # a bn follows every conv, so last.stream counts every conv
         self._fc_weight = init_tensor((space.num_classes, last.channels), init, last.stream)
 
     def _forward(self, images: Tensor, record: bool, cache: PrefixCache | None):
-        """Return (pre-GAP map, ReLU codes in plan order or None)."""
+        """Return (pre-GAP map, packed ReLU codes in plan order or None)."""
         if cache is None:
             start, slots, codes = 0, {0: images}, [] if record else None
         else:
@@ -361,7 +366,7 @@ class NetworkInstance:
             elif op.kind == "relu":
                 y = relu(x)
                 if codes is not None:
-                    codes.append(x > 0)
+                    codes.append(np.packbits((x > 0).reshape(x.shape[0], -1), axis=1))
             elif op.kind == "add":
                 y = residual_add(x, slots[op.ins[1]])
             elif op.kind == "pool":
@@ -383,22 +388,16 @@ class NetworkInstance:
         return ActivationBundle(features, pre_gap, logits, self._fc_weight, grad)
 
     def relu_codes(self, images: Tensor, *, cache: PrefixCache | None = None) -> np.ndarray:
-        """Binary activation pattern per sample, concatenated over every ReLU.
+        """Binary activation pattern per sample, packed to bits, concatenated over every ReLU.
 
-        Row i holds sample i's codes, each ReLU's in plan order and each in
-        its [C,H,W] order. Every ReLU's codes are copied once, straight into
-        their columns of the one (B, units) bool array returned, so the
-        assembly holds a single copy beyond the per-ReLU codes.
+        Each ReLU packs its input's sign pattern as it runs: row i holds
+        sample i's signs in [C,H,W] order, eight to a byte with the first
+        in the most significant bit (np.packbits), zero-padded to a whole
+        byte. The result is the (B, sum of ceil(units / 8)) uint8
+        concatenation of those rows in plan order; the padding bits are 0 in
+        every row, and relu_units counts the units without them.
         """
-        codes = self._forward(images, True, cache)[1]
-        b = images.shape[0]
-        out = np.empty((b, sum(c.size for c in codes) // b), dtype=bool)
-        o = 0
-        for c in codes:
-            n = c.size // b
-            out[:, o:o + n].reshape(c.shape, copy=False)[...] = c
-            o += n
-        return out
+        return np.concatenate(self._forward(images, True, cache)[1], axis=1)
 
 
 def count_params(desc: ArchDescriptor, space: SearchSpace) -> int:

@@ -310,7 +310,7 @@ def test_config_echoes_every_flag(tmp_path, monkeypatch):
                     "--max-params", "90000", "--max-flops", "20000000", "--max-depth", "8",
                     "--fitness", "params", "--minimize", "--batch-size", "5", "--seed", "4"]
     search_config = {
-        "command": "search", "space": "nb201", "num_classes": 5, "teacher": "max", "batch_size": 5,
+        "command": "search", "space": "nb201", "num_classes": 5, "teacher": None, "batch_size": 5,
         "data": None, "data_format": "auto", "seed": 4, "init": "kaiming", "gaussian_std": 0.1,
         "temperature": 1.0, "weight_source": "fc_weights", "normalization": "row_l2",
         "max_params": 90000, "max_flops": 20000000, "max_depth": 8, "fitness": "params", "minimize": True,
@@ -342,7 +342,7 @@ def test_config_echoes_every_flag(tmp_path, monkeypatch):
 
 
 def test_score_rejects_non_finite_value(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(metrics, "nwot_from_codes", lambda codes: float("nan"))
+    monkeypatch.setattr(metrics, "nwot_from_codes", lambda codes, units: float("nan"))
     out = tmp_path / "x.csv"
     code = run(["score", "--space", "s0", "--arch", "1-3-5", "--proxy", "nwot",
                 "--batch-size", "2", "--out", str(out)])
@@ -543,6 +543,18 @@ def test_search_builds_each_student_once(tmp_path, monkeypatch):
     evaluations = json.loads(summary.read_text())["evaluations"]
     assert evaluations == 6 + 24  # every fitness call counts, repeats included
     assert len(students) < evaluations
+
+
+@pytest.mark.parametrize("fitness,teacher", [("diswot", "7-7-7"), ("kd_kl", "9-9-9"), ("params", None)])
+def test_search_echoes_the_resolved_teacher(tmp_path, fitness, teacher):
+    # As in score: the teacher's arch id when the fitness reads bundles,
+    # null when no teacher is built.
+    spec = {"7-7-7": "max", "9-9-9": "resnet56", None: "max"}[teacher]
+    summary = tmp_path / "s.json"
+    assert run(["search", "--space", "s0", "--fitness", fitness, "--teacher", spec, "--batch-size", "2",
+                "--strategy", "random", "--budget", "2", "--seed", "0",
+                "--out", str(tmp_path / "s.jsonl"), "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["config"]["teacher"] == teacher
 
 
 # ---------------------------------------------------------------------------

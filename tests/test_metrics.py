@@ -342,12 +342,31 @@ def test_fitnets_projection_deterministic():
 # NWOT
 
 
+def _packed(codes, cuts=()):
+    """(packed, units) of bool codes [B, U] as relu_codes packs them, one ReLU per segment between cuts."""
+    segments = np.split(codes, cuts, axis=1)
+    return np.concatenate([np.packbits(s, axis=1) for s in segments], axis=1), codes.shape[1]
+
+
+def _network_codes(net, images):
+    """(packed, units, bool codes) of a network; the bool codes unpack each ReLU's bytes by the plan's sizes."""
+    packed = net.relu_codes(images)
+    rows, o = [], 0
+    for op in net._plan:
+        if op.kind == "relu":
+            units = op.channels * op.hw[0] * op.hw[1]
+            rows.append(np.unpackbits(packed[:, o:o + -(-units // 8)], axis=1, count=units).astype(bool))
+            o += -(-units // 8)
+    assert o == packed.shape[1]
+    return packed, net.relu_units, np.concatenate(rows, axis=1)
+
+
 def test_nwot_matches_naive_kernel():
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 1, 1), space, InitSpec(seed=0))
     batch = synth_batch(4, 3, 32, 32, 100, seed=0)
-    codes = net.relu_codes(batch.images)
-    got = nwot_from_codes(codes)
+    packed, units, codes = _network_codes(net, batch.images)
+    got = nwot_from_codes(packed, units)
     assert got == pytest.approx(oracles.nwot_naive(codes), abs=1e-8)
 
 
@@ -355,7 +374,7 @@ def test_nwot_complementary_codes_closed_form():
     u = 10
     codes = np.zeros((2, u), dtype=bool)
     codes[0, :] = True
-    score = nwot_from_codes(codes)
+    score = nwot_from_codes(*_packed(codes))
     assert score == pytest.approx(2.0 * np.log(u + 1e-6), abs=1e-9)
 
 
@@ -365,8 +384,8 @@ def test_nwot_duplicate_samples_score_below_distinct():
     dup[:, :6] = True  # identical codes: singular kernel
     comp = np.zeros((2, u), dtype=bool)
     comp[0, :] = True
-    s_dup = nwot_from_codes(dup)
-    s_comp = nwot_from_codes(comp)
+    s_dup = nwot_from_codes(*_packed(dup))
+    s_comp = nwot_from_codes(*_packed(comp))
     assert np.isfinite(s_dup)
     assert s_dup < s_comp
 
@@ -377,7 +396,12 @@ def _nwot_two_product(codes, eps=1e-6):
 
 
 def test_nwot_kernel_exact_against_two_product_formula():
+    # Each matrix is split into ReLUs of random lengths and each is packed to
+    # whole bytes with zero padding, as relu_codes packs them. Most lengths
+    # are not a multiple of 8, like the 86 x 7 x 7 ReLU of the smallest
+    # s2_imagenet network: the padding bits must add no Hamming distance.
     rng = np.random.default_rng(13)
+    lengths = []
     for trial in range(60):
         b = int(rng.integers(2, 9))
         u = int(rng.integers(1, 3000))
@@ -386,33 +410,39 @@ def test_nwot_kernel_exact_against_two_product_formula():
         codes[:, rng.random(u) < 0.1] = False  # all-inactive columns
         if trial % 3 == 0:
             codes[1] = codes[0]  # duplicate rows
-        assert nwot_from_codes(codes) == _nwot_two_product(codes)
+        cuts = np.unique(rng.integers(0, u, size=int(rng.integers(0, 12))))
+        cuts = cuts[cuts > 0]
+        lengths += np.diff(cuts, prepend=0, append=u).tolist()
+        assert nwot_from_codes(*_packed(codes, cuts)) == _nwot_two_product(codes)
+    assert sum(n % 8 != 0 for n in lengths) > len(lengths) // 2
     net = NetworkInstance(S0Depths(1, 1, 1), s0_space(), InitSpec(seed=3))
-    codes = net.relu_codes(synth_batch(4, 3, 32, 32, 100, seed=3).images)
-    assert nwot_from_codes(codes) == _nwot_two_product(codes)
+    packed, units, codes = _network_codes(net, synth_batch(4, 3, 32, 32, 100, seed=3).images)
+    assert nwot_from_codes(packed, units) == _nwot_two_product(codes)
 
 
 def test_nwot_float_copy_is_bounded():
     # A (64, 303 104) code matrix is s0 5-5-5 at batch 64; one float64 copy
-    # of it, as a single product needs, would take 148 MiB. The packed codes
+    # of it, as a single product needs, would take 148 MiB. Its packed codes
     # take one eighth of the bool bytes.
-    codes = np.random.default_rng(0).random((64, 303_104)) < 0.5
+    units = 303_104
+    packed, _ = _packed(np.random.default_rng(0).random((64, units)) < 0.5)
     tracemalloc.start()
     try:
-        nwot_from_codes(codes)
+        nwot_from_codes(packed, units)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= codes.size * 8 // 4
+    assert peak <= 64 * units * 8 // 4
 
 
 def test_nwot_small_batch_peak_is_bounded():
-    # 8 MiB of codes at batch 4 pack into 1 MiB of words, and the XOR of one
-    # row against the other three takes 0.75 MiB more.
-    codes = np.random.default_rng(0).random((4, 2**21)) < 0.5
+    # 2**21 units at batch 4, 8 MiB as bool codes, pack into 1 MiB of words,
+    # and the XOR of one row against the other three takes 0.75 MiB more.
+    units = 2**21
+    packed, _ = _packed(np.random.default_rng(0).random((4, units)) < 0.5)
     tracemalloc.start()
     try:
-        nwot_from_codes(codes)
+        nwot_from_codes(packed, units)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,10 +453,10 @@ def test_nwot_sample_order_invariance():
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 3, 1), space, InitSpec(seed=1))
     batch = synth_batch(5, 3, 32, 32, 100, seed=1)
-    base = nwot_from_codes(net.relu_codes(batch.images))
+    base = nwot_from_codes(net.relu_codes(batch.images), net.relu_units)
     perm = np.random.default_rng(2).permutation(5)
     codes = net.relu_codes(batch.images[perm])
-    assert nwot_from_codes(codes) == pytest.approx(base, abs=1e-8)
+    assert nwot_from_codes(codes, net.relu_units) == pytest.approx(base, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +537,7 @@ def proxy_inputs():
     teacher = NetworkInstance(max_descriptor(space), space, init)
     return {
         COST: {"space": space},
-        CODES: {"codes": student.relu_codes(batch.images)},
+        CODES: {"codes": student.relu_codes(batch.images), "units": student.relu_units},
         BUNDLES: {
             "teacher": teacher.activations(batch.images, batch.labels),
             "student": student.activations(batch.images, batch.labels),

@@ -210,33 +210,59 @@ def test_s2_imagenet_stem_downsamples():
     assert bundle.logits.shape == (2, 1000)
 
 
+def _packed_widths(net) -> list[int]:
+    """Bytes per sample of each ReLU's packed codes, in plan order."""
+    return [-(-op.channels * op.hw[0] * op.hw[1] // 8) for op in net._plan if op.kind == "relu"]
+
+
 def test_relu_codes_shape_and_dtype():
     net = NetworkInstance(S0Depths(1, 1, 1), s0_space(), InitSpec(seed=1))
     batch = synth_batch(4, 3, 32, 32, 100, seed=6)
     codes = net.relu_codes(batch.images)
-    assert codes.dtype == bool
-    assert codes.shape[0] == 4
-    assert codes.shape[1] > 0
+    assert codes.dtype == np.uint8
+    assert codes.shape == (4, sum(_packed_widths(net)))
+    assert net.relu_units == 73_728
+
+
+def _traced(fn):
+    """(fn(), the tracemalloc peak while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_relu_codes_assemble_one_copy():
-    # relu_codes copies each ReLU's codes straight into their columns of the
-    # array it returns. Concatenating reshaped copies held two assembled
-    # copies at once beyond the per-ReLU codes.
+    # Each ReLU packs its codes to bits as it runs, and relu_codes copies
+    # them once into the (B, sum of ceil(units / 8)) uint8 array it returns,
+    # so assembling them holds a single copy beyond the per-ReLU codes.
     net = NetworkInstance(S0Depths(7, 7, 7), s0_space(), InitSpec(seed=0))
     batch = synth_batch(8, 3, 32, 32, 100, seed=0)
     cache = PrefixCache(batch.images, net.init)
     first = net.relu_codes(batch.images, cache=cache)
     per_relu = cache._store[net._plan].codes  # the plan's end is a stage end
-    tracemalloc.start()
-    try:
-        codes = net.relu_codes(batch.images, cache=cache)  # resumes at the end: it only assembles
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert [c.shape for c in per_relu] == [(8, w) for w in _packed_widths(net)]
+    assert all(c.dtype == np.uint8 for c in per_relu)
+    codes, peak = _traced(lambda: net.relu_codes(batch.images, cache=cache))  # resumes at the end: it only assembles
+    assert codes.dtype == np.uint8 and codes.shape == (8, sum(_packed_widths(net)))
     assert codes.tobytes() == first.tobytes()
-    assert codes.tobytes() == np.concatenate([c.reshape(8, -1) for c in per_relu], axis=1).tobytes()
+    assert codes.tobytes() == np.concatenate(per_relu, axis=1).tobytes()
     assert peak < 1.5 * codes.nbytes
+
+    # At batch 64 the codes of 7-7-7 take 25.5 MiB as bool bytes and 3.2 MiB
+    # packed. A forward that held bool codes peaked 15.6 MiB above an
+    # activations forward and assembled them in 25.5 MiB; packed, 1.8 and
+    # 3.2 MiB.
+    batch = synth_batch(64, 3, 32, 32, 100, seed=0)
+    bool_bytes = 64 * net.relu_units
+    packed_bytes = 64 * sum(_packed_widths(net))
+    cache = PrefixCache(batch.images, net.init)
+    forward = _traced(lambda: net.relu_codes(batch.images, cache=cache))[1]
+    assembly = _traced(lambda: net.relu_codes(batch.images, cache=cache))[1]
+    activations = _traced(lambda: net.activations(batch.images, batch.labels))[1]
+    assert assembly < bool_bytes
+    assert forward - activations < 2 * packed_bytes < bool_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +373,7 @@ def _exact_values() -> list[list]:
         bundle = net.activations(batch.images, batch.labels)
         out.append([
             diswot_score_from_bundles(teachers[make_space], bundle),
-            nwot_from_codes(net.relu_codes(batch.images)),
+            nwot_from_codes(net.relu_codes(batch.images), net.relu_units),
             kd_distance("cc", teachers[make_space], bundle),
             count_params(desc, space),
             4 * count_flops(desc, space),  # pinned at batch 4
@@ -428,7 +454,7 @@ def test_proxies_finite_for_sampled_descriptors(finite_teachers, name, seed):
     net = NetworkInstance(desc, space, InitSpec(seed=seed))
     bundle = net.activations(batch.images, batch.labels)
     assert np.isfinite(diswot_score_from_bundles(teacher_bundle, bundle))
-    assert np.isfinite(nwot_from_codes(net.relu_codes(batch.images)))
+    assert np.isfinite(nwot_from_codes(net.relu_codes(batch.images), net.relu_units))
     assert np.isfinite(kd_distance("cc", teacher_bundle, bundle))
 
 
