@@ -18,7 +18,7 @@ combinatorics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -423,19 +423,7 @@ def descriptor_to_json(desc: ArchDescriptor, space: SearchSpace) -> dict:
     elif isinstance(desc, NB201Cell):
         body = serialize_nb201(desc)
     elif isinstance(desc, S2Config):
-        body = {
-            "stem_channels": desc.stem_channels,
-            "stages": [
-                {
-                    "block": st.block,
-                    "kernel": st.kernel,
-                    "channels": st.channels,
-                    "depth": st.depth,
-                    "stride": st.stride,
-                }
-                for st in desc.stages
-            ],
-        }
+        body = {"stem_channels": desc.stem_channels, "stages": [asdict(st) for st in desc.stages]}
     else:
         raise TypeError(f"not an architecture descriptor: {desc!r}")
     return {"space": space.kind, "desc": body}
@@ -457,15 +445,9 @@ def descriptor_from_json(obj: dict) -> tuple[str, ArchDescriptor]:
         return kind, parse_nb201(body)
     if kind in ("s2_cifar", "s2_imagenet"):
         try:
+            # block is the one string field; every other field is an integer.
             stages = tuple(
-                S2Stage(
-                    block=st["block"],
-                    kernel=int(st["kernel"]),
-                    channels=int(st["channels"]),
-                    depth=int(st["depth"]),
-                    stride=int(st["stride"]),
-                )
-                for st in body["stages"]
+                S2Stage(st["block"], *(int(st[f.name]) for f in fields(S2Stage)[1:])) for st in body["stages"]
             )
             return kind, S2Config(int(body["stem_channels"]), stages)
         except (KeyError, TypeError) as e:

@@ -4,10 +4,11 @@ The parser is the one list of each command's flags and of the values they
 accept. Every artifact embeds the run configuration (a sorted-key JSON comment
 at the top of CSVs, a config object in search summaries), derived from the
 parsed flags: every flag except --jobs, --out and --summary, which change no
-output byte, with --all-s0 echoed as the archs it expands to. A search reads
-and echoes only its strategy's flags; one of the other strategy is a usage
-error. All randomness flows from --seed through named child streams, so
-rerunning a command with the same flags reproduces its outputs byte for byte.
+output byte, with --all-s0 echoed as the archs it expands to. A flag given to a
+run that does not read it (the other search strategy's, --gaussian-std without
+--init gaussian, --data-format without --data) is a usage error. All randomness
+flows from --seed through named child streams, so rerunning a command with the
+same flags reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error (every flag
 value the parser or a cross-flag check rejects).
@@ -58,8 +59,8 @@ _S0_TEACHERS = {"resnet56": (9, 9, 9), "resnet110": (18, 18, 18)}
 # 0.7 GiB on its own, so there the cache keeps one network, as score does.
 _EVO_CACHE_BYTES = 128 * 2**20
 
-# Evo's flags and defaults. They and random's --budget are parsed only when
-# given, so search can reject a flag of the other strategy.
+# Evo's flags and defaults. They, random's --budget, --gaussian-std and
+# --data-format are parsed only when given: see _default_read_flags.
 _EVO_FLAGS = {"population": 20, "iters": 100, "sample_ratio": 0.5, "topk": 5}
 
 # Parsed values that no artifact echoes: func is the command's handler and
@@ -83,6 +84,13 @@ def _resolve_seeds(given: list[int] | None) -> list[int]:
         except ValueError:
             raise ValueError(f"DISWOT_SEED must be an integer, got {env!r}") from None
     return [0]
+
+
+def _single_seed(args, parser) -> int:
+    seeds = _resolve_seeds(args.seed)
+    if len(seeds) != 1:
+        parser.error(f"{args.command} takes a single --seed")
+    return seeds[0]
 
 
 def _build_space(args, constraints: Constraints = Constraints()):
@@ -150,7 +158,17 @@ def _make_batch(args, space, seed: int):
 
 
 def _init_spec(args, seed: int) -> InitSpec:
-    return InitSpec(args.init, args.gaussian_std, derive_seed(seed, _INIT_TAG))
+    return InitSpec(args.init, vars(args).get("gaussian_std", InitSpec.gaussian_std), derive_seed(seed, _INIT_TAG))
+
+
+def _default_read_flags(args, parser, defaults: dict, read: bool, needs: str) -> None:
+    """Flags parsed only when given: a run that reads them gets the defaults of those left out; in a run
+    that does not, giving one is a usage error that names what it needs."""
+    if read:
+        for dest, default in defaults.items():
+            vars(args).setdefault(dest, default)
+    elif stray := [f"--{dest.replace('_', '-')}" for dest in defaults if dest in vars(args)]:
+        parser.error(f"{', '.join(stray)}: read only with {needs}")
 
 
 def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, use_relation: bool):
@@ -197,6 +215,8 @@ def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, u
 
 
 def cmd_score(args, parser) -> int:
+    _default_read_flags(args, parser, {"gaussian_std": InitSpec.gaussian_std}, args.init == "gaussian", "--init gaussian")
+    _default_read_flags(args, parser, {"data_format": "auto"}, bool(args.data), "--data")
     space = _build_space(args)
     archs = _resolve_archs(space, args, parser)
     proxies = args.proxies or [DISWOT]
@@ -250,10 +270,10 @@ def cmd_score(args, parser) -> int:
 
 
 def cmd_search(args, parser) -> int:
-    foreign = ["budget"] if args.strategy == "evo" else list(_EVO_FLAGS)
-    stray = [f"--{dest.replace('_', '-')}" for dest in foreign if dest in vars(args)]
-    if stray:
-        parser.error(f"--strategy {args.strategy} does not take {', '.join(stray)}")
+    _default_read_flags(args, parser, _EVO_FLAGS, args.strategy == "evo", "--strategy evo")
+    _default_read_flags(args, parser, {"budget": None}, args.strategy == "random", "--strategy random")
+    _default_read_flags(args, parser, {"gaussian_std": InitSpec.gaussian_std}, args.init == "gaussian", "--init gaussian")
+    _default_read_flags(args, parser, {"data_format": "auto"}, bool(args.data), "--data")
     space = _build_space(args, Constraints(args.max_params, args.max_flops, args.max_depth))
     smallest = min_descriptor(space)
     if not satisfies_constraints(smallest, space):
@@ -262,13 +282,8 @@ def cmd_search(args, parser) -> int:
             f" has {count_params(smallest, space)} params, {count_flops(smallest, space)} FLOPs"
             f" and {block_count(smallest, space)} blocks"
         )
-    seeds = _resolve_seeds(args.seed)
-    if len(seeds) != 1:
-        parser.error("search takes a single --seed")
-    seed = seeds[0]
+    seed = _single_seed(args, parser)
     if args.strategy == "evo":
-        for dest, default in _EVO_FLAGS.items():
-            vars(args).setdefault(dest, default)
         try:
             cfg = EvoConfig(
                 population_size=args.population,
@@ -279,7 +294,7 @@ def cmd_search(args, parser) -> int:
             )
         except ValueError as e:
             parser.error(str(e))
-    elif "budget" not in vars(args):
+    elif args.budget is None:
         parser.error("--strategy random needs --budget")
     name = args.fitness
     sign = -1.0 if args.minimize else 1.0
@@ -332,10 +347,7 @@ def cmd_search(args, parser) -> int:
 
 
 def cmd_rank(args, parser) -> int:
-    seeds = _resolve_seeds(args.seed)
-    if len(seeds) != 1:
-        parser.error("rank takes a single --seed")
-    seed = seeds[0]
+    seed = _single_seed(args, parser)
     rng = stream(derive_seed(seed, _RANK_TAG), 0)
     try:
         reports = evaluate_proxy(
@@ -390,11 +402,11 @@ def _add_scoring_flags(p, seed_dest: str):
     p.add_argument("--teacher", default="max", help="'max', 'resnet56', 'resnet110', 'd1,d2,d3[-template]', a cell string, or JSON")
     p.add_argument("--batch-size", type=_at_least(2), default=64)
     p.add_argument("--data", default=None, help="CIFAR binary file; omit for synthetic images")
-    p.add_argument("--data-format", choices=("auto", "cifar10", "cifar100"), default="auto")
+    p.add_argument("--data-format", choices=("auto", "cifar10", "cifar100"), default=argparse.SUPPRESS, help="with --data only; default auto")
     p.add_argument("--seed", dest=seed_dest, metavar="SEED", type=int, nargs="+", action="extend", default=None,
                    help="one or more seeds (env DISWOT_SEED as fallback, else 0)")
     p.add_argument("--init", choices=("kaiming", "gaussian"), default="kaiming")
-    p.add_argument("--gaussian-std", type=_positive_float, default=0.1)
+    p.add_argument("--gaussian-std", type=_positive_float, default=argparse.SUPPRESS, help=f"with --init gaussian only; default {InitSpec.gaussian_std}")
     p.add_argument("--temperature", type=_positive_float, default=1.0)
     p.add_argument("--weight-source", choices=(FC_WEIGHTS, FC_WEIGHT_GRADS), default=FC_WEIGHTS)
     p.add_argument("--normalization", choices=(ROW_L2, MATRIX_L2), default=ROW_L2)

@@ -144,24 +144,28 @@ def _format_value(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_scores_csv(path: str | Path, rows, config: dict | None = None) -> None:
+def _write_table(path: str | Path, header: list[str], records, config: dict | None) -> None:
+    """Write the config comment (when config is given), the header, then each record as a CSV row."""
     with open(path, "w", newline="") as f:
         if config is not None:
             f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         writer = csv.writer(f)
-        writer.writerow(SCORES_HEADER)
-        for r in rows:
-            writer.writerow(
-                [r.arch_id, r.proxy, _format_value(r.value), "true" if r.higher_is_better else "false", r.seed]
-            )
+        writer.writerow(header)
+        writer.writerows(records)
 
 
-def _data_lines(path):
-    """(line_number, fields) for each non-blank, non-comment record.
+def write_scores_csv(path: str | Path, rows, config: dict | None = None) -> None:
+    records = ([r.arch_id, r.proxy, _format_value(r.value), "true" if r.higher_is_better else "false", r.seed]
+               for r in rows)
+    _write_table(path, SCORES_HEADER, records, config)
+
+
+def _data_lines(path, header: list[str]):
+    """(line_number, fields) for each non-blank, non-comment record after the header.
 
     One csv.reader parses a stream of the file's non-comment lines, so no
     line list is held; line_number is the record's physical line, counting
-    comment lines.
+    comment lines. The first record must equal header.
     """
     with open(path, newline="") as f:
         number = 0
@@ -172,21 +176,20 @@ def _data_lines(path):
                 if not line.startswith("#"):
                     yield line
 
-        for fields in csv.reader(records()):
+        reader = csv.reader(records())
+        first = next((fields for fields in reader if fields), None)
+        if first is None:
+            raise ValueError(f"{path}: no header line")
+        if first != header:
+            raise ValueError(f"{path}:{number}: expected header {','.join(header)}")
+        for fields in reader:
             if fields:
                 yield number, fields
 
 
 def read_scores_csv(path: str | Path) -> list[ScoreRow]:
     rows: list[ScoreRow] = []
-    lines = _data_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise ValueError(f"{path}: no header line")
-    n, fields = first
-    if fields != SCORES_HEADER:
-        raise ValueError(f"{path}:{n}: expected header {','.join(SCORES_HEADER)}")
-    for n, fields in lines:
+    for n, fields in _data_lines(path, SCORES_HEADER):
         if len(fields) != 5:
             raise ValueError(f"{path}:{n}: expected 5 fields, got {len(fields)}")
         arch, proxy, value, hib, seed = fields
@@ -207,14 +210,7 @@ def read_scores_csv(path: str | Path) -> list[ScoreRow]:
 def load_accuracy_csv(path: str | Path) -> dict[str, float]:
     """arch_id -> accuracy, preserving file order."""
     table: dict[str, float] = {}
-    lines = _data_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise ValueError(f"{path}: no header line")
-    n, fields = first
-    if fields != ACCURACY_HEADER:
-        raise ValueError(f"{path}:{n}: expected header {','.join(ACCURACY_HEADER)}")
-    for n, fields in lines:
+    for n, fields in _data_lines(path, ACCURACY_HEADER):
         if len(fields) != 2:
             raise ValueError(f"{path}:{n}: expected 2 fields, got {len(fields)}")
         arch, acc = fields
@@ -233,10 +229,6 @@ def load_accuracy_csv(path: str | Path) -> dict[str, float]:
 
 def write_report_csv(path: str | Path, rows, config: dict | None = None) -> None:
     """Write rankstats.report_rows rows, each percentage to two decimals."""
-    with open(path, "w", newline="") as f:
-        if config is not None:
-            f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(f)
-        writer.writerow(REPORT_HEADER)
-        for proxy, metric, mean, std, n_seeds, n_archs in rows:
-            writer.writerow([proxy, metric, f"{mean:.2f}", f"{std:.2f}", n_seeds, n_archs])
+    records = ([proxy, metric, f"{mean:.2f}", f"{std:.2f}", n_seeds, n_archs]
+               for proxy, metric, mean, std, n_seeds, n_archs in rows)
+    _write_table(path, REPORT_HEADER, records, config)

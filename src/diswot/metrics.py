@@ -59,6 +59,11 @@ def gradcam_maps(bundle: ActivationBundle, weight_source: str = FC_WEIGHTS) -> T
     return w @ mean_map
 
 
+def _row_l2_normalize(rows: Tensor) -> Tensor:
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+
+
 def similarity_matrix(rows: Tensor, normalization: str = ROW_L2) -> Tensor:
     """Normalized Gram matrix of the flattened rows.
 
@@ -71,8 +76,7 @@ def similarity_matrix(rows: Tensor, normalization: str = ROW_L2) -> Tensor:
     flat = np.asarray(rows, dtype=np.float64).reshape(rows.shape[0], -1)
     gram = flat @ flat.T
     if normalization == ROW_L2:
-        norms = np.linalg.norm(gram, axis=1, keepdims=True)
-        gram = np.divide(gram, norms, out=np.zeros_like(gram), where=norms > 0)
+        gram = _row_l2_normalize(gram)
     else:
         norm = np.linalg.norm(gram)
         if norm > 0:
@@ -87,30 +91,19 @@ def matrix_mean_sq_diff(a: Tensor, b: Tensor) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def semantic_similarity(teacher_maps: Tensor, student_maps: Tensor, normalization: str = ROW_L2) -> float:
-    """Distance between the class-correlation structures of two gradcam_maps results."""
-    if teacher_maps.shape[0] != student_maps.shape[0]:
-        raise ValueError(
-            f"class counts differ: {teacher_maps.shape[0]} vs {student_maps.shape[0]}"
-        )
-    g_t = similarity_matrix(teacher_maps, normalization)
-    g_s = similarity_matrix(student_maps, normalization)
-    return matrix_mean_sq_diff(g_t, g_s)
+def gram_distance(teacher: Tensor, student: Tensor, normalization: str = ROW_L2) -> float:
+    """Distance between the normalized Gram matrices of two row sets with one row count.
 
-
-def relation_similarity(teacher_feat: Tensor, student_feat: Tensor, normalization: str = ROW_L2) -> float:
-    """Distance between the batch-correlation structures of two feature tensors.
-
-    Each sample's features are flattened to one row; feature dimensions may
-    differ between the networks, the Gram matrices are B x B either way.
+    Each row is flattened, and row lengths may differ between the two: the
+    Gram matrices are n x n either way. diswot's semantic term compares the
+    class rows of two gradcam_maps results; its relation term, which is also
+    the sp distiller, compares the per-sample rows of two feature tensors.
     """
-    if teacher_feat.shape[0] != student_feat.shape[0]:
-        raise ValueError(
-            f"batch sizes differ: {teacher_feat.shape[0]} vs {student_feat.shape[0]}"
-        )
-    a_t = similarity_matrix(teacher_feat, normalization)
-    a_s = similarity_matrix(student_feat, normalization)
-    return matrix_mean_sq_diff(a_t, a_s)
+    if teacher.shape[0] != student.shape[0]:
+        raise ValueError(f"row counts differ: {teacher.shape[0]} vs {student.shape[0]}")
+    g_t = similarity_matrix(teacher, normalization)
+    g_s = similarity_matrix(student, normalization)
+    return matrix_mean_sq_diff(g_t, g_s)
 
 
 def diswot_score_from_bundles(
@@ -128,9 +121,9 @@ def diswot_score_from_bundles(
     if use_semantic:
         t_maps = gradcam_maps(teacher, weight_source)
         s_maps = gradcam_maps(student, weight_source)
-        total += semantic_similarity(t_maps, s_maps, normalization)
+        total += gram_distance(t_maps, s_maps, normalization)
     if use_relation:
-        total += relation_similarity(teacher.pre_gap_map, student.pre_gap_map, normalization)
+        total += gram_distance(teacher.pre_gap_map, student.pre_gap_map, normalization)
     return -total
 
 
@@ -160,11 +153,6 @@ def nwot_from_codes(codes: np.ndarray, units: int) -> float:
     kernel = units - (hamming + hamming.T) + _NWOT_EPS * np.eye(b)
     _, logdet = np.linalg.slogdet(kernel)
     return float(logdet)
-
-
-def _row_l2_normalize(rows: Tensor) -> Tensor:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
 
 
 def _kl_rows(p: Tensor, logp: Tensor, logq: Tensor) -> Tensor:
@@ -198,23 +186,25 @@ def _fitnets(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
     return float(np.mean((ft - fs) ** 2))
 
 
+def _check_spatial(t: ActivationBundle, s: ActivationBundle, maps: str) -> None:
+    if t.pre_gap_map.shape[2:] != s.pre_gap_map.shape[2:]:
+        raise ValueError(f"{maps} need equal spatial dims, got {t.pre_gap_map.shape[2:]}"
+                         f" vs {s.pre_gap_map.shape[2:]}")
+
+
 def _attention_rows(pre_gap: Tensor) -> Tensor:
     att = (pre_gap**2).sum(axis=1)
     return _row_l2_normalize(att.reshape(att.shape[0], -1))
 
 
 def _at(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
-    if t.pre_gap_map.shape[2:] != s.pre_gap_map.shape[2:]:
-        raise ValueError(
-            f"attention maps need equal spatial dims, got {t.pre_gap_map.shape[2:]}"
-            f" vs {s.pre_gap_map.shape[2:]}"
-        )
+    _check_spatial(t, s, "attention maps")
     diff = _attention_rows(t.pre_gap_map) - _attention_rows(s.pre_gap_map)
     return float((diff**2).sum(axis=1).mean())
 
 
 def _sp(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
-    return relation_similarity(t.pre_gap_map, s.pre_gap_map)
+    return gram_distance(t.pre_gap_map, s.pre_gap_map)
 
 
 def _correlation_matrix(features: Tensor) -> Tensor:
@@ -242,11 +232,7 @@ def _rkd(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
 
 
 def _nst(t: ActivationBundle, s: ActivationBundle, rho: float) -> float:
-    if t.pre_gap_map.shape[2:] != s.pre_gap_map.shape[2:]:
-        raise ValueError(
-            f"channel maps need equal spatial dims, got {t.pre_gap_map.shape[2:]}"
-            f" vs {s.pre_gap_map.shape[2:]}"
-        )
+    _check_spatial(t, s, "channel maps")
     b = t.pre_gap_map.shape[0]
     total = 0.0
     for i in range(b):

@@ -9,6 +9,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,7 @@ def fan_in(shape: tuple[int, ...]) -> int:
     """Inputs feeding one output unit: Cin*k*k for conv weights, Cin for linear."""
     if len(shape) < 2:
         raise ValueError(f"weight tensors need rank >= 2, got shape {shape}")
-    n = 1
-    for d in shape[1:]:
-        n *= d
-    return n
+    return math.prod(shape[1:])
 
 
 def init_tensor(shape: tuple[int, ...], spec: InitSpec, stream_id: int) -> np.ndarray:

@@ -28,9 +28,8 @@ from diswot.kernels import fc_weight_grad, global_avg_pool
 from diswot.metrics import (
     COST_PROXIES,
     gradcam_maps,
+    gram_distance,
     kd_distance,
-    relation_similarity,
-    semantic_similarity,
 )
 from diswot.metrics import _fitnets_projection
 from diswot.network import ActivationBundle, NetworkInstance, count_params
@@ -159,14 +158,14 @@ def test_04_metrics_match_brute_force():
         t_maps = gradcam_maps(t)
         s_maps = gradcam_maps(s)
         check(
-            semantic_similarity(t_maps, s_maps),
+            gram_distance(t_maps, s_maps),
             oracles.semantic_naive(
                 oracles.gradcam_naive(t.pre_gap_map, t.fc_weight),
                 oracles.gradcam_naive(s.pre_gap_map, s.fc_weight),
             ),
         )
         check(
-            relation_similarity(t.pre_gap_map, s.pre_gap_map),
+            gram_distance(t.pre_gap_map, s.pre_gap_map),
             oracles.relation_naive(t.pre_gap_map, s.pre_gap_map),
         )
 
@@ -221,13 +220,13 @@ def test_05_invariance_fuzzing():
         ss = 10.0 ** float(rng.uniform(-3, 3))
         t2, s2 = _rebuilt(t, st), _rebuilt(s, ss)
 
-        ms = semantic_similarity(gradcam_maps(t), gradcam_maps(s))
-        ms2 = semantic_similarity(gradcam_maps(t2), gradcam_maps(s2))
+        ms = gram_distance(gradcam_maps(t), gradcam_maps(s))
+        ms2 = gram_distance(gradcam_maps(t2), gradcam_maps(s2))
         if not math.isclose(ms, ms2, rel_tol=1e-9, abs_tol=1e-12):
             failures["scale_ms"] += 1
 
-        mr = relation_similarity(t.pre_gap_map, s.pre_gap_map)
-        mr2 = relation_similarity(t2.pre_gap_map, s2.pre_gap_map)
+        mr = gram_distance(t.pre_gap_map, s.pre_gap_map)
+        mr2 = gram_distance(t2.pre_gap_map, s2.pre_gap_map)
         if not math.isclose(mr, mr2, rel_tol=1e-9, abs_tol=1e-12):
             failures["scale_mr"] += 1
 
@@ -237,8 +236,8 @@ def test_05_invariance_fuzzing():
         tp = rng.standard_normal((b, int(rng.integers(2, 6)), 3, 3))
         sp = rng.standard_normal((b, int(rng.integers(2, 6)), 3, 3))
         perm = rng.permutation(b)
-        before = relation_similarity(tp, sp)
-        after = relation_similarity(tp[perm], sp[perm])
+        before = gram_distance(tp, sp)
+        after = gram_distance(tp[perm], sp[perm])
         if not math.isclose(before, after, rel_tol=1e-9, abs_tol=1e-12):
             failures["perm_mr"] += 1
 

@@ -240,6 +240,37 @@ def test_json_round_trip_all_spaces():
         assert back == desc
 
 
+
+# One fixed two-stage S2 config and its JSON form, key order included.
+S2_PAIR = S2Config(16, (S2Stage("basic", 3, 24, 2, 1), S2Stage("bottleneck", 7, 48, 1, 2)))
+S2_PAIR_JSON = {
+    "space": "s2_cifar",
+    "desc": {
+        "stem_channels": 16,
+        "stages": [
+            {"block": "basic", "kernel": 3, "channels": 24, "depth": 2, "stride": 1},
+            {"block": "bottleneck", "kernel": 7, "channels": 48, "depth": 1, "stride": 2},
+        ],
+    },
+}
+
+
+def test_s2_json_form_is_pinned():
+    got = descriptor_to_json(S2_PAIR, s2_cifar_space())
+    assert got == S2_PAIR_JSON
+    assert json.dumps(got) == json.dumps(S2_PAIR_JSON)
+    assert descriptor_from_json(S2_PAIR_JSON) == ("s2_cifar", S2_PAIR)
+
+
+@pytest.mark.parametrize("stage", [
+    {"block": "basic", "kernel": 3, "channels": 24, "depth": 2},
+    {"block": "basic", "kernel": "three", "channels": 24, "depth": 2, "stride": 1},
+], ids=["missing-stride", "non-integer-kernel"])
+def test_s2_json_bad_stage_raises_value_error(stage):
+    obj = {"space": "s2_cifar", "desc": {"stem_channels": 16, "stages": [stage]}}
+    with pytest.raises(ValueError):
+        descriptor_from_json(obj)
+
 def test_sample_descriptor_reproducible():
     space = nb201_space()
     a = sample_descriptor(space, stream(21, 0))

@@ -290,17 +290,20 @@ def test_config_echoes_every_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("DISWOT_SEED", "9")
     teacher = tmp_path / "t.json"
     teacher.write_text(json.dumps(descriptor_to_json(S0Depths(3, 1, 3), s0_space())))
+    # Four cifar10 records, labels 0 to 3; --data-format is left out, so the echo holds its default.
+    data = tmp_path / "batch.bin"
+    np.concatenate([np.arange(4)[:, None], np.zeros((4, 3072), int)], axis=1).astype(np.uint8).tofile(data)
     scores = tmp_path / "s.csv"
     assert run(["score", "--space", "s0", "--num-classes", "7", "--teacher", str(teacher),
-                "--batch-size", "3", "--init", "gaussian", "--gaussian-std", "0.2", "--temperature", "2",
-                "--weight-source", "fc_weight_grads", "--normalization", "matrix_l2",
+                "--batch-size", "3", "--data", str(data), "--init", "gaussian", "--gaussian-std", "0.2",
+                "--temperature", "2", "--weight-source", "fc_weight_grads", "--normalization", "matrix_l2",
                 "--arch", "1-3-1", "--arch", "1-1-1", "--proxy", "kd_kl", "--proxy", "params",
                 "--relation-only", "--jobs", "2", "--out", str(scores)]) == 0
     config = json.loads(scores.read_text().splitlines()[0][len("# config: "):])
     assert set(config) == echoed_dests("score")
     assert config == {
         "command": "score", "space": "s0", "num_classes": 7, "teacher": "3-1-3", "batch_size": 3,
-        "data": None, "data_format": "auto", "seeds": [9], "init": "gaussian", "gaussian_std": 0.2,
+        "data": str(data), "data_format": "auto", "seeds": [9], "init": "gaussian", "gaussian_std": 0.2,
         "temperature": 2.0, "weight_source": "fc_weight_grads", "normalization": "matrix_l2",
         "archs": ["1-3-1", "1-1-1"], "proxies": ["kd_kl", "params"], "semantic_only": False,
         "relation_only": True,
@@ -311,7 +314,7 @@ def test_config_echoes_every_flag(tmp_path, monkeypatch):
                     "--fitness", "params", "--minimize", "--batch-size", "5", "--seed", "4"]
     search_config = {
         "command": "search", "space": "nb201", "num_classes": 5, "teacher": None, "batch_size": 5,
-        "data": None, "data_format": "auto", "seed": 4, "init": "kaiming", "gaussian_std": 0.1,
+        "data": None, "seed": 4, "init": "kaiming",
         "temperature": 1.0, "weight_source": "fc_weights", "normalization": "row_l2",
         "max_params": 90000, "max_flops": 20000000, "max_depth": 8, "fitness": "params", "minimize": True,
     }
@@ -319,15 +322,16 @@ def test_config_echoes_every_flag(tmp_path, monkeypatch):
     assert run([*search_flags, "--strategy", "random", "--budget", "3",
                 "--out", str(out), "--summary", str(summary)]) == 0
     config = json.loads(summary.read_text())["config"]
-    assert set(config) == echoed_dests("search") - EVO_KEYS
+    # Without --data and under --init kaiming, neither --data-format nor --gaussian-std is read or echoed.
+    assert set(config) == echoed_dests("search") - EVO_KEYS - {"data_format", "gaussian_std"}
     assert config == search_config | {"strategy": "random", "budget": 3}
-    # --topk is left out, so the evo summary echoes its default.
-    assert run([*search_flags, "--population", "8", "--iters", "2", "--sample-ratio", "0.75",
+    # --topk and --gaussian-std are left out, so the evo summary echoes their defaults.
+    assert run([*search_flags, "--population", "8", "--iters", "2", "--sample-ratio", "0.75", "--init", "gaussian",
                 "--out", str(out), "--summary", str(summary)]) == 0
     config = json.loads(summary.read_text())["config"]
-    assert set(config) == echoed_dests("search") - {"budget"}
+    assert set(config) == echoed_dests("search") - {"budget", "data_format"}
     assert config == search_config | {"strategy": "evo", "population": 8, "iters": 2, "sample_ratio": 0.75,
-                                      "topk": 5}
+                                      "topk": 5, "init": "gaussian", "gaussian_std": 0.1}
 
     score_paths, acc_path = write_rank_fixture(tmp_path, n=10, seeds=(0,))
     report = tmp_path / "report.csv"
@@ -498,10 +502,12 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
     (["score", "--space", "nb201", "--all-s0"], "--all-s0 requires --space s0"),
     (["search", "--space", "s0", "--fitness", "params", "--seed", "1", "2"], "a single --seed"),
     (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seed", "1", "--seed", "2"], "a single --seed"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--gaussian-std", "0.2"], "--gaussian-std: read only with --init gaussian"),
+    (["search", "--space", "s0", "--data-format", "cifar10"], "--data-format: read only with --data"),
 ], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "random-population", "random-topk", "evo-budget",
         "temperature-0", "gaussian-std-0", "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0",
         "score-max-params", "jobs-0", "jobs-negative", "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2", "nb201-all-s0",
-        "search-two-seeds", "rank-two-seeds"])
+        "search-two-seeds", "rank-two-seeds", "gaussian-std-without-gaussian-init", "data-format-without-data"])
 def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, argv, says):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")

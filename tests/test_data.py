@@ -1,5 +1,7 @@
 """Batch provisioning and CSV artifact tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -178,11 +180,19 @@ def test_scores_csv_no_config_line(tmp_path):
     assert path.read_text().startswith("arch_id,proxy,value")
 
 
-def test_scores_csv_bad_header(tmp_path):
+@pytest.mark.parametrize("read", [read_scores_csv, load_accuracy_csv], ids=["scores", "accuracy"])
+@pytest.mark.parametrize("text,where", [
+    ("arch,proxy,value\n", ":1: expected header"),
+    ("# config: {}\n\narch,proxy,value\n", ":3: expected header"),
+    ("", ": no header line"),
+    ("# config: {}\n\n", ": no header line"),
+], ids=["wrong", "wrong-after-comment", "empty", "comment-only"])
+def test_csv_bad_header(tmp_path, read, text, where):
+    # The message names the file, and the header's physical line where there is one.
     path = tmp_path / "bad.csv"
-    path.write_text("arch,proxy,value\n")
-    with pytest.raises(ValueError, match=r":1:"):
-        read_scores_csv(path)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
+        read(path)
 
 
 def test_scores_csv_bad_value_names_line(tmp_path):

@@ -17,12 +17,11 @@ from diswot.metrics import (
     PROXIES,
     diswot_score_from_bundles,
     gradcam_maps,
+    gram_distance,
     kd_distance,
     matrix_mean_sq_diff,
     nwot_from_codes,
     proxy_value,
-    relation_similarity,
-    semantic_similarity,
     similarity_matrix,
 )
 from diswot.metrics import _fitnets_projection
@@ -126,56 +125,44 @@ def test_gradcam_grad_source():
 
 
 # ---------------------------------------------------------------------------
-# similarity matrices and the two distances
-
-
-def test_semantic_hand_example():
-    t = gradcam_like([[1.0, 0.0], [0.0, 1.0]])
-    s = gradcam_like([[1.0, 0.0], [1.0, 0.0]])
-    ms = semantic_similarity(t, s)
-    assert ms == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-12)  # ~0.292893
+# similarity matrices and the Gram distance
 
 
 def gradcam_like(rows):
     return np.asarray(rows, dtype=np.float64)
 
 
-def test_semantic_identical_is_zero():
-    rng = RNG(5)
-    maps = rng.standard_normal((4, 9))
-    assert semantic_similarity(gradcam_like(maps), gradcam_like(maps)) == 0.0
+def test_gram_distance_hand_example():
+    t = gradcam_like([[1.0, 0.0], [0.0, 1.0]])
+    s = gradcam_like([[1.0, 0.0], [1.0, 0.0]])
+    assert gram_distance(t, s) == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-12)  # ~0.292893
 
 
-def test_semantic_scale_invariance():
-    rng = RNG(6)
-    maps = rng.standard_normal((4, 9))
-    assert semantic_similarity(gradcam_like(maps), gradcam_like(3.0 * maps)) == pytest.approx(0.0, abs=1e-12)
+# Class maps (classes x H*W) and batch features (B x C x H x W): the two row
+# sets diswot compares.
+ROW_SHAPES = [(4, 9), (4, 3, 2, 2)]
 
 
-def test_semantic_class_count_mismatch():
+@pytest.mark.parametrize("shape", ROW_SHAPES, ids=["class-maps", "batch-features"])
+def test_gram_distance_identical_and_scaled(shape):
+    rows = RNG(5).standard_normal(shape)
+    assert gram_distance(rows, rows) == 0.0
+    assert gram_distance(rows, 3.0 * rows) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_gram_distance_row_count_mismatch():
     rng = RNG(7)
-    with pytest.raises(ValueError):
-        semantic_similarity(gradcam_like(rng.standard_normal((3, 4))), gradcam_like(rng.standard_normal((2, 4))))
+    for shape in ROW_SHAPES:
+        fewer = (shape[0] - 1, *shape[1:])
+        with pytest.raises(ValueError, match="row counts differ"):
+            gram_distance(rng.standard_normal(shape), rng.standard_normal(fewer))
 
 
-def test_semantic_allows_different_spatial_sizes():
+def test_gram_distance_allows_different_row_lengths():
     rng = RNG(8)
     t = gradcam_like(rng.standard_normal((3, 16)))
     s = gradcam_like(rng.standard_normal((3, 4)))
-    assert np.isfinite(semantic_similarity(t, s))
-
-
-def test_relation_identical_and_scaled():
-    rng = RNG(9)
-    feats = rng.standard_normal((4, 3, 2, 2))
-    assert relation_similarity(feats, feats) == 0.0
-    assert relation_similarity(feats, 2.5 * feats) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_relation_batch_mismatch():
-    rng = RNG(10)
-    with pytest.raises(ValueError):
-        relation_similarity(rng.standard_normal((4, 8)), rng.standard_normal((3, 8)))
+    assert np.isfinite(gram_distance(t, s))
 
 
 def test_similarity_matrix_row_l2_unit_rows():
@@ -195,12 +182,12 @@ def test_similarity_matrix_zero_row_stays_zero():
 def test_matrix_l2_normalization_scale_invariant():
     rng = RNG(12)
     maps = rng.standard_normal((4, 6))
-    a = semantic_similarity(gradcam_like(maps), gradcam_like(2.0 * maps), normalization="matrix_l2")
+    a = gram_distance(gradcam_like(maps), gradcam_like(2.0 * maps), normalization="matrix_l2")
     assert a == pytest.approx(0.0, abs=1e-12)
     # and it is a genuinely different kernel from row_l2 on asymmetric input
     other = rng.standard_normal((4, 6))
-    r = semantic_similarity(gradcam_like(maps), gradcam_like(other), normalization="row_l2")
-    m = semantic_similarity(gradcam_like(maps), gradcam_like(other), normalization="matrix_l2")
+    r = gram_distance(gradcam_like(maps), gradcam_like(other), normalization="row_l2")
+    m = gram_distance(gradcam_like(maps), gradcam_like(other), normalization="matrix_l2")
     assert r != pytest.approx(m, abs=1e-6)
 
 
@@ -208,19 +195,19 @@ def test_symmetry_of_roles():
     rng = RNG(13)
     a = rng.standard_normal((4, 3, 2, 2))
     b = rng.standard_normal((4, 5, 2, 2))
-    assert relation_similarity(a, b) == pytest.approx(relation_similarity(b, a), abs=1e-15)
+    assert gram_distance(a, b) == pytest.approx(gram_distance(b, a), abs=1e-15)
     ma = gradcam_like(rng.standard_normal((3, 4)))
     mb = gradcam_like(rng.standard_normal((3, 4)))
-    assert semantic_similarity(ma, mb) == pytest.approx(semantic_similarity(mb, ma), abs=1e-15)
+    assert gram_distance(ma, mb) == pytest.approx(gram_distance(mb, ma), abs=1e-15)
 
 
-def test_relation_joint_permutation_invariance():
+def test_gram_distance_joint_permutation_invariance():
     rng = RNG(14)
     a = rng.standard_normal((5, 4, 2, 2))
     b = rng.standard_normal((5, 6, 2, 2))
-    base = relation_similarity(a, b)
+    base = gram_distance(a, b)
     perm = rng.permutation(5)
-    assert relation_similarity(a[perm], b[perm]) == pytest.approx(base, abs=1e-12)
+    assert gram_distance(a[perm], b[perm]) == pytest.approx(base, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +225,14 @@ def test_metric_oracle_agreement_100_bundles():
         t = make_bundle(rng, b=b, c=ct, hw=hw, n=n)
         s = make_bundle(rng, b=b, c=cs, hw=hw, n=n)
 
-        ms = semantic_similarity(gradcam_maps(t), gradcam_maps(s))
+        ms = gram_distance(gradcam_maps(t), gradcam_maps(s))
         want_ms = oracles.semantic_naive(
             oracles.gradcam_naive(t.pre_gap_map, t.fc_weight),
             oracles.gradcam_naive(s.pre_gap_map, s.fc_weight),
         )
         assert ms == pytest.approx(want_ms, abs=1e-10)
 
-        mr = relation_similarity(t.pre_gap_map, s.pre_gap_map)
+        mr = gram_distance(t.pre_gap_map, s.pre_gap_map)
         want_mr = oracles.relation_naive(t.pre_gap_map, s.pre_gap_map)
         assert mr == pytest.approx(want_mr, abs=1e-10)
 
@@ -482,7 +469,7 @@ def test_diswot_relation_only_composition():
     ms_only = diswot_score_from_bundles(t, s, use_relation=False)
     mr_only = diswot_score_from_bundles(t, s, use_semantic=False)
     assert full == pytest.approx(ms_only + mr_only, abs=1e-12)
-    mr = relation_similarity(t.pre_gap_map, s.pre_gap_map)
+    mr = gram_distance(t.pre_gap_map, s.pre_gap_map)
     assert mr_only == pytest.approx(-mr, abs=1e-15)
     with pytest.raises(ValueError):
         diswot_score_from_bundles(t, s, use_semantic=False, use_relation=False)
