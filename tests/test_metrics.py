@@ -138,24 +138,34 @@ def test_gram_distance_hand_example():
     assert gram_distance(t, s) == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-12)  # ~0.292893
 
 
-# Class maps (classes x H*W) and batch features (B x C x H x W): the two row
-# sets diswot compares.
-ROW_SHAPES = [(4, 9), (4, 3, 2, 2)]
+def test_semantic_identical_is_zero():
+    maps = RNG(5).standard_normal((4, 9))
+    assert gram_distance(gradcam_like(maps), gradcam_like(maps)) == 0.0
 
 
-@pytest.mark.parametrize("shape", ROW_SHAPES, ids=["class-maps", "batch-features"])
+def test_semantic_scale_invariance():
+    maps = RNG(6).standard_normal((4, 9))
+    assert gram_distance(gradcam_like(maps), gradcam_like(3.0 * maps)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_semantic_class_count_mismatch():
+    rng = RNG(7)
+    with pytest.raises(ValueError, match="row counts differ"):
+        gram_distance(gradcam_like(rng.standard_normal((3, 4))), gradcam_like(rng.standard_normal((2, 4))))
+
+
+# Batch features (B x C x H x W): the relation rows diswot compares.
+@pytest.mark.parametrize("shape", [(4, 3, 2, 2)], ids=["batch-features"])
 def test_gram_distance_identical_and_scaled(shape):
     rows = RNG(5).standard_normal(shape)
     assert gram_distance(rows, rows) == 0.0
     assert gram_distance(rows, 3.0 * rows) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_gram_distance_row_count_mismatch():
-    rng = RNG(7)
-    for shape in ROW_SHAPES:
-        fewer = (shape[0] - 1, *shape[1:])
-        with pytest.raises(ValueError, match="row counts differ"):
-            gram_distance(rng.standard_normal(shape), rng.standard_normal(fewer))
+def test_relation_batch_mismatch():
+    rng = RNG(10)
+    with pytest.raises(ValueError, match="row counts differ"):
+        gram_distance(rng.standard_normal((4, 3, 2, 2)), rng.standard_normal((3, 3, 2, 2)))
 
 
 def test_gram_distance_allows_different_row_lengths():
