@@ -429,27 +429,51 @@ def descriptor_to_json(desc: ArchDescriptor, space: SearchSpace) -> dict:
     return {"space": space.kind, "desc": body}
 
 
+def _json_object(where: str, obj, keys: tuple[str, ...]) -> dict:
+    """obj if it is a JSON object with exactly keys; else ValueError naming where and the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    if missing := [k for k in keys if k not in obj]:
+        raise ValueError(f"{where} needs the key {missing[0]!r}")
+    if unknown := [k for k in obj if k not in keys]:
+        raise ValueError(f"{where} has the unknown key {unknown[0]!r}")
+    return obj
+
+
+def _json_int(where: str, value) -> int:
+    """value if it is a JSON integer; a float or a bool raises ValueError naming where."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def descriptor_from_json(obj: dict) -> tuple[str, ArchDescriptor]:
-    """Return (space kind, descriptor) from the JSON interchange form."""
-    if not isinstance(obj, dict) or "space" not in obj or "desc" not in obj:
-        raise ValueError("architecture JSON needs 'space' and 'desc' keys")
-    kind = obj["space"]
-    body = obj["desc"]
+    """Return (space kind, descriptor) from the JSON interchange form.
+
+    The form is exactly what descriptor_to_json writes: an unknown key, or a
+    float or bool where an integer belongs, raises ValueError naming the
+    field, so no input is read as an architecture it does not spell.
+    """
+    obj = _json_object("architecture JSON", obj, ("space", "desc"))
+    kind, body = obj["space"], obj["desc"]
     if kind == "s0":
         if not (isinstance(body, list) and len(body) == 3):
             raise ValueError(f"s0 descriptor must be [d1, d2, d3], got {body!r}")
-        return kind, S0Depths(*(int(d) for d in body))
+        return kind, S0Depths(*(_json_int(f"s0 depth d{i}", d) for i, d in enumerate(body, start=1)))
     if kind == "nb201":
         if not isinstance(body, str):
             raise ValueError("nb201 descriptor must be the cell string")
         return kind, parse_nb201(body)
     if kind in ("s2_cifar", "s2_imagenet"):
-        try:
+        body = _json_object("s2 descriptor", body, ("stem_channels", "stages"))
+        if not isinstance(body["stages"], list):
+            raise ValueError(f"s2 stages must be a list, got {body['stages']!r}")
+        names = tuple(f.name for f in fields(S2Stage))
+        stages = []
+        for i, stage in enumerate(body["stages"]):
+            stage = _json_object(f"s2 stage {i}", stage, names)
             # block is the one string field; every other field is an integer.
-            stages = tuple(
-                S2Stage(st["block"], *(int(st[f.name]) for f in fields(S2Stage)[1:])) for st in body["stages"]
-            )
-            return kind, S2Config(int(body["stem_channels"]), stages)
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"malformed s2 descriptor: {e}") from None
+            ints = (_json_int(f"s2 stage {i} {name}", stage[name]) for name in names[1:])
+            stages.append(S2Stage(stage["block"], *ints))
+        return kind, S2Config(_json_int("s2 stem_channels", body["stem_channels"]), tuple(stages))
     raise ValueError(f"unknown space kind {kind!r}")

@@ -1,14 +1,14 @@
 """Command-line front end: score candidates, run searches, rank proxies.
 
 The parser is the one list of each command's flags and of the values they
-accept. Every artifact embeds the run configuration (a sorted-key JSON comment
-at the top of CSVs, a config object in search summaries), derived from the
-parsed flags: every flag except --jobs, --out and --summary, which change no
-output byte, with --all-s0 echoed as the archs it expands to. A flag given to a
-run that does not read it (the other search strategy's, --gaussian-std without
---init gaussian, --data-format without --data) is a usage error. All randomness
-flows from --seed through named child streams, so rerunning a command with the
-same flags reproduces its outputs byte for byte.
+accept, and _CONDITIONAL the one table of the flags a run reads only under a
+condition: a given flag the run does not read is a usage error. Every artifact
+embeds the run configuration (a sorted-key JSON comment at the top of CSVs, a
+config object in search summaries): every flag the run read except --jobs,
+--out and --summary, which change no output byte, with --all-s0 echoed as the
+archs it expands to and --teacher as the resolved teacher's arch id. All
+randomness flows from --seed through named child streams, so rerunning a
+command with the same flags reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error (every flag
 value the parser or a cross-flag check rejects).
@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -59,9 +60,22 @@ _S0_TEACHERS = {"resnet56": (9, 9, 9), "resnet110": (18, 18, 18)}
 # 0.7 GiB on its own, so there the cache keeps one network, as score does.
 _EVO_CACHE_BYTES = 128 * 2**20
 
-# Evo's flags and defaults. They, random's --budget, --gaussian-std and
-# --data-format are parsed only when given: see _default_read_flags.
-_EVO_FLAGS = {"population": 20, "iters": 100, "sample_ratio": 0.5, "topk": 5}
+
+# The flags of score and search that a run reads only under a condition, as
+# rows (the condition as a usage error names it, whether a run with flags f and
+# proxies p meets it, {dest: default}); a condition may test an earlier flag.
+_CONDITIONAL = (
+    ("by a proxy that reads a batch", lambda f, p: any(PROXIES[name] != COST for name in p),
+     dict(batch_size=64, data=None, init=InitSpec.scheme)),
+    ("with --data", lambda f, p: f.get("data") is not None, dict(data_format="auto")),
+    ("with --init gaussian", lambda f, p: f.get("init") == "gaussian", dict(gaussian_std=InitSpec.gaussian_std)),
+    ("by a proxy that reads a teacher", lambda f, p: any(PROXIES[name] == BUNDLES for name in p), dict(teacher="max")),
+    ("by diswot", lambda f, p: DISWOT in p,
+     dict(weight_source=ProxyOptions.weight_source, normalization=ProxyOptions.normalization, semantic_only=False, relation_only=False)),
+    ("by kd_kl", lambda f, p: "kd_kl" in p, dict(temperature=ProxyOptions.temperature)),
+    ("with --strategy evo", lambda f, p: f.get("strategy") == "evo", dict(population=20, iters=100, sample_ratio=0.5, topk=5)),
+    ("with --strategy random", lambda f, p: f.get("strategy") == "random", dict(budget=None)),
+)
 
 # Parsed values that no artifact echoes: func is the command's handler and
 # parser its subparser, which reports its usage errors; jobs, out and summary
@@ -100,14 +114,28 @@ def _build_space(args, constraints: Constraints = Constraints()):
     return make_space(args.space, **kwargs)
 
 
-def _resolve_teacher(space, spec: str):
+def _read_flags(args, parser, proxies) -> None:
+    """Fill in the defaults of the _CONDITIONAL flags a run of proxies reads; reject a given flag it does not read."""
+    flags = vars(args)
+    for needs, reads, defaults in _CONDITIONAL:
+        if reads(flags, proxies):
+            flags.update({k: v for k, v in defaults.items() if k not in flags and parser.get_default(k) is argparse.SUPPRESS})
+        elif stray := [f"--{dest.replace('_', '-')}" for dest in defaults if dest in flags]:
+            parser.error(f"{', '.join(stray)}: read only {needs}")
+
+
+def _resolve_teacher(space, args):
+    """The teacher descriptor, or None in a run that reads no teacher; the echo holds its arch id."""
+    if (spec := vars(args).get("teacher")) is None:
+        return None
     if spec == "max":
-        return max_descriptor(space)
-    if space.kind == "s0":
-        if spec.lower() in _S0_TEACHERS:
-            return S0Depths(*_S0_TEACHERS[spec.lower()])
-        spec = spec.removesuffix("-template")
-    return _parse_arch(space, spec)
+        teacher = max_descriptor(space)
+    elif space.kind == "s0" and spec.lower() in _S0_TEACHERS:
+        teacher = S0Depths(*_S0_TEACHERS[spec.lower()])
+    else:
+        teacher = _parse_arch(space, spec.removesuffix("-template") if space.kind == "s0" else spec)
+    args.teacher = arch_id(teacher)
+    return teacher
 
 
 def _parse_arch(space, s: str):
@@ -144,7 +172,7 @@ def _resolve_archs(space, args, parser):
 
 def _make_batch(args, space, seed: int):
     batch_seed = derive_seed(seed, _BATCH_TAG)
-    if args.data:
+    if args.data is not None:
         batch = load_cifar_batch(args.data, args.batch_size, batch_seed, fmt=args.data_format)
         if batch.labels.max() >= space.num_classes:
             raise ValueError(
@@ -157,40 +185,28 @@ def _make_batch(args, space, seed: int):
     )
 
 
-def _init_spec(args, seed: int) -> InitSpec:
-    return InitSpec(args.init, vars(args).get("gaussian_std", InitSpec.gaussian_std), derive_seed(seed, _INIT_TAG))
-
-
-def _default_read_flags(args, parser, defaults: dict, read: bool, needs: str) -> None:
-    """Flags parsed only when given: a run that reads them gets the defaults of those left out; in a run
-    that does not, giving one is a usage error that names what it needs."""
-    if read:
-        for dest, default in defaults.items():
-            vars(args).setdefault(dest, default)
-    elif stray := [f"--{dest.replace('_', '-')}" for dest in defaults if dest in vars(args)]:
-        parser.error(f"{', '.join(stray)}: read only with {needs}")
-
-
-def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, use_relation: bool):
+def _make_scorer(args, space, seed: int, proxies, teacher):
     """Return new_scorer at this seed; new_scorer(max_bytes) makes one scorer.
 
-    teacher is the resolved teacher descriptor, or None when no requested
-    proxy reads bundles. scorer(desc) maps a descriptor to {proxy: value},
-    each from metrics.proxy_value given the inputs PROXIES names. Each scorer
-    owns one PrefixCache over the batch with budget max_bytes (see
-    PrefixCache), so a student resumes from the deepest stored stage end its
-    plan shares: give each thread its own scorer. The relu_codes forward
-    runs first, so a bundle forward after it is a full cache hit. The batch
-    and the teacher forward are made once, here, and only when a requested
-    proxy reads them.
+    teacher is the resolved teacher descriptor, or None when no requested proxy
+    reads bundles. scorer(desc) maps a descriptor to {proxy: value}, each from
+    metrics.proxy_value given the inputs PROXIES names. Each scorer owns one
+    PrefixCache over the batch with budget max_bytes (see PrefixCache), so a
+    student resumes from the deepest stored stage end its plan shares: give
+    each thread its own scorer. The relu_codes forward runs first, so a bundle
+    forward after it is a full cache hit. The batch, the init, the teacher
+    forward and ProxyOptions are made once, here, from the flags the run read.
     """
     reads = {PROXIES[p] for p in proxies}
-    batch = _make_batch(args, space, seed) if reads - {COST} else None
-    init = _init_spec(args, seed)
-    teacher_bundle = None
+    flags = vars(args)
+    batch = init = teacher_bundle = None
+    if reads - {COST}:
+        batch = _make_batch(args, space, seed)
+        init = InitSpec(args.init, flags.get("gaussian_std", InitSpec.gaussian_std), derive_seed(seed, _INIT_TAG))
     if teacher is not None:
         teacher_bundle = NetworkInstance(teacher, space, init).activations(batch.images, batch.labels)
-    options = ProxyOptions(use_semantic, use_relation, args.weight_source, args.normalization, args.temperature)
+    options = ProxyOptions(not flags.get("relation_only"), not flags.get("semantic_only"),
+                           **{k: flags[k] for k in ("weight_source", "normalization", "temperature") if k in flags})
 
     def new_scorer(max_bytes: int = 0):
         cache = None if batch is None else PrefixCache(batch.images, init, max_bytes)
@@ -215,21 +231,23 @@ def _make_scorer(args, space, seed: int, proxies, teacher, use_semantic: bool, u
 
 
 def cmd_score(args, parser) -> int:
-    _default_read_flags(args, parser, {"gaussian_std": InitSpec.gaussian_std}, args.init == "gaussian", "--init gaussian")
-    _default_read_flags(args, parser, {"data_format": "auto"}, bool(args.data), "--data")
+    proxies = args.proxies or [DISWOT]
+    _read_flags(args, parser, proxies)
+    seeds = _resolve_seeds(args.seeds)
     space = _build_space(args)
     archs = _resolve_archs(space, args, parser)
-    proxies = args.proxies or [DISWOT]
-    seeds = _resolve_seeds(args.seeds)
-
-    teacher = _resolve_teacher(space, args.teacher) if any(PROXIES[p] == BUNDLES for p in proxies) else None
+    # A repeated value would write each of its rows twice, which rank rejects.
+    for flag, values in (("--proxy", proxies), ("--seed", seeds), ("--arch", [arch_id(d) for d in archs])):
+        if repeated := [value for value, n in Counter(values).items() if n > 1]:
+            parser.error(f"{flag} {repeated[0]} is given more than once")
+    teacher = _resolve_teacher(space, args)
 
     # Scored in prefix-trie order, so each student resumes as deep as it can;
     # rows keep the input order.
     order = trie_order(archs, space)
     by_seed: dict[int, dict[int, dict[str, float]]] = {}  # seed -> input index -> values
     for seed in seeds:
-        new_scorer = _make_scorer(args, space, seed, proxies, teacher, not args.relation_only, not args.semantic_only)
+        new_scorer = _make_scorer(args, space, seed, proxies, teacher)
 
         def score_run(indices):
             scorer = new_scorer()
@@ -252,14 +270,7 @@ def cmd_score(args, parser) -> int:
         for proxy in proxies
         for seed in seeds
     ]
-    config = _config(
-        args,
-        num_classes=space.num_classes,
-        archs=[arch_id(d) for d in archs],
-        proxies=proxies,
-        teacher=arch_id(teacher) if teacher is not None else None,
-        seeds=seeds,
-    )
+    config = _config(args, num_classes=space.num_classes, archs=[arch_id(d) for d in archs], proxies=proxies, seeds=seeds)
     write_scores_csv(args.out, rows, config)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -270,10 +281,7 @@ def cmd_score(args, parser) -> int:
 
 
 def cmd_search(args, parser) -> int:
-    _default_read_flags(args, parser, _EVO_FLAGS, args.strategy == "evo", "--strategy evo")
-    _default_read_flags(args, parser, {"budget": None}, args.strategy == "random", "--strategy random")
-    _default_read_flags(args, parser, {"gaussian_std": InitSpec.gaussian_std}, args.init == "gaussian", "--init gaussian")
-    _default_read_flags(args, parser, {"data_format": "auto"}, bool(args.data), "--data")
+    _read_flags(args, parser, [args.fitness])
     space = _build_space(args, Constraints(args.max_params, args.max_flops, args.max_depth))
     smallest = min_descriptor(space)
     if not satisfies_constraints(smallest, space):
@@ -299,8 +307,7 @@ def cmd_search(args, parser) -> int:
     name = args.fitness
     sign = -1.0 if args.minimize else 1.0
     label = f"-{name}" if args.minimize else name
-    teacher = _resolve_teacher(space, args.teacher) if PROXIES[name] == BUNDLES else None
-    new_scorer = _make_scorer(args, space, seed, [name], teacher, use_semantic=True, use_relation=True)
+    new_scorer = _make_scorer(args, space, seed, [name], _resolve_teacher(space, args))
     # Random draws have no parents, so random search keeps the last network only.
     scorer = new_scorer(_EVO_CACHE_BYTES if args.strategy == "evo" else 0)
     # Weights depend only on the descriptor's plan and the init seed, so the
@@ -323,8 +330,7 @@ def cmd_search(args, parser) -> int:
         for record in state.log:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
-    config = _config(args, num_classes=space.num_classes, seed=seed,
-                     teacher=arch_id(teacher) if teacher is not None else None)
+    config = _config(args, num_classes=space.num_classes, seed=seed)
     best_desc, best_score = state.best
     summary = {
         "config": config,
@@ -395,21 +401,29 @@ def _at_least(low: int):
     return parse
 
 
+def _add_conditional(p, flag: str, about: str = "", **kwargs) -> None:
+    """Add a flag of _CONDITIONAL: no parser default, and help that names its condition and default."""
+    dest = flag[2:].replace("-", "_")
+    needs, default = next((needs, defaults[dest]) for needs, _, defaults in _CONDITIONAL if dest in defaults)
+    read = f"read only {needs}" + ("" if default in (None, False) else f"; default {default}")
+    p.add_argument(flag, default=argparse.SUPPRESS, help=f"{about}; {read}" if about else read, **kwargs)
+
+
 def _add_scoring_flags(p, seed_dest: str):
     """The space and scoring flags of score and search; seed_dest names the --seed list."""
     p.add_argument("--space", choices=tuple(SPACE_FACTORIES), default="s0")
     p.add_argument("--num-classes", type=_at_least(1), default=None, help="override the space's class count")
-    p.add_argument("--teacher", default="max", help="'max', 'resnet56', 'resnet110', 'd1,d2,d3[-template]', a cell string, or JSON")
-    p.add_argument("--batch-size", type=_at_least(2), default=64)
-    p.add_argument("--data", default=None, help="CIFAR binary file; omit for synthetic images")
-    p.add_argument("--data-format", choices=("auto", "cifar10", "cifar100"), default=argparse.SUPPRESS, help="with --data only; default auto")
+    _add_conditional(p, "--teacher", "'max', 'resnet56', 'resnet110', 'd1,d2,d3[-template]', a cell string, or JSON")
+    _add_conditional(p, "--batch-size", type=_at_least(2))
+    _add_conditional(p, "--data", "CIFAR binary file; omit for synthetic images")
+    _add_conditional(p, "--data-format", choices=("auto", "cifar10", "cifar100"))
     p.add_argument("--seed", dest=seed_dest, metavar="SEED", type=int, nargs="+", action="extend", default=None,
                    help="one or more seeds (env DISWOT_SEED as fallback, else 0)")
-    p.add_argument("--init", choices=("kaiming", "gaussian"), default="kaiming")
-    p.add_argument("--gaussian-std", type=_positive_float, default=argparse.SUPPRESS, help=f"with --init gaussian only; default {InitSpec.gaussian_std}")
-    p.add_argument("--temperature", type=_positive_float, default=1.0)
-    p.add_argument("--weight-source", choices=(FC_WEIGHTS, FC_WEIGHT_GRADS), default=FC_WEIGHTS)
-    p.add_argument("--normalization", choices=(ROW_L2, MATRIX_L2), default=ROW_L2)
+    _add_conditional(p, "--init", choices=("kaiming", "gaussian"))
+    _add_conditional(p, "--gaussian-std", type=_positive_float)
+    _add_conditional(p, "--temperature", type=_positive_float)
+    _add_conditional(p, "--weight-source", choices=(FC_WEIGHTS, FC_WEIGHT_GRADS))
+    _add_conditional(p, "--normalization", choices=(ROW_L2, MATRIX_L2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     archs.add_argument("--all-s0", action="store_true", help="score all 64 s0 candidates")
     score.add_argument("--proxy", dest="proxies", action="append", choices=tuple(PROXIES), help="repeatable; default diswot")
     terms = score.add_mutually_exclusive_group()
-    terms.add_argument("--semantic-only", action="store_true", help="diswot: drop the relation term")
-    terms.add_argument("--relation-only", action="store_true", help="diswot: drop the semantic term")
+    _add_conditional(terms, "--semantic-only", "drop the relation term", action="store_true")
+    _add_conditional(terms, "--relation-only", "drop the semantic term", action="store_true")
     score.add_argument("--jobs", type=_at_least(1), default=1, help="parallel scoring threads (output is identical for any value)")
     score.add_argument("--out", required=True, help="scores CSV path")
     score.set_defaults(func=cmd_score, parser=score)
@@ -440,10 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--strategy", choices=("evo", "random"), default="evo")
     search.add_argument("--fitness", choices=tuple(PROXIES), default=DISWOT)
     search.add_argument("--minimize", action="store_true", help="negate the fitness (e.g. smallest params)")
-    for dest, default in _EVO_FLAGS.items():
-        search.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=argparse.SUPPRESS,
-                            help=f"evo only; default {default}")
-    search.add_argument("--budget", type=_at_least(1), default=argparse.SUPPRESS, help="random only; required there")
+    for flag, kind in (("--population", int), ("--iters", int), ("--sample-ratio", float), ("--topk", int)):
+        _add_conditional(search, flag, type=kind)
+    _add_conditional(search, "--budget", "architectures drawn, required", type=_at_least(1))
     search.add_argument("--out", required=True, help="JSONL run log path")
     search.add_argument("--summary", default=None, help="summary JSON path (default: <out>.summary.json)")
     search.set_defaults(func=cmd_search, parser=search)

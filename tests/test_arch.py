@@ -4,10 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diswot.arch import (
     NB201Cell,
     NB201_OPS,
+    S0_DEPTH_CHOICES,
+    S2_BLOCK_KINDS,
+    S2_KERNEL_CHOICES,
     S0Depths,
     S2Config,
     S2Stage,
@@ -262,14 +267,61 @@ def test_s2_json_form_is_pinned():
     assert descriptor_from_json(S2_PAIR_JSON) == ("s2_cifar", S2_PAIR)
 
 
-@pytest.mark.parametrize("stage", [
-    {"block": "basic", "kernel": 3, "channels": 24, "depth": 2},
-    {"block": "basic", "kernel": "three", "channels": 24, "depth": 2, "stride": 1},
-], ids=["missing-stride", "non-integer-kernel"])
-def test_s2_json_bad_stage_raises_value_error(stage):
+@pytest.mark.parametrize("stage,field", [
+    ({"block": "basic", "kernel": 3, "channels": 24, "depth": 2}, "'stride'"),
+    ({"block": "basic", "kernel": "three", "channels": 24, "depth": 2, "stride": 1}, "kernel"),
+    ({"block": "basic", "kernel": 3.7, "channels": 24, "depth": 2, "stride": 1}, "kernel"),
+    ({"block": "basic", "kernel": 3, "channels": 24, "depth": True, "stride": 1}, "depth"),
+    ({"block": "basic", "kernel": 3, "channels": 24, "depth": 2, "stride": 1, "groups": 2}, "'groups'"),
+], ids=["missing-stride", "non-integer-kernel", "float-kernel", "bool-depth", "unknown-key"])
+def test_s2_json_bad_stage_raises_value_error(stage, field):
     obj = {"space": "s2_cifar", "desc": {"stem_channels": 16, "stages": [stage]}}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         descriptor_from_json(obj)
+
+
+# Near-valid JSON forms: each field is a valid value or any other JSON
+# scalar, and each object may carry an extra key.
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.floats(-3, 9), st.text(max_size=3))
+
+
+def _maybe(valid):
+    return st.one_of(valid, _SCALARS)
+
+
+def _object(required):
+    return st.fixed_dictionaries(required, optional={"extra": _SCALARS})
+
+
+_S2_STAGE = _object({
+    "block": _maybe(st.sampled_from(S2_BLOCK_KINDS)),
+    "kernel": _maybe(st.sampled_from(S2_KERNEL_CHOICES)),
+    "channels": _maybe(st.sampled_from((16, 24, 64))),
+    "depth": _maybe(st.integers(1, 3)),
+    "stride": _maybe(st.sampled_from((1, 2))),
+})
+_CELLS = st.tuples(*[st.sampled_from(NB201_OPS)] * 6).map(lambda ops: serialize_nb201(NB201Cell(ops)))
+_ARCH_JSON = st.one_of(
+    _object({"space": st.just("s0"), "desc": st.lists(_maybe(st.sampled_from(S0_DEPTH_CHOICES)), min_size=3, max_size=3)}),
+    _object({"space": st.just("nb201"), "desc": st.one_of(_CELLS, _CELLS.map(lambda c: c + " "), _SCALARS)}),
+    _object({
+        "space": st.sampled_from(("s2_cifar", "s2_imagenet")),
+        "desc": _object({"stem_channels": _maybe(st.just(16)), "stages": st.lists(_S2_STAGE, min_size=1, max_size=3)}),
+    }),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_ARCH_JSON)
+def test_descriptor_from_json_reads_only_what_it_writes(obj):
+    # An input is either read as the one descriptor whose JSON form it is,
+    # byte for byte (so no float, bool or unknown key is dropped or
+    # coerced), or rejected with ValueError.
+    try:
+        kind, desc = descriptor_from_json(obj)
+    except ValueError:
+        return
+    assert json.dumps(descriptor_to_json(desc, make_space(kind)), sort_keys=True) == json.dumps(obj, sort_keys=True)
 
 def test_sample_descriptor_reproducible():
     space = nb201_space()

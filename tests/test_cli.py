@@ -1,5 +1,6 @@
 """Command-line workflow tests (run in-process through cli.main)."""
 
+import argparse
 import json
 import tracemalloc
 from pathlib import Path
@@ -233,6 +234,15 @@ def test_score_bad_data_path_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_score_empty_data_path_exit_1(tmp_path, capsys):
+    # An empty --data is a path that names no file, not a request for synthetic images.
+    code = run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot", "--batch-size", "2",
+                "--data", "", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_score_env_seed_fallback(tmp_path, monkeypatch):
     out_env = tmp_path / "env.csv"
     out_flag = tmp_path / "flag.csv"
@@ -278,7 +288,10 @@ def test_space_choices_are_the_arch_table():
 # Parsed values no artifact echoes: --jobs, --out and --summary change no
 # output byte, and --all-s0 is echoed as the archs it expands to.
 UNECHOED = {"jobs", "out", "summary", "all_s0"}
-# A search echoes only its own strategy's flags.
+# Flags read only by a proxy that runs a forward, by a proxy that reads a
+# teacher, by diswot, by kd_kl, and by each search strategy.
+BATCH_KEYS = {"batch_size", "data", "data_format", "init", "gaussian_std"}
+DISWOT_KEYS = {"weight_source", "normalization", "semantic_only", "relation_only"}
 EVO_KEYS = {"population", "iters", "sample_ratio", "topk"}
 
 
@@ -287,6 +300,8 @@ def echoed_dests(command):
 
 
 def test_config_echoes_every_flag(tmp_path, monkeypatch):
+    # The echo holds exactly the flags the run read: all of them when diswot
+    # and kd_kl run, none of the conditional ones for a cost proxy.
     monkeypatch.setenv("DISWOT_SEED", "9")
     teacher = tmp_path / "t.json"
     teacher.write_text(json.dumps(descriptor_to_json(S0Depths(3, 1, 3), s0_space())))
@@ -297,41 +312,44 @@ def test_config_echoes_every_flag(tmp_path, monkeypatch):
     assert run(["score", "--space", "s0", "--num-classes", "7", "--teacher", str(teacher),
                 "--batch-size", "3", "--data", str(data), "--init", "gaussian", "--gaussian-std", "0.2",
                 "--temperature", "2", "--weight-source", "fc_weight_grads", "--normalization", "matrix_l2",
-                "--arch", "1-3-1", "--arch", "1-1-1", "--proxy", "kd_kl", "--proxy", "params",
+                "--arch", "1-3-1", "--arch", "1-1-1", "--proxy", "kd_kl", "--proxy", "diswot",
                 "--relation-only", "--jobs", "2", "--out", str(scores)]) == 0
     config = json.loads(scores.read_text().splitlines()[0][len("# config: "):])
     assert set(config) == echoed_dests("score")
-    assert config == {
-        "command": "score", "space": "s0", "num_classes": 7, "teacher": "3-1-3", "batch_size": 3,
-        "data": str(data), "data_format": "auto", "seeds": [9], "init": "gaussian", "gaussian_std": 0.2,
-        "temperature": 2.0, "weight_source": "fc_weight_grads", "normalization": "matrix_l2",
-        "archs": ["1-3-1", "1-1-1"], "proxies": ["kd_kl", "params"], "semantic_only": False,
-        "relation_only": True,
+    score_config = {"command": "score", "space": "s0", "num_classes": 7, "seeds": [9], "archs": ["1-3-1", "1-1-1"]}
+    assert config == score_config | {
+        "teacher": "3-1-3", "batch_size": 3, "data": str(data), "data_format": "auto", "init": "gaussian",
+        "gaussian_std": 0.2, "temperature": 2.0, "weight_source": "fc_weight_grads", "normalization": "matrix_l2",
+        "proxies": ["kd_kl", "diswot"], "semantic_only": False, "relation_only": True,
     }
+    assert run(["score", "--space", "s0", "--num-classes", "7", "--arch", "1-3-1", "--arch", "1-1-1",
+                "--proxy", "params", "--proxy", "flops", "--out", str(scores)]) == 0
+    config = json.loads(scores.read_text().splitlines()[0][len("# config: "):])
+    assert config == score_config | {"proxies": ["params", "flops"]}
 
-    search_flags = ["search", "--space", "nb201", "--num-classes", "5", "--teacher", "max",
-                    "--max-params", "90000", "--max-flops", "20000000", "--max-depth", "8",
-                    "--fitness", "params", "--minimize", "--batch-size", "5", "--seed", "4"]
+    search_flags = ["search", "--space", "nb201", "--num-classes", "5", "--max-params", "90000",
+                    "--max-flops", "20000000", "--max-depth", "8", "--minimize", "--seed", "4"]
     search_config = {
-        "command": "search", "space": "nb201", "num_classes": 5, "teacher": None, "batch_size": 5,
-        "data": None, "seed": 4, "init": "kaiming",
-        "temperature": 1.0, "weight_source": "fc_weights", "normalization": "row_l2",
-        "max_params": 90000, "max_flops": 20000000, "max_depth": 8, "fitness": "params", "minimize": True,
+        "command": "search", "space": "nb201", "num_classes": 5, "seed": 4,
+        "max_params": 90000, "max_flops": 20000000, "max_depth": 8, "minimize": True,
     }
     out, summary = tmp_path / "r.jsonl", tmp_path / "r.json"
-    assert run([*search_flags, "--strategy", "random", "--budget", "3",
+    assert run([*search_flags, "--fitness", "params", "--strategy", "random", "--budget", "3",
                 "--out", str(out), "--summary", str(summary)]) == 0
     config = json.loads(summary.read_text())["config"]
-    # Without --data and under --init kaiming, neither --data-format nor --gaussian-std is read or echoed.
-    assert set(config) == echoed_dests("search") - EVO_KEYS - {"data_format", "gaussian_std"}
-    assert config == search_config | {"strategy": "random", "budget": 3}
-    # --topk and --gaussian-std are left out, so the evo summary echoes their defaults.
-    assert run([*search_flags, "--population", "8", "--iters", "2", "--sample-ratio", "0.75", "--init", "gaussian",
-                "--out", str(out), "--summary", str(summary)]) == 0
+    # A cost fitness reads no batch, teacher or proxy setting, and a random search no evo flag.
+    assert set(config) == echoed_dests("search") - BATCH_KEYS - DISWOT_KEYS - EVO_KEYS - {"teacher", "temperature"}
+    assert config == search_config | {"fitness": "params", "strategy": "random", "budget": 3}
+    # nwot reads a batch but no teacher. --topk, --data and --gaussian-std are
+    # left out, so the evo summary echoes their defaults; without --data,
+    # --data-format is not read.
+    assert run([*search_flags, "--fitness", "nwot", "--batch-size", "5", "--population", "8", "--iters", "2",
+                "--sample-ratio", "0.75", "--init", "gaussian", "--out", str(out), "--summary", str(summary)]) == 0
     config = json.loads(summary.read_text())["config"]
-    assert set(config) == echoed_dests("search") - {"budget", "data_format"}
-    assert config == search_config | {"strategy": "evo", "population": 8, "iters": 2, "sample_ratio": 0.75,
-                                      "topk": 5, "init": "gaussian", "gaussian_std": 0.1}
+    assert set(config) == echoed_dests("search") - DISWOT_KEYS - {"budget", "data_format", "teacher", "temperature"}
+    assert config == search_config | {"fitness": "nwot", "strategy": "evo", "population": 8, "iters": 2,
+                                      "sample_ratio": 0.75, "topk": 5, "batch_size": 5, "data": None,
+                                      "init": "gaussian", "gaussian_std": 0.1}
 
     score_paths, acc_path = write_rank_fixture(tmp_path, n=10, seeds=(0,))
     report = tmp_path / "report.csv"
@@ -504,10 +522,32 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
     (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seed", "1", "--seed", "2"], "a single --seed"),
     (["score", "--space", "s0", "--arch", "1-1-1", "--gaussian-std", "0.2"], "--gaussian-std: read only with --init gaussian"),
     (["search", "--space", "s0", "--data-format", "cifar10"], "--data-format: read only with --data"),
+    # One case per condition of cli._CONDITIONAL not covered above.
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--data", "/nonexistent.bin"],
+     "--data: read only by a proxy that reads a batch"),
+    (["search", "--space", "s0", "--fitness", "params", "--strategy", "random", "--budget", "3", "--teacher", "garbage",
+      "--batch-size", "7", "--init", "gaussian", "--gaussian-std", "0.3"],
+     "--batch-size, --init: read only by a proxy that reads a batch"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot", "--teacher", "9-9-9"],
+     "--teacher: read only by a proxy that reads a teacher"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot", "--weight-source", "fc_weight_grads",
+      "--normalization", "matrix_l2", "--semantic-only"], "--weight-source, --normalization, --semantic-only: read only by diswot"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--temperature", "5", "--teacher", "garbage"],
+     "--temperature: read only by kd_kl"),
+    # A repeated seed, proxy or architecture would write each of its rows twice.
+    (["score", "--space", "s0", "--arch", "1-1-1", "--arch", "3-3-3", "--arch", "5-5-5", "--proxy", "params",
+      "--seed", "1", "--seed", "1"], "--seed 1 is given more than once"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "params", "--proxy", "flops", "--proxy", "params"],
+     "--proxy params is given more than once"),
+    (["score", "--space", "s0", "--arch", "1-3-5", "--arch", '{"space": "s0", "desc": [1, 3, 5]}', "--proxy", "nwot"],
+     "--arch 1-3-5 is given more than once"),
 ], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "random-population", "random-topk", "evo-budget",
         "temperature-0", "gaussian-std-0", "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0",
         "score-max-params", "jobs-0", "jobs-negative", "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2", "nb201-all-s0",
-        "search-two-seeds", "rank-two-seeds", "gaussian-std-without-gaussian-init", "data-format-without-data"])
+        "search-two-seeds", "rank-two-seeds", "gaussian-std-without-gaussian-init", "data-format-without-data",
+        "data-without-batch-proxy", "search-batch-flags-without-batch-proxy", "teacher-without-teacher-proxy",
+        "diswot-flags-without-diswot", "temperature-without-kd_kl", "repeated-seed",
+        "repeated-proxy", "repeated-arch"])
 def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, argv, says):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")
@@ -527,6 +567,27 @@ def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, a
     assert err.splitlines()[0].startswith(f"usage: diswot {argv[0]} ")
     assert list(tmp_path.iterdir()) == [inputs]
     assert sorted(p.name for p in inputs.iterdir()) == ["acc.csv", "scores0.csv"]
+
+
+def test_conditional_flags_are_the_table():
+    # Every score or search flag that the parser gives no default has exactly
+    # one row of the table, which its help names, and every row is a flag of
+    # score or search.
+    rows = [(dest, needs) for needs, _, defaults in cli._CONDITIONAL for dest in defaults]
+    assert len({dest for dest, _ in rows}) == len(rows)
+    actions = subcommand_actions("score") | subcommand_actions("search")
+    assert {dest for dest, a in actions.items() if a.default is argparse.SUPPRESS} == {dest for dest, _ in rows}
+    for dest, needs in rows:
+        assert f"read only {needs}" in actions[dest].help
+
+
+def test_score_rejects_coerced_json_arch(tmp_path, capsys):
+    # 1.9 and true are not depths: the architecture is not read as 1-1-3.
+    code = run(["score", "--space", "s0", "--arch", '{"space": "s0", "desc": [1.9, true, 3]}', "--proxy", "params",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "s0 depth d1 must be an integer, got 1.9" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_search_builds_each_student_once(tmp_path, monkeypatch):
@@ -553,14 +614,17 @@ def test_search_builds_each_student_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fitness,teacher", [("diswot", "7-7-7"), ("kd_kl", "9-9-9"), ("params", None)])
 def test_search_echoes_the_resolved_teacher(tmp_path, fitness, teacher):
-    # As in score: the teacher's arch id when the fitness reads bundles,
-    # null when no teacher is built.
-    spec = {"7-7-7": "max", "9-9-9": "resnet56", None: "max"}[teacher]
+    # As in score: the teacher's arch id when the fitness reads bundles; a
+    # fitness that reads none takes no --teacher and echoes no teacher key.
+    flags = [] if teacher is None else ["--teacher", {"7-7-7": "max", "9-9-9": "resnet56"}[teacher], "--batch-size", "2"]
     summary = tmp_path / "s.json"
-    assert run(["search", "--space", "s0", "--fitness", fitness, "--teacher", spec, "--batch-size", "2",
-                "--strategy", "random", "--budget", "2", "--seed", "0",
-                "--out", str(tmp_path / "s.jsonl"), "--summary", str(summary)]) == 0
-    assert json.loads(summary.read_text())["config"]["teacher"] == teacher
+    assert run(["search", "--space", "s0", "--fitness", fitness, *flags, "--strategy", "random", "--budget", "2",
+                "--seed", "0", "--out", str(tmp_path / "s.jsonl"), "--summary", str(summary)]) == 0
+    config = json.loads(summary.read_text())["config"]
+    if teacher is None:
+        assert "teacher" not in config
+    else:
+        assert config["teacher"] == teacher
 
 
 # ---------------------------------------------------------------------------
