@@ -94,9 +94,9 @@ def _resolve_seeds(given: list[int] | None) -> list[int]:
     env = os.environ.get("DISWOT_SEED")
     if env is not None:
         try:
-            return [int(env)]
-        except ValueError:
-            raise ValueError(f"DISWOT_SEED must be an integer, got {env!r}") from None
+            return [_seed(env)]
+        except argparse.ArgumentTypeError as e:
+            raise ValueError(f"DISWOT_SEED {e}") from None
     return [0]
 
 
@@ -386,6 +386,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer in [0, 2**64). rng.stream keys on 64 bits, so any other seed aliases one of these."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _at_least(low: int):
     """An argparse type: an integer no smaller than low."""
 
@@ -417,8 +428,8 @@ def _add_scoring_flags(p, seed_dest: str):
     _add_conditional(p, "--batch-size", type=_at_least(2))
     _add_conditional(p, "--data", "CIFAR binary file; omit for synthetic images")
     _add_conditional(p, "--data-format", choices=("auto", "cifar10", "cifar100"))
-    p.add_argument("--seed", dest=seed_dest, metavar="SEED", type=int, nargs="+", action="extend", default=None,
-                   help="one or more seeds (env DISWOT_SEED as fallback, else 0)")
+    p.add_argument("--seed", dest=seed_dest, metavar="SEED", type=_seed, nargs="+", action="extend", default=None,
+                   help="one or more seeds in [0, 2**64) (env DISWOT_SEED as fallback, else 0)")
     _add_conditional(p, "--init", choices=("kaiming", "gaussian"))
     _add_conditional(p, "--gaussian-std", type=_positive_float)
     _add_conditional(p, "--temperature", type=_positive_float)
@@ -467,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--sample", type=_at_least(MIN_ROWS), default=None,
                       help=f"architectures sampled per repetition (the statistics need {MIN_ROWS})")
     rank.add_argument("--seeds", type=_at_least(1), default=None, help="number of sampling repetitions")
-    rank.add_argument("--seed", type=int, action="append", default=None,
-                      help="rng seed for subsampling (env DISWOT_SEED as fallback, else 0)")
+    rank.add_argument("--seed", type=_seed, action="append", default=None,
+                      help="rng seed for subsampling, in [0, 2**64) (env DISWOT_SEED as fallback, else 0)")
     rank.add_argument("--out", default=None, help="report CSV path")
     rank.set_defaults(func=cmd_rank, parser=rank)
 

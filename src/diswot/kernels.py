@@ -31,31 +31,34 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     order. Where the strided window view already is the matrix without a
     copy (a 1x1 kernel at stride 1 on an NHWC-backed input, say), BLAS gets
     that view in one matmul. Otherwise the matrix is built one chunk at a
-    time in a single reused C-contiguous buffer, and np.matmul writes each
-    chunk's rows straight into the output. A chunk holds at most
-    _COLUMN_BYTES of columns: runs of whole samples whose lengths differ by
-    one at most, so a conv whose matrix fits is one chunk and one matmul; or,
-    when one sample's columns exceed the budget, runs of whole output rows of
-    one sample, at least one row. A 1x1 kernel's chunk is a copy of strided
-    input samples, channels innermost. For k > 1 indexed gathers (np.take)
-    fill it: the per-sample offsets are the outer sum of a row offset
-    (oy, ox) and a column offset (c, ky, kx). The index covers at most one
-    chunk's output rows of one sample, and no more than keep it within the
-    conv output's size, and is reused for the next rows by shifting the
-    sample it reads.
+    time in a single reused buffer, each chunk by one np.copyto from the
+    window view, and np.matmul writes each chunk's rows straight into the
+    output. A chunk holds at most _COLUMN_BYTES of columns: runs of whole
+    samples whose lengths differ by one at most, so a conv whose matrix fits
+    is one chunk and one matmul; or, when one sample's columns exceed the
+    budget, runs of whole output rows of one sample, at least one row. For
+    k > 1 the chunk is channel-major, [Cin*k*k, rows], so the copy's
+    innermost loop runs along an output row rather than along k pixels, and
+    BLAS gets its transpose. A 1x1 kernel's windows are channels-innermost,
+    like the NHWC activations, so its chunk is row-major, [rows, Cin]; on
+    1x1 stride-2 shortcuts a channel-major copy was 2-3x slower.
 
     Every output bit is that of one matmul over the whole matrix. A GEMM
-    row's sums run over k in an order that does not depend on how many rows
-    the call has, while OpenBLAS stays off its small-matrix kernels, which
-    take GEMMs of at most 100**3 multiply-adds and sum in another order. So
-    each chunk also does at least _SMALL_GEMM multiply-adds on at least two
-    rows, even past the budget, which a conv with fewer than about 12 output
-    channels needs. No run is shorter than a third of the longest, so the
-    longest gets three times those rows. A one-channel conv is never split:
-    numpy runs it as a matrix-vector product, whose bits depend on a row's
-    place in the call. This holds for the OpenBLAS build numpy ships, not
-    for BLAS in general; the byte tests against tests/oracles.py's
-    single-matmul im2col are the guard.
+    row's sums run over k in an order that depends neither on how many rows
+    the call has nor on whether an operand is transposed (OpenBLAS packs
+    both into the same panels), while OpenBLAS stays off its small-matrix
+    kernels, which take GEMMs of at most 100**3 multiply-adds and sum in
+    another order. So each chunk also does at least _SMALL_GEMM
+    multiply-adds on at least two rows, even past the budget, which a conv
+    with fewer than about 12 output channels needs. No run is shorter than
+    a third of the longest, so the longest gets three times those rows. Two
+    k > 1 convs get a row-major chunk: one whose whole product is below
+    _SMALL_GEMM, since the small-matrix kernels sum a transposed operand in
+    another order; and a one-channel conv, which numpy runs as a
+    matrix-vector product, whose bits depend on the operand's layout and on
+    a row's place in the call, so it is never split either. This holds for
+    the OpenBLAS build numpy ships, not for BLAS in general; the byte tests
+    against tests/oracles.py's single-matmul im2col are the guard.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and weight, got {x.shape} and {weight.shape}")
@@ -101,26 +104,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     ns, ny = samples[0][1], out_rows[0][1]  # the longest runs come first
     columns = np.empty(ns * ny * wo * kk, dtype=src.dtype)
     out = np.empty((b, ho, wo, cout), dtype=np.result_type(src, weight))
-    if k > 1:
-        # n_idx output rows per index: n_idx * wo * kk <= b * ho * wo * cout.
-        n_idx = min(ny, max(1, b * ho * cout // kk))
-        rows = np.add.outer(np.arange(n_idx) * (stride * wp), np.arange(wo) * stride)
-        cols = np.add.outer(np.arange(cin) * (hp * wp), np.add.outer(np.arange(k) * wp, np.arange(k)))
-        idx = np.add.outer(rows.ravel(), cols.ravel())
-        flat = src.reshape(b, -1)
+    channel_major = k > 1 and m >= least and cout > 1
     for i0, i1 in samples:
         for y0, y1 in out_rows:
-            chunk = columns[:(i1 - i0) * (y1 - y0) * wo * kk].reshape(i1 - i0, y1 - y0, wo, kk, copy=False)
-            if k == 1:
-                np.copyto(chunk.reshape(i1 - i0, y1 - y0, wo, cin, 1, 1, copy=False), windows[i0:i1, y0:y1])
+            n = (i1 - i0) * (y1 - y0) * wo
+            if channel_major:
+                chunk = columns[:n * kk].reshape(cin, k, k, i1 - i0, y1 - y0, wo)
+                np.copyto(chunk, windows[i0:i1, y0:y1].transpose(3, 4, 5, 0, 1, 2))
+                rows = chunk.reshape(kk, n).T
             else:
-                for i in range(i0, i1):
-                    for y in range(y0, y1, n_idx):
-                        n = min(n_idx, y1 - y)
-                        # "clip" writes straight into the chunk ("raise" buffers it); every index is in range.
-                        np.take(flat[i, y * stride * wp:], idx[:n * wo],
-                                out=chunk[i - i0, y - y0:y - y0 + n].reshape(n * wo, kk, copy=False), mode="clip")
-            np.matmul(chunk.reshape(-1, kk), kernels, out=out[i0:i1, y0:y1].reshape(-1, cout, copy=False))
+                rows = columns[:n * kk].reshape(n, kk)
+                np.copyto(rows.reshape(i1 - i0, y1 - y0, wo, cin, k, k), windows[i0:i1, y0:y1])
+            np.matmul(rows, kernels, out=out[i0:i1, y0:y1].reshape(-1, cout, copy=False))
     return out.transpose(0, 3, 1, 2)
 
 

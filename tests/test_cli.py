@@ -246,13 +246,29 @@ def test_score_empty_data_path_exit_1(tmp_path, capsys):
 def test_score_env_seed_fallback(tmp_path, monkeypatch):
     out_env = tmp_path / "env.csv"
     out_flag = tmp_path / "flag.csv"
-    monkeypatch.setenv("DISWOT_SEED", "7")
-    assert run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot",
-                "--batch-size", "4", "--out", str(out_env)]) == 0
-    monkeypatch.delenv("DISWOT_SEED")
-    assert run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot",
-                "--batch-size", "4", "--seed", "7", "--out", str(out_flag)]) == 0
-    assert out_env.read_bytes() == out_flag.read_bytes()
+    for seed in ("7", str(2**64 - 1)):  # the largest seed either takes
+        monkeypatch.setenv("DISWOT_SEED", seed)
+        assert run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot",
+                    "--batch-size", "4", "--out", str(out_env)]) == 0
+        monkeypatch.delenv("DISWOT_SEED")
+        assert run(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot",
+                    "--batch-size", "4", "--seed", seed, "--out", str(out_flag)]) == 0
+        assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["score", "search", "rank"])
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616", "seven"])
+def test_env_seed_outside_range_exit_1(tmp_path, monkeypatch, capsys, command, value):
+    # The fallback takes the range --seed takes; outside it, the run stops before reading anything.
+    argv = {
+        "score": ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot"],
+        "search": ["search", "--space", "s0", "--fitness", "params", "--strategy", "random", "--budget", "2"],
+        "rank": ["rank", "--scores", "absent.csv", "--accuracy", "absent.csv"],
+    }[command]
+    monkeypatch.setenv("DISWOT_SEED", value)
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert f"error: DISWOT_SEED must be an integer in [0, 2**64), got {value!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_score_config_echo_excludes_jobs(tmp_path):
@@ -541,13 +557,20 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
      "--proxy params is given more than once"),
     (["score", "--space", "s0", "--arch", "1-3-5", "--arch", '{"space": "s0", "desc": [1, 3, 5]}', "--proxy", "nwot"],
      "--arch 1-3-5 is given more than once"),
+    # rng.stream keys on the seed's low 64 bits, so a seed outside [0, 2**64) would alias one inside it.
+    (["score", "--space", "s0", "--arch", "1-3-5", "--proxy", "nwot", "--seed", "0", "18446744073709551616"],
+     "argument --seed: must be an integer in [0, 2**64), got '18446744073709551616'"),
+    (["search", "--space", "s0", "--fitness", "params", "--seed", "-1"],
+     "argument --seed: must be an integer in [0, 2**64), got '-1'"),
+    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seed", "-1"],
+     "argument --seed: must be an integer in [0, 2**64), got '-1'"),
 ], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "random-population", "random-topk", "evo-budget",
         "temperature-0", "gaussian-std-0", "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0",
         "score-max-params", "jobs-0", "jobs-negative", "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2", "nb201-all-s0",
         "search-two-seeds", "rank-two-seeds", "gaussian-std-without-gaussian-init", "data-format-without-data",
         "data-without-batch-proxy", "search-batch-flags-without-batch-proxy", "teacher-without-teacher-proxy",
         "diswot-flags-without-diswot", "temperature-without-kd_kl", "repeated-seed",
-        "repeated-proxy", "repeated-arch"])
+        "repeated-proxy", "repeated-arch", "score-seed-2**64", "search-seed-negative", "rank-seed-negative"])
 def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, argv, says):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")
