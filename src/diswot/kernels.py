@@ -39,9 +39,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     budget, runs of whole output rows of one sample, at least one row. For
     k > 1 the chunk is channel-major, [Cin*k*k, rows], so the copy's
     innermost loop runs along an output row rather than along k pixels, and
-    BLAS gets its transpose. A 1x1 kernel's windows are channels-innermost,
-    like the NHWC activations, so its chunk is row-major, [rows, Cin]; on
-    1x1 stride-2 shortcuts a channel-major copy was 2-3x slower.
+    BLAS gets its transpose; a row-major copy made 3x3 convs 1.5-2x slower,
+    and slower than an index gather. A 1x1 kernel's windows are
+    channels-innermost, like the NHWC activations, so its chunk is
+    row-major, [rows, Cin]; on 1x1 stride-2 shortcuts a channel-major copy
+    was 2-3x slower.
 
     Every output bit is that of one matmul over the whole matrix. A GEMM
     row's sums run over k in an order that depends neither on how many rows
