@@ -1,8 +1,9 @@
 """Command-line front end: score candidates, run searches, rank proxies.
 
 The parser is the one list of each command's flags and of the values they
-accept, and _CONDITIONAL the one table of the flags a run reads only under a
-condition: a given flag the run does not read is a usage error. Every artifact
+accept, and _CONDITIONAL the one table of the score and search flags a run
+reads only under a condition; rank reads --seed only with --sample. A given
+flag the run does not read is a usage error. Every artifact
 embeds the run configuration (a sorted-key JSON comment at the top of CSVs, a
 config object in search summaries): every flag the run read except --jobs,
 --out and --summary, which change no output byte, with --all-s0 echoed as the
@@ -353,8 +354,14 @@ def cmd_search(args, parser) -> int:
 
 
 def cmd_rank(args, parser) -> int:
-    seed = _single_seed(args, parser)
-    rng = stream(derive_seed(seed, _RANK_TAG), 0)
+    # Only subsampling draws from the seed, so a run without --sample reads
+    # neither --seed nor DISWOT_SEED, and its echo holds no seed.
+    rng = None
+    if args.sample is not None:
+        args.seed = _single_seed(args, parser)
+        rng = stream(derive_seed(args.seed, _RANK_TAG), 0)
+    elif vars(args).pop("seed") is not None:
+        parser.error("--seed: read only with --sample")
     try:
         reports = evaluate_proxy(
             args.scores,
@@ -367,7 +374,7 @@ def cmd_rank(args, parser) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.out:
-        write_report_csv(args.out, report_rows(reports), _config(args, seed=seed))
+        write_report_csv(args.out, report_rows(reports), _config(args))
     print(format_report_table(reports))
     return 0
 
@@ -376,40 +383,29 @@ def cmd_rank(args, parser) -> int:
 # parser
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+def _checked(convert, valid, wants: str):
+    """An argparse type: convert(text) when that succeeds and valid accepts it, else the usage error 'must be wants'."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {wants}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    """An argparse type: an integer in [0, 2**64). rng.stream keys on 64 bits, so any other seed aliases one of these."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
-    return value
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+# An integer in [0, 2**64): rng.stream keys on 64 bits and rejects any other seed.
+_seed = _checked(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2**64)")
 
 
 def _at_least(low: int):
     """An argparse type: an integer no smaller than low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-        return value
-
-    return parse
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
 def _add_conditional(p, flag: str, about: str = "", **kwargs) -> None:
@@ -479,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"architectures sampled per repetition (the statistics need {MIN_ROWS})")
     rank.add_argument("--seeds", type=_at_least(1), default=None, help="number of sampling repetitions")
     rank.add_argument("--seed", type=_seed, action="append", default=None,
-                      help="rng seed for subsampling, in [0, 2**64) (env DISWOT_SEED as fallback, else 0)")
+                      help="subsampling seed in [0, 2**64), read only with --sample (env DISWOT_SEED as fallback, else 0)")
     rank.add_argument("--out", default=None, help="report CSV path")
     rank.set_defaults(func=cmd_rank, parser=rank)
 

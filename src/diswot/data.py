@@ -65,8 +65,6 @@ def synth_batch(
     seed: int = 0,
 ) -> Batch:
     """Standard-normal images with uniform labels, fully determined by seed."""
-    if batch_size < 2:
-        raise ValueError("a batch needs at least 2 samples")
     if n_classes < 1:
         raise ValueError("n_classes must be >= 1")
     g = stream(seed, _SYNTH_STREAM)
@@ -115,8 +113,6 @@ def load_cifar_batch(
     n_records = len(raw) // record
     if batch_size > n_records:
         raise ValueError(f"batch of {batch_size} exceeds the {n_records} records in {path}")
-    if batch_size < 2:
-        raise ValueError("a batch needs at least 2 samples")
 
     records = np.frombuffer(raw, dtype=np.uint8).reshape(n_records, record)
     picked = stream(seed, _CIFAR_STREAM).choice(n_records, size=batch_size, replace=False)

@@ -38,10 +38,10 @@ activations are held.
 A PrefixCache keeps the stage-end activations of recent forwards, keyed by
 plan prefix, under the byte budget its docstring states. A forward given
 one resumes at the deepest block or cell boundary of its plan whose prefix
-the cache holds, and runs only the ops after it. A conv draws its weight
-where it runs and drops it afterwards, so a forward never draws the
-weights of the ops it skips, and no conv weight outlives its conv. Only
-relu_codes records ReLU codes, so a student that needs both takes
+the cache holds, and runs only the ops after it. Every weight is drawn
+where it is used and dropped afterwards, so a forward never draws the
+weights of the ops it skips, and relu_codes draws no classifier weight.
+Only relu_codes records ReLU codes, so a student that needs both takes
 relu_codes first: its activations then run no op. trie_order sorts
 networks so that those sharing the longest prefixes run one after another.
 """
@@ -214,8 +214,8 @@ def _compile(desc: ArchDescriptor, space: SearchSpace) -> tuple[_Op, ...]:
     return tuple(b.ops)
 
 
-def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
-    """Return (one-live points, deepest first; stage ends) over op indices.
+def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]], int]:
+    """Return one-live points (deepest first) and stage ends over op indices, and ReLU units per sample.
 
     A one-live point is an op after which its output is the one live slot:
     a block or cell boundary, or an op of the stem. A stage end is a
@@ -226,11 +226,12 @@ def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tu
     """
     one_live, ends = [], {}
     live = {0}
-    codes = 0
+    codes = units = 0
     for i, op in enumerate(plan):
         size = op.channels * op.hw[0] * op.hw[1]
         if op.kind == "relu":
             codes += -(-size // 8)
+            units += size
         live.difference_update(frees[i])
         live.add(op.out)
         if len(live) == 1:
@@ -238,7 +239,7 @@ def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tu
             nxt = plan[i + 1] if i + 1 < len(plan) else None
             if nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.channels != op.channels):
                 ends[i] = (8 * size, codes)
-    return tuple(reversed(one_live)), ends
+    return tuple(reversed(one_live)), ends, units
 
 
 class _Checkpoint(NamedTuple):
@@ -333,9 +334,8 @@ class PrefixCache:
 class NetworkInstance:
     """A built, seeded network; its weights are fixed by (descriptor, init).
 
-    Conv weights are drawn where they are used and dropped afterwards, so a
-    forward resumed from a PrefixCache never draws the weights of the ops it
-    skips, and only the classifier weight lives as long as the instance.
+    It holds no weight: a forward draws the weights of the ops it runs, and
+    only activations draws the classifier's (see the module docstring).
     relu_units is the number of ReLU units per sample, summed over the plan.
     """
 
@@ -345,10 +345,7 @@ class NetworkInstance:
         self.init = init
         self._plan = _compile(descriptor, space)
         self._frees = _last_reads(self._plan)
-        self._one_live, self._stage_ends = _boundaries(self._plan, self._frees)
-        self.relu_units = sum(op.channels * op.hw[0] * op.hw[1] for op in self._plan if op.kind == "relu")
-        last = self._plan[-1]  # a bn follows every conv, so last.stream counts every conv
-        self._fc_weight = init_tensor((space.num_classes, last.channels), init, last.stream)
+        self._one_live, self._stage_ends, self.relu_units = _boundaries(self._plan, self._frees)
 
     def _forward(self, images: Tensor, record: bool, cache: PrefixCache | None):
         """Return (pre-GAP map, packed ReLU codes in plan order or None)."""
@@ -383,9 +380,11 @@ class NetworkInstance:
     def activations(self, images: Tensor, labels: np.ndarray, *, cache: PrefixCache | None = None) -> ActivationBundle:
         pre_gap = self._forward(images, False, cache)[0]
         features = global_avg_pool(pre_gap)
-        logits = linear(features, self._fc_weight)
+        last = self._plan[-1]  # a bn follows every conv, so last.stream counts every conv
+        fc_weight = init_tensor((self.space.num_classes, last.channels), self.init, last.stream)
+        logits = linear(features, fc_weight)
         grad = fc_weight_grad(features, logits, labels)
-        return ActivationBundle(features, pre_gap, logits, self._fc_weight, grad)
+        return ActivationBundle(features, pre_gap, logits, fc_weight, grad)
 
     def relu_codes(self, images: Tensor, *, cache: PrefixCache | None = None) -> np.ndarray:
         """Binary activation pattern per sample, packed to bits, concatenated over every ReLU.

@@ -161,7 +161,9 @@ class _Series:
     """One (file, seed) score series, joined to the accuracy table once.
 
     Holds the series' arch ids, their scores and accuracies as arrays, and
-    which ids the accuracy table has; draw() then only picks indices.
+    which ids the accuracy table has; draw() then only picks indices. A row
+    marked higher_is_better false holds its value negated, so a higher score
+    always predicts a higher accuracy.
     """
 
     def __init__(self, rows, accuracy: Mapping[str, float]):
@@ -172,7 +174,7 @@ class _Series:
             raise ValueError(f"duplicate arch_id {dup!r} within one seed's scores")
         found = [accuracy.get(i) for i in ids]
         self.ids = ids
-        self.scores = np.array([r.value for r in rows])
+        self.scores = np.array([r.value if r.higher_is_better else -r.value for r in rows])
         self.present = np.array([t is not None for t in found])
         self.targets = np.array([np.nan if t is None else t for t in found])
 

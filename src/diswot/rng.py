@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:
-    """Return the generator for the (seed, stream_id) Philox key."""
-    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
+    """Return the generator for the (seed, stream_id) Philox key; a key outside [0, 2**64) would alias one inside."""
+    if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
+        raise ValueError(f"Philox keys must lie in [0, 2**64), got seed {seed} and stream id {stream_id}")
+    key = np.array([seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

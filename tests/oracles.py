@@ -399,8 +399,8 @@ def named_weights(net):
     """All trainable tensors of a built network at init, in plan order.
 
     Conv weights are drawn afresh from their streams, then come the batch-norm
-    affine pairs, the classifier weight and its bias: the parameter-count
-    oracle for count_params.
+    affine pairs, the classifier weight, drawn from the stream after the last
+    conv's, and its bias: the parameter-count oracle for count_params.
     """
     for op in net._plan:
         if op.kind == "conv":
@@ -409,5 +409,6 @@ def named_weights(net):
     for i, op in enumerate(bns):
         yield f"bn{i}.gamma", np.ones(op.channels)
         yield f"bn{i}.beta", np.zeros(op.channels)
-    yield "fc.weight", net._fc_weight
+    last = net._plan[-1]
+    yield "fc.weight", init_tensor((net.space.num_classes, last.channels), net.init, last.stream)
     yield "fc.bias", np.zeros(net.space.num_classes)

@@ -263,7 +263,7 @@ def test_env_seed_outside_range_exit_1(tmp_path, monkeypatch, capsys, command, v
     argv = {
         "score": ["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot"],
         "search": ["search", "--space", "s0", "--fitness", "params", "--strategy", "random", "--budget", "2"],
-        "rank": ["rank", "--scores", "absent.csv", "--accuracy", "absent.csv"],
+        "rank": ["rank", "--scores", "absent.csv", "--accuracy", "absent.csv", "--sample", "3"],
     }[command]
     monkeypatch.setenv("DISWOT_SEED", value)
     assert run([*argv, "--out", str(tmp_path / "out")]) == 1
@@ -535,7 +535,10 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
     (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--sample", "2"], "--sample"),
     (["score", "--space", "nb201", "--all-s0"], "--all-s0 requires --space s0"),
     (["search", "--space", "s0", "--fitness", "params", "--seed", "1", "2"], "a single --seed"),
-    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seed", "1", "--seed", "2"], "a single --seed"),
+    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--sample", "3", "--seed", "1", "--seed", "2"],
+     "a single --seed"),
+    # Only subsampling reads the seed; the tables are not read first.
+    (["rank", "--scores", "absent.csv", "--accuracy", "absent.csv", "--seed", "5"], "--seed: read only with --sample"),
     (["score", "--space", "s0", "--arch", "1-1-1", "--gaussian-std", "0.2"], "--gaussian-std: read only with --init gaussian"),
     (["search", "--space", "s0", "--data-format", "cifar10"], "--data-format: read only with --data"),
     # One case per condition of cli._CONDITIONAL not covered above.
@@ -557,7 +560,7 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
      "--proxy params is given more than once"),
     (["score", "--space", "s0", "--arch", "1-3-5", "--arch", '{"space": "s0", "desc": [1, 3, 5]}', "--proxy", "nwot"],
      "--arch 1-3-5 is given more than once"),
-    # rng.stream keys on the seed's low 64 bits, so a seed outside [0, 2**64) would alias one inside it.
+    # rng.stream keys on 64 bits and rejects any other seed.
     (["score", "--space", "s0", "--arch", "1-3-5", "--proxy", "nwot", "--seed", "0", "18446744073709551616"],
      "argument --seed: must be an integer in [0, 2**64), got '18446744073709551616'"),
     (["search", "--space", "s0", "--fitness", "params", "--seed", "-1"],
@@ -570,7 +573,8 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
         "search-two-seeds", "rank-two-seeds", "gaussian-std-without-gaussian-init", "data-format-without-data",
         "data-without-batch-proxy", "search-batch-flags-without-batch-proxy", "teacher-without-teacher-proxy",
         "diswot-flags-without-diswot", "temperature-without-kd_kl", "repeated-seed",
-        "repeated-proxy", "repeated-arch", "score-seed-2**64", "search-seed-negative", "rank-seed-negative"])
+        "repeated-proxy", "repeated-arch", "score-seed-2**64", "search-seed-negative", "rank-seed-negative",
+        "rank-seed-without-sample"])
 def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, argv, says):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")
@@ -725,7 +729,7 @@ def test_rank_sample_and_seeds_in_metadata(tmp_path):
 def test_rank_two_seeds_exit_2(tmp_path, seed_args):
     score_paths, acc_path = write_rank_fixture(tmp_path, n=10, seeds=(0,))
     with pytest.raises(SystemExit) as exc:
-        run(["rank", "--scores", str(score_paths[0]), "--accuracy", str(acc_path), *seed_args])
+        run(["rank", "--scores", str(score_paths[0]), "--accuracy", str(acc_path), "--sample", "5", *seed_args])
     assert exc.value.code == 2
 
 
@@ -739,6 +743,17 @@ def test_rank_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("DISWOT_SEED", "5")
     assert run(common + ["--out", str(out_env)]) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+def test_rank_without_sample_reads_no_seed(tmp_path, monkeypatch):
+    # Without --sample nothing is drawn: DISWOT_SEED is not read, and the echo holds no seed.
+    score_paths, acc_path = write_rank_fixture(tmp_path, n=10, seeds=(0,))
+    monkeypatch.setenv("DISWOT_SEED", "seven")
+    out = tmp_path / "report.csv"
+    assert run(["rank", "--scores", str(score_paths[0]), "--accuracy", str(acc_path), "--out", str(out)]) == 0
+    config = json.loads(out.read_text().splitlines()[0][len("# config: "):])
+    assert config == {"command": "rank", "scores": [str(score_paths[0])], "accuracy": str(acc_path),
+                      "sample": None, "seeds": None}
 
 
 def test_rank_missing_file_exit_1(tmp_path, capsys):

@@ -46,9 +46,12 @@ def test_synth_batch_pixel_statistics():
     assert abs(batch.images.mean()) < 3.0 / np.sqrt(n)
 
 
-def test_synth_batch_min_size():
-    with pytest.raises(ValueError):
-        synth_batch(1, 3, 8, 8, 10, seed=0)
+def test_synth_batch_min_size(tmp_path):
+    # Both loaders build a Batch, which holds the one floor on its size.
+    path, _ = make_cifar10_file(tmp_path, 3)
+    for make in (lambda: synth_batch(1, 3, 8, 8, 10, seed=0), lambda: load_cifar_batch(path, 1)):
+        with pytest.raises(ValueError, match="^a batch needs at least 2 samples$"):
+            make()
 
 
 # ---------------------------------------------------------------------------

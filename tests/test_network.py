@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -468,7 +469,7 @@ S0_STAGE_END_BYTES = 2 * 8 * (16 * 32**2 + 32 * 16**2 + 64 * 8**2)
 
 def _bundle_bytes(bundle) -> list[bytes]:
     return [bundle.penultimate_features.tobytes(), bundle.pre_gap_map.tobytes(),
-            bundle.logits.tobytes(), bundle.fc_weight_grad.tobytes()]
+            bundle.logits.tobytes(), bundle.fc_weight.tobytes(), bundle.fc_weight_grad.tobytes()]
 
 
 def _arch_list(space, seed: int, size: int) -> list:
@@ -547,18 +548,16 @@ def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
     batch = synth_batch(2, 3, 32, 32, num_classes, seed=seed % 7)
     init = InitSpec(seed=seed % 5)
     archs = [(space, desc) for k, space in enumerate(spaces) for desc in _arch_list(space, seed + k, size)]
-    # A network holds one weight, its classifier's: each conv weight is drawn
-    # in the forward that runs the conv and dropped after it. So "w" compares
-    # the classifier weight, the only weight a cached forward could change.
-    fresh = {}  # (space, desc, "a" | "c" | "w") -> bytes of a network run without a cache
+    # A network holds no weight: each is drawn in the forward that uses it and
+    # dropped after it, so the bundle bytes include the classifier weight.
+    fresh = {}  # (space, desc, "a" | "c") -> bytes of a network run without a cache
 
     def reference(space, desc, what):
         if (space, desc, what) not in fresh:
             net = NetworkInstance(desc, space, init)
             fresh[space, desc, what] = (
                 _bundle_bytes(net.activations(batch.images, batch.labels)) if what == "a"
-                else net.relu_codes(batch.images).tobytes() if what == "c"
-                else net._fc_weight.tobytes()
+                else net.relu_codes(batch.images).tobytes()
             )
         return fresh[space, desc, what]
 
@@ -575,7 +574,6 @@ def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
                     got = net.relu_codes(batch.images, cache=cache).tobytes()
                 assert got == reference(space, desc, step)
                 _assert_checkpoints_bounded(cache, net, stage_ends)
-            assert net._fc_weight.tobytes() == reference(space, desc, "w")
 
 
 @pytest.mark.parametrize("batch_size", [2, 3])
@@ -616,6 +614,17 @@ def test_score_all_s0_runs_the_trie_minimum(monkeypatch, tmp_path):
     assert code == 0
     assert len(convs) == 360
     assert sum(normals) == 9_601_120
+
+
+def test_forward_draws_the_weights_of_the_ops_it_runs(monkeypatch, tmp_path):
+    # Each conv draws its weight where it runs, and the classifier weight is
+    # drawn only by activations: nwot reads codes alone, so it draws none.
+    calls = Counter()
+    for name in ("conv2d", "init_tensor"):
+        monkeypatch.setattr(network, name, lambda *a, _fn=getattr(network, name), _name=name: calls.update([_name]) or _fn(*a))
+    assert cli.main(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot", "--batch-size", "2",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls["init_tensor"] == calls["conv2d"] == 9
 
 
 @pytest.fixture

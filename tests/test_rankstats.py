@@ -229,6 +229,18 @@ def test_evaluate_proxy_perfect_agreement(tmp_path):
         assert coeff.std == pytest.approx(0.0, abs=1e-12)
 
 
+def test_evaluate_proxy_reads_higher_is_better(tmp_path):
+    # A lower-is-better table holding the negated values ranks the same way.
+    ids = [f"arch{i}" for i in range(10)]
+    acc = accuracy_map(ids, [float(i) for i in range(10)])
+    values = [3.0, 1.0, 2.0, 0.5, 4.0, 7.0, 6.0, 5.5, 9.0, 8.0]
+    tables = [[ScoreRow(a, "diswot", sign * v, sign > 0, 0) for a, v in zip(ids, values)] for sign in (1, -1)]
+    higher, lower = (report_rows(evaluate_proxy([write_fixture(tmp_path, f"{n}.csv", rows)], acc))
+                     for n, rows in zip(("higher", "lower"), tables))
+    assert lower == higher
+    assert higher[0][2] > 0
+
+
 def test_evaluate_proxy_single_seed_zero_std(tmp_path):
     ids = ["a", "b", "c", "d"]
     rows = [ScoreRow(a, "nwot", float(i * i), True, 0) for i, a in enumerate(ids)]

@@ -1,11 +1,14 @@
 """Seeded stream and weight-init tests."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from diswot.arch import s0_space
 from diswot.rng import InitSpec, derive_seed, fan_in, init_tensor, stream
+from diswot.search import random_search
 
 
 def test_stream_determinism():
@@ -26,6 +29,18 @@ def test_derive_seed_reproducible_and_spread():
     assert derive_seed(0, 1) == derive_seed(0, 1)
     children = {derive_seed(5, i) for i in range(64)}
     assert len(children) == 64
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: derive_seed(-1, 5), "seed -1"),
+    (lambda: stream(0, 2**64), f"stream id {2**64}"),
+    (lambda: init_tensor((4, 3), InitSpec(seed=-1), 0), "seed -1"),
+    (lambda: random_search(s0_space(), lambda desc: 0.0, 1, seed=2**64), f"seed {2**64}"),
+], ids=["derive_seed", "stream", "init_tensor", "random_search"])
+def test_keys_outside_64_bits_are_rejected(call, named):
+    # Masked to 64 bits, derive_seed(-1, 5) would equal derive_seed(2**64 - 1, 5).
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
 
 
 def test_fan_in():
