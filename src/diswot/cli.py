@@ -3,13 +3,13 @@
 The parser is the one list of each command's flags and of the values they
 accept, and _CONDITIONAL the one table of the score and search flags a run
 reads only under a condition; rank reads --seed only with --sample. A given
-flag the run does not read is a usage error. Every artifact
-embeds the run configuration (a sorted-key JSON comment at the top of CSVs, a
-config object in search summaries): every flag the run read except --jobs,
---out and --summary, which change no output byte, with --all-s0 echoed as the
-archs it expands to and --teacher as the resolved teacher's arch id. All
-randomness flows from --seed through named child streams, so rerunning a
-command with the same flags reproduces its outputs byte for byte.
+flag the run does not read is a usage error. Every artifact embeds the run
+configuration (a sorted-key JSON comment at the top of CSVs, a config object
+in search summaries): every flag the run read except --jobs, --out and
+--summary, which change no output byte, with --all-s0 echoed as the archs it
+expands to and --teacher as the resolved teacher's arch id. All randomness
+flows from --seed through named child streams, so rerunning a command with
+the same flags reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error (every flag
 value the parser or a cross-flag check rejects).
@@ -384,7 +384,7 @@ def cmd_rank(args, parser) -> int:
 
 
 def _checked(convert, valid, wants: str):
-    """An argparse type: convert(text) when that succeeds and valid accepts it, else the usage error 'must be wants'."""
+    """An argparse type: convert(text) if it succeeds and valid accepts it, else 'must be {wants}, got {text!r}'."""
 
     def parse(text: str):
         try:

@@ -16,7 +16,7 @@ import numpy as np
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:
-    """Return the generator for the (seed, stream_id) Philox key; a key outside [0, 2**64) would alias one inside."""
+    """Return the generator for the (seed, stream_id) Philox key, each in [0, 2**64): masking would alias any other."""
     if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
         raise ValueError(f"Philox keys must lie in [0, 2**64), got seed {seed} and stream id {stream_id}")
     key = np.array([seed, stream_id], dtype=np.uint64)
