@@ -354,7 +354,8 @@ def rank_join_naive(rows, accuracy, sample_size, rng):
     """(targets, scores) of one seed's rows joined on arch_id, after sampling.
 
     The join done afresh in every repetition: check the ids for duplicates,
-    draw sorted sample indices, then look each sampled id up.
+    draw sorted sample indices, then look each sampled id up. A score marked
+    lower-is-better is flipped in sign.
     """
     ids = [r.arch_id for r in rows]
     if len(set(ids)) != len(ids):
@@ -369,7 +370,7 @@ def rank_join_naive(rows, accuracy, sample_size, rng):
         if i not in accuracy:
             raise KeyError(f"arch_id {i!r} missing from the accuracy table")
         targets.append(accuracy[i])
-    return np.array(targets), np.array([r.value for r in rows])
+    return np.array(targets), np.array([r.value * (1 if r.higher_is_better else -1) for r in rows])
 
 
 def rank_repetitions_naive(tables, accuracy, sample_size=None, rng=None, n_repeats=None):

@@ -621,7 +621,11 @@ def test_forward_draws_the_weights_of_the_ops_it_runs(monkeypatch, tmp_path):
     # drawn only by activations: nwot reads codes alone, so it draws none.
     calls = Counter()
     for name in ("conv2d", "init_tensor"):
-        monkeypatch.setattr(network, name, lambda *a, _fn=getattr(network, name), _name=name: calls.update([_name]) or _fn(*a))
+        def counted(*args, _fn=getattr(network, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(network, name, counted)
     assert cli.main(["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot", "--batch-size", "2",
                      "--out", str(tmp_path / "s.csv")]) == 0
     assert calls["init_tensor"] == calls["conv2d"] == 9

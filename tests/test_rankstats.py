@@ -331,7 +331,7 @@ def expected_reports(repetitions):
 
 @st.composite
 def tied_rank_tables(draw):
-    """Score tables over a tied accuracy table: several files, seeds and proxies, rows shuffled."""
+    """Score tables over a tied accuracy table: several files, seeds and proxies, either score sign, rows shuffled."""
     n = draw(st.integers(4, 16))
     ids = [f"arch{i}" for i in range(n)]
     accuracy = {i: draw(st.sampled_from([60.0, 61.5, 65.0, 70.25, 75.5, 80.0])) for i in ids}
@@ -340,7 +340,7 @@ def tied_rank_tables(draw):
         rows = []
         for proxy in draw(st.lists(st.sampled_from(["diswot", "nwot", "params"]), min_size=1, max_size=3, unique=True)):
             for seed in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
-                rows += [ScoreRow(i, proxy, float(draw(st.integers(-5, 5))), True, seed) for i in ids]
+                rows += [ScoreRow(i, proxy, float(draw(st.integers(-5, 5))), draw(st.booleans()), seed) for i in ids]
         tables.append(draw(st.permutations(rows)))
     subsample = st.integers(max(3, n // 2), n - 1)
     sample = draw(st.one_of(st.none(), st.just(n), subsample, subsample))
