@@ -1,9 +1,9 @@
 """Command-line front end: score candidates, run searches, rank proxies.
 
 The parser is the one list of each command's flags and of the values they
-accept, and _CONDITIONAL the one table of the score and search flags a run
-reads only under a condition; rank reads --seed only with --sample. A given
-flag the run does not read is a usage error. Every artifact embeds the run
+accept, and _CONDITIONAL the one table of the flags a run reads only under a
+condition. A given flag the run does not read, a value given twice and a file
+that two flags name are usage errors. Every artifact embeds the run
 configuration (a sorted-key JSON comment at the top of CSVs, a config object
 in search summaries): every flag the run read except --jobs, --out and
 --summary, which change no output byte, with --all-s0 echoed as the archs it
@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -62,9 +61,9 @@ _S0_TEACHERS = {"resnet56": (9, 9, 9), "resnet110": (18, 18, 18)}
 _EVO_CACHE_BYTES = 128 * 2**20
 
 
-# The flags of score and search that a run reads only under a condition, as
-# rows (the condition as a usage error names it, whether a run with flags f and
-# proxies p meets it, {dest: default}); a condition may test an earlier flag.
+# The flags that a run reads only under a condition, as rows (the condition as
+# a usage error names it, whether a run with flags f and proxies p meets it,
+# {dest: default}); a condition may test an earlier flag.
 _CONDITIONAL = (
     ("by a proxy that reads a batch", lambda f, p: any(PROXIES[name] != COST for name in p),
      dict(batch_size=64, data=None, init=InitSpec.scheme)),
@@ -76,6 +75,7 @@ _CONDITIONAL = (
     ("by kd_kl", lambda f, p: "kd_kl" in p, dict(temperature=ProxyOptions.temperature)),
     ("with --strategy evo", lambda f, p: f.get("strategy") == "evo", dict(population=20, iters=100, sample_ratio=0.5, topk=5)),
     ("with --strategy random", lambda f, p: f.get("strategy") == "random", dict(budget=None)),
+    ("with --sample", lambda f, p: f.get("sample") is not None, dict(seed=None, seeds=None)),
 )
 
 # Parsed values that no artifact echoes: func is the command's handler and
@@ -116,13 +116,32 @@ def _build_space(args, constraints: Constraints = Constraints()):
 
 
 def _read_flags(args, parser, proxies) -> None:
-    """Fill in the defaults of the _CONDITIONAL flags a run of proxies reads; reject a given flag it does not read."""
+    """Fill in the defaults of the command's _CONDITIONAL flags (no parser default) a run reads; reject a given one it does not."""
     flags = vars(args)
     for needs, reads, defaults in _CONDITIONAL:
+        defaults = {k: v for k, v in defaults.items() if parser.get_default(k) is argparse.SUPPRESS}
         if reads(flags, proxies):
-            flags.update({k: v for k, v in defaults.items() if k not in flags and parser.get_default(k) is argparse.SUPPRESS})
+            flags.update({k: v for k, v in defaults.items() if k not in flags})
         elif stray := [f"--{dest.replace('_', '-')}" for dest in defaults if dest in flags]:
             parser.error(f"{', '.join(stray)}: read only {needs}")
+
+
+_FILE_FLAGS = frozenset({"--data", "--out", "--summary", "--scores", "--accuracy"})
+
+
+def _each_once(parser, given: dict) -> None:
+    """Exit 2 if a flag of given ({flag: values}) repeats a value, or two _FILE_FLAGS name one file by resolved path.
+
+    A repeated value would write or count its rows twice; a file named twice would lose an input or an output.
+    """
+    seen = {}
+    for flag, values in given.items():
+        for value in (v for v in values if v is not None):
+            key = Path(value).resolve() if flag in _FILE_FLAGS else (flag, value)
+            if key in seen:
+                parser.error(f"{flag} {value} is given more than once" if seen[key] == flag
+                             else f"{seen[key]} and {flag} both name {value}")
+            seen[key] = flag
 
 
 def _resolve_teacher(space, args):
@@ -237,10 +256,8 @@ def cmd_score(args, parser) -> int:
     seeds = _resolve_seeds(args.seeds)
     space = _build_space(args)
     archs = _resolve_archs(space, args, parser)
-    # A repeated value would write each of its rows twice, which rank rejects.
-    for flag, values in (("--proxy", proxies), ("--seed", seeds), ("--arch", [arch_id(d) for d in archs])):
-        if repeated := [value for value, n in Counter(values).items() if n > 1]:
-            parser.error(f"{flag} {repeated[0]} is given more than once")
+    _each_once(parser, {"--proxy": proxies, "--seed": seeds, "--arch": [arch_id(d) for d in archs],
+                        "--data": [vars(args).get("data")], "--out": [args.out]})
     teacher = _resolve_teacher(space, args)
 
     # Scored in prefix-trie order, so each student resumes as deep as it can;
@@ -283,6 +300,9 @@ def cmd_score(args, parser) -> int:
 
 def cmd_search(args, parser) -> int:
     _read_flags(args, parser, [args.fitness])
+    out = Path(args.out)
+    summary_path = Path(args.summary) if args.summary else out.with_suffix(".summary.json")
+    _each_once(parser, {"--data": [vars(args).get("data")], "--out": [out], "--summary": [summary_path]})
     space = _build_space(args, Constraints(args.max_params, args.max_flops, args.max_depth))
     smallest = min_descriptor(space)
     if not satisfies_constraints(smallest, space):
@@ -326,7 +346,6 @@ def cmd_search(args, parser) -> int:
     else:
         state = random_search(space, fitness, args.budget, seed)
 
-    out = Path(args.out)
     with open(out, "w") as f:
         for record in state.log:
             f.write(json.dumps(record, sort_keys=True) + "\n")
@@ -342,7 +361,6 @@ def cmd_search(args, parser) -> int:
         "evaluations": state.evaluations,
         "iterations": len(state.log),
     }
-    summary_path = Path(args.summary) if args.summary else out.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"best {arch_id(best_desc)} score {best_score:.17g} after {state.evaluations} evaluations")
     print(f"wrote {out} and {summary_path}")
@@ -354,21 +372,21 @@ def cmd_search(args, parser) -> int:
 
 
 def cmd_rank(args, parser) -> int:
+    _read_flags(args, parser, ())
     # Only subsampling draws from the seed, so a run without --sample reads
     # neither --seed nor DISWOT_SEED, and its echo holds no seed.
     rng = None
     if args.sample is not None:
         args.seed = _single_seed(args, parser)
         rng = stream(derive_seed(args.seed, _RANK_TAG), 0)
-    elif vars(args).pop("seed") is not None:
-        parser.error("--seed: read only with --sample")
+    _each_once(parser, {"--scores": args.scores, "--accuracy": [args.accuracy], "--out": [args.out]})
     try:
         reports = evaluate_proxy(
             args.scores,
             load_accuracy_csv(args.accuracy),
             sample_size=args.sample,
             rng=rng,
-            n_repeats=args.seeds,
+            n_repeats=vars(args).get("seeds"),
         )
     except MissingArchError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -472,10 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--scores", nargs="+", required=True, help="score CSVs (one or more)")
     rank.add_argument("--accuracy", required=True, help="accuracy CSV (arch_id,accuracy)")
     rank.add_argument("--sample", type=_at_least(MIN_ROWS), default=None,
-                      help=f"architectures sampled per repetition (the statistics need {MIN_ROWS})")
-    rank.add_argument("--seeds", type=_at_least(1), default=None, help="number of sampling repetitions")
-    rank.add_argument("--seed", type=_seed, action="append", default=None,
-                      help="subsampling seed in [0, 2**64), read only with --sample (env DISWOT_SEED as fallback, else 0)")
+                      help=f"architectures per draw, fewer than any series holds (the statistics need {MIN_ROWS})")
+    _add_conditional(rank, "--seeds", "number of draws, default one draw per series", type=_at_least(1))
+    _add_conditional(rank, "--seed", "subsampling seed in [0, 2**64) (env DISWOT_SEED as fallback, else 0)",
+                     type=_seed, action="append")
     rank.add_argument("--out", default=None, help="report CSV path")
     rank.set_defaults(func=cmd_rank, parser=rank)
 

@@ -179,14 +179,14 @@ class _Series:
         self.targets = np.array([np.nan if t is None else t for t in found])
 
     def draw(self, sample_size: int | None, rng) -> tuple[np.ndarray, np.ndarray]:
-        """(targets, scores) of one repetition: a sorted sample without replacement, or the whole series."""
+        """(targets, scores) of one repetition: the whole series, or a sorted sample without replacement smaller than it."""
         n = len(self.ids)
-        if sample_size is not None and sample_size < n:
-            if rng is None:
-                raise ValueError("subsampling needs an rng")
+        if sample_size is None:
+            picked = np.arange(n)
+        elif sample_size < n:
             picked = np.sort(rng.choice(n, size=sample_size, replace=False))
         else:
-            picked = np.arange(n)
+            raise ValueError(f"sample size {sample_size} must be below the series' row count, {n}")
         missing = ~self.present[picked]
         if missing.any():
             first = self.ids[picked[np.argmax(missing)]]
@@ -207,13 +207,19 @@ def evaluate_proxy(
 
     Each score CSV is streamed once. Rows are grouped into per-seed series by
     (file, seed column). The first repetition that uses a series checks it
-    for duplicate arch_ids and joins it to the accuracy table; every
-    repetition then samples it down to sample_size without replacement (when
-    given) and reduces it to the three coefficients. Means and stds
-    (population) aggregate over repetitions. n_repeats, when given, runs that
-    many sampling repetitions, cycling over the available series; this is how
-    one score file can back several subsampled evaluations.
+    for duplicate arch_ids and joins it to the accuracy table. Without
+    sample_size each series is one repetition, and n_repeats is rejected: a
+    series repeated whole only copies its coefficients. With it, n_repeats
+    repetitions (default one per series) cycle over the series, each drawing
+    sample_size rows without replacement, fewer than its series holds. Means
+    and stds (population) of the three coefficients aggregate over them.
     """
+    if sample_size is None and n_repeats is not None:
+        raise ValueError("n_repeats needs sample_size: without sampling each series is one repetition")
+    if sample_size is not None and rng is None:
+        raise ValueError("subsampling needs an rng")
+    if n_repeats is not None and n_repeats < 1:
+        raise ValueError("n_repeats must be >= 1")
     by_proxy: dict[str, dict[tuple[int, int], list]] = {}
     for path_idx, path in enumerate(score_csv_paths):
         for row in read_scores_csv(path):
@@ -226,8 +232,6 @@ def evaluate_proxy(
     for proxy in sorted(by_proxy):
         groups = [by_proxy[proxy][key] for key in sorted(by_proxy[proxy])]
         repeats = len(groups) if n_repeats is None else n_repeats
-        if repeats < 1:
-            raise ValueError("n_repeats must be >= 1")
         joined: dict[int, _Series] = {}
         taus, rhos, rs, sizes = [], [], [], []
         for rep in range(repeats):

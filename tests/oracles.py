@@ -354,14 +354,17 @@ def rank_join_naive(rows, accuracy, sample_size, rng):
     """(targets, scores) of one seed's rows joined on arch_id, after sampling.
 
     The join done afresh in every repetition: check the ids for duplicates,
-    draw sorted sample indices, then look each sampled id up. A score marked
-    lower-is-better is flipped in sign.
+    draw sorted sample indices, then look each sampled id up. Without
+    sample_size the whole series is joined; a sample must be smaller than
+    the series. A score marked lower-is-better is flipped in sign.
     """
     ids = [r.arch_id for r in rows]
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if ids.count(i) > 1)
         raise ValueError(f"duplicate arch_id {dup!r} within one seed's scores")
-    if sample_size is not None and sample_size < len(ids):
+    if sample_size is not None and sample_size >= len(ids):
+        raise ValueError(f"sample size {sample_size} must be below the series' row count, {len(ids)}")
+    if sample_size is not None:
         picked = rng.choice(len(ids), size=sample_size, replace=False)
         rows = [rows[int(i)] for i in np.sort(picked)]
         ids = [r.arch_id for r in rows]
@@ -377,9 +380,12 @@ def rank_repetitions_naive(tables, accuracy, sample_size=None, rng=None, n_repea
     """{proxy: [(targets, scores) of each repetition]} for score tables given as row lists.
 
     Proxies go in sorted order; each proxy's series are its (table index,
-    seed) groups in sorted order, and repetition k joins series k modulo
-    their count.
+    seed) groups in sorted order. Without sample_size each series is one
+    repetition, and n_repeats is an error; with it, repetition k of
+    n_repeats (default one per series) samples series k modulo their count.
     """
+    if sample_size is None and n_repeats is not None:
+        raise ValueError("n_repeats needs sample_size: without sampling each series is one repetition")
     series = {}
     for index, rows in enumerate(tables):
         for r in rows:

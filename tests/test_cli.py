@@ -567,6 +567,18 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
      "argument --seed: must be an integer in [0, 2**64), got '-1'"),
     (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seed", "-1"],
      "argument --seed: must be an integer in [0, 2**64), got '-1'"),
+    # Without --sample each series is one repetition, so --seeds draws nothing.
+    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--seeds", "3"], "--seeds: read only with --sample"),
+    # A series given twice would be counted twice; an output naming an input would replace it.
+    (["rank", "--scores", "scores0.csv", "scores0.csv", "--accuracy", "acc.csv"],
+     "--scores scores0.csv is given more than once"),
+    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--out", "acc.csv"], "--accuracy and --out both name acc.csv"),
+    (["rank", "--scores", "scores0.csv", "--accuracy", "acc.csv", "--out", "./scores0.csv"],
+     "--scores and --out both name ./scores0.csv"),
+    (["search", "--space", "s0", "--fitness", "params", "--strategy", "random", "--budget", "2",
+      "--out", "same.json", "--summary", "same.json"], "--out and --summary both name same.json"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot", "--data", "acc.csv", "--out", "acc.csv"],
+     "--data and --out both name acc.csv"),
 ], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "random-population", "random-topk", "evo-budget",
         "temperature-0", "gaussian-std-0", "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0",
         "score-max-params", "jobs-0", "jobs-negative", "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2", "nb201-all-s0",
@@ -574,7 +586,8 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
         "data-without-batch-proxy", "search-batch-flags-without-batch-proxy", "teacher-without-teacher-proxy",
         "diswot-flags-without-diswot", "temperature-without-kd_kl", "repeated-seed",
         "repeated-proxy", "repeated-arch", "score-seed-2**64", "search-seed-negative", "rank-seed-negative",
-        "rank-seed-without-sample"])
+        "rank-seed-without-sample", "rank-seeds-without-sample", "rank-repeated-scores", "rank-out-is-accuracy",
+        "rank-out-is-scores", "search-out-is-summary", "score-out-is-data"])
 def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, argv, says):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")
@@ -584,9 +597,10 @@ def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, a
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     write_rank_fixture(inputs, seeds=(0,))
+    given = {path.name: path.read_bytes() for path in inputs.iterdir()}
     monkeypatch.chdir(inputs)
     with pytest.raises(SystemExit) as exc:
-        run([*argv, "--out", str(tmp_path / "out")])
+        run(argv if "--out" in argv else [*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert says in err
@@ -594,18 +608,26 @@ def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, a
     assert err.splitlines()[0].startswith(f"usage: diswot {argv[0]} ")
     assert list(tmp_path.iterdir()) == [inputs]
     assert sorted(p.name for p in inputs.iterdir()) == ["acc.csv", "scores0.csv"]
+    assert {path.name: path.read_bytes() for path in inputs.iterdir()} == given
 
 
 def test_conditional_flags_are_the_table():
-    # Every score or search flag that the parser gives no default has exactly
-    # one row of the table, which its help names, and every row is a flag of
-    # score or search.
+    # Every flag of score, search or rank that the parser gives no default has
+    # exactly one row of the table, which its help names, and every row is
+    # such a flag of some command. A dest may be conditional in one command
+    # only: rank reads --seed and --seeds with --sample, score and search
+    # read their --seed always.
     rows = [(dest, needs) for needs, _, defaults in cli._CONDITIONAL for dest in defaults]
     assert len({dest for dest, _ in rows}) == len(rows)
-    actions = subcommand_actions("score") | subcommand_actions("search")
-    assert {dest for dest, a in actions.items() if a.default is argparse.SUPPRESS} == {dest for dest, _ in rows}
-    for dest, needs in rows:
-        assert f"read only {needs}" in actions[dest].help
+    conditional = {}
+    for command in ("score", "search", "rank"):
+        actions = subcommand_actions(command)
+        conditional[command] = {dest for dest, a in actions.items() if a.default is argparse.SUPPRESS}
+        for dest in conditional[command]:
+            assert f"read only {dict(rows)[dest]}" in actions[dest].help
+    assert set().union(*conditional.values()) == {dest for dest, _ in rows}
+    assert conditional["rank"] == {"seed", "seeds"}
+    assert {"seed", "seeds"} & (conditional["score"] | conditional["search"]) == set()
 
 
 def test_score_rejects_coerced_json_arch(tmp_path, capsys):
@@ -746,14 +768,13 @@ def test_rank_seed_env_fallback(tmp_path, monkeypatch):
 
 
 def test_rank_without_sample_reads_no_seed(tmp_path, monkeypatch):
-    # Without --sample nothing is drawn: DISWOT_SEED is not read, and the echo holds no seed.
+    # Without --sample nothing is drawn: DISWOT_SEED is not read, and the echo holds no seed or seeds.
     score_paths, acc_path = write_rank_fixture(tmp_path, n=10, seeds=(0,))
     monkeypatch.setenv("DISWOT_SEED", "seven")
     out = tmp_path / "report.csv"
     assert run(["rank", "--scores", str(score_paths[0]), "--accuracy", str(acc_path), "--out", str(out)]) == 0
     config = json.loads(out.read_text().splitlines()[0][len("# config: "):])
-    assert config == {"command": "rank", "scores": [str(score_paths[0])], "accuracy": str(acc_path),
-                      "sample": None, "seeds": None}
+    assert config == {"command": "rank", "scores": [str(score_paths[0])], "accuracy": str(acc_path), "sample": None}
 
 
 def test_rank_missing_file_exit_1(tmp_path, capsys):

@@ -401,15 +401,34 @@ def test_evaluate_proxy_joins_each_series_once(tmp_path):
 
 
 def test_evaluate_proxy_unused_series_not_checked(tmp_path):
-    # Only series a repetition uses are joined: with one repetition, seed 1's
+    # Only series a repetition uses are joined: with one draw, seed 1's
     # duplicate goes unread.
-    rows = [ScoreRow(a, "diswot", float(i), True, 0) for i, a in enumerate(["a", "b", "c"])]
-    rows += [ScoreRow(a, "diswot", float(i), True, 1) for i, a in enumerate(["a", "a", "b"])]
+    rows = [ScoreRow(a, "diswot", float(i), True, 0) for i, a in enumerate(["a", "b", "c", "d"])]
+    rows += [ScoreRow(a, "diswot", float(i), True, 1) for i, a in enumerate(["a", "a", "b", "c"])]
     path = write_fixture(tmp_path, "dup1.csv", rows)
-    acc = accuracy_map(["a", "b", "c"], [1.0, 2.0, 3.0])
-    assert evaluate_proxy([path], acc, n_repeats=1)[0].n_archs == 3
+    acc = accuracy_map(["a", "b", "c", "d"], [1.0, 2.0, 3.0, 4.0])
+    assert evaluate_proxy([path], acc, 3, np.random.default_rng(0), n_repeats=1)[0].n_archs == 3
     with pytest.raises(ValueError, match="duplicate arch_id 'a'"):
-        evaluate_proxy([path], acc, n_repeats=2)
+        evaluate_proxy([path], acc, 3, np.random.default_rng(0), n_repeats=2)
+
+
+def test_evaluate_proxy_repeats_need_a_sample(tmp_path):
+    # Without sampling each series is one repetition: a whole series repeated
+    # would only copy its coefficients and shrink the std to 0.
+    ids = [f"a{i}" for i in range(6)]
+    path = write_fixture(tmp_path, "one.csv", [ScoreRow(a, "diswot", float(i % 4), True, 0) for i, a in enumerate(ids)])
+    with pytest.raises(ValueError, match="n_repeats needs sample_size"):
+        evaluate_proxy([path], accuracy_map(ids, [float(i) for i in range(6)]), rng=np.random.default_rng(0), n_repeats=2)
+
+
+@pytest.mark.parametrize("sample_size", [6, 7], ids=["equal", "above"])
+def test_evaluate_proxy_sample_below_row_count(tmp_path, sample_size):
+    # A draw of the whole series would read a seed that draws nothing; the
+    # message names the sample size and the row count.
+    ids = [f"a{i}" for i in range(6)]
+    path = write_fixture(tmp_path, "one.csv", [ScoreRow(a, "diswot", float(i % 4), True, 0) for i, a in enumerate(ids)])
+    with pytest.raises(ValueError, match=re.escape(f"sample size {sample_size} must be below the series' row count, 6")):
+        evaluate_proxy([path], accuracy_map(ids, [float(i) for i in range(6)]), sample_size, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
