@@ -8,8 +8,9 @@ configuration (a sorted-key JSON comment at the top of CSVs, a config object
 in search summaries): every flag the run read except --jobs, --out and
 --summary, which change no output byte, with --all-s0 echoed as the archs it
 expands to and --teacher as the resolved teacher's arch id. All randomness
-flows from --seed through named child streams, so rerunning a command with
-the same flags reproduces its outputs byte for byte.
+flows from --seed through named child streams, and main runs numpy's
+OpenBLAS on one thread, so rerunning a command with the same flags
+reproduces its outputs byte for byte on any BLAS thread setting.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error (every flag
 value the parser or a cross-flag check rejects).
@@ -130,14 +131,15 @@ _FILE_FLAGS = frozenset({"--data", "--out", "--summary", "--scores", "--accuracy
 
 
 def _each_once(parser, given: dict) -> None:
-    """Exit 2 if a flag of given ({flag: values}) repeats a value, or two _FILE_FLAGS name one file by resolved path.
+    """Exit 2 if a flag of given ({flag: values}) repeats a value, or two files are one by resolved path.
 
-    A repeated value would write or count its rows twice; a file named twice would lose an input or an output.
+    The values of _FILE_FLAGS and every Path value are files. A repeated value would write or count its rows
+    twice; a file named twice would lose an input or an output.
     """
     seen = {}
     for flag, values in given.items():
         for value in (v for v in values if v is not None):
-            key = Path(value).resolve() if flag in _FILE_FLAGS else (flag, value)
+            key = Path(value).resolve() if flag in _FILE_FLAGS or isinstance(value, Path) else (flag, value)
             if key in seen:
                 parser.error(f"{flag} {value} is given more than once" if seen[key] == flag
                              else f"{seen[key]} and {flag} both name {value}")
@@ -158,12 +160,18 @@ def _resolve_teacher(space, args):
     return teacher
 
 
+def _teacher_file(args) -> Path | None:
+    """The file that _resolve_teacher reads --teacher from, or None."""
+    spec = vars(args).get("teacher") or ""
+    return _arch_file(spec.removesuffix("-template") if args.space == "s0" else spec)
+
+
 def _parse_arch(space, s: str):
     text = s.strip()
     if text.startswith("{"):
         kind, desc = descriptor_from_json(json.loads(text))
-    elif text.endswith(".json"):
-        kind, desc = descriptor_from_json(json.loads(Path(text).read_text()))
+    elif (path := _arch_file(text)) is not None:
+        kind, desc = descriptor_from_json(json.loads(path.read_text()))
     elif space.kind == "s0":
         parts = text.replace("-", ",").split(",")
         if len(parts) != 3 or not all(p.strip().isdigit() for p in parts):
@@ -176,6 +184,12 @@ def _parse_arch(space, s: str):
     if kind != space.kind:
         raise ValueError(f"architecture belongs to space {kind!r}, not {space.kind!r}")
     return desc
+
+
+def _arch_file(s: str) -> Path | None:
+    """The file that _parse_arch reads s from, or None if s is no file name."""
+    text = s.strip()
+    return Path(text) if text.endswith(".json") and not text.startswith("{") else None
 
 
 def _resolve_archs(space, args, parser):
@@ -236,7 +250,7 @@ def _make_scorer(args, space, seed: int, proxies, teacher):
             if batch is not None:
                 student = NetworkInstance(desc, space, init)
                 if CODES in reads:
-                    codes, units = student.relu_codes(batch.images, cache=cache), student.relu_units
+                    codes, units = student.relu_codes(batch.images, cache=cache), student.plan.relu_units
                 if BUNDLES in reads:
                     bundle = student.activations(batch.images, batch.labels, cache=cache)
             return {p: proxy_value(p, desc, space, codes, units, teacher_bundle, bundle, options) for p in proxies}
@@ -256,8 +270,9 @@ def cmd_score(args, parser) -> int:
     seeds = _resolve_seeds(args.seeds)
     space = _build_space(args)
     archs = _resolve_archs(space, args, parser)
-    _each_once(parser, {"--proxy": proxies, "--seed": seeds, "--arch": [arch_id(d) for d in archs],
-                        "--data": [vars(args).get("data")], "--out": [args.out]})
+    _each_once(parser, {"--proxy": proxies, "--seed": seeds,
+                        "--arch": [arch_id(d) for d in archs] + [_arch_file(a) for a in args.archs or ()],
+                        "--teacher": [_teacher_file(args)], "--data": [vars(args).get("data")], "--out": [args.out]})
     teacher = _resolve_teacher(space, args)
 
     # Scored in prefix-trie order, so each student resumes as deep as it can;
@@ -302,7 +317,8 @@ def cmd_search(args, parser) -> int:
     _read_flags(args, parser, [args.fitness])
     out = Path(args.out)
     summary_path = Path(args.summary) if args.summary else out.with_suffix(".summary.json")
-    _each_once(parser, {"--data": [vars(args).get("data")], "--out": [out], "--summary": [summary_path]})
+    _each_once(parser, {"--teacher": [_teacher_file(args)], "--data": [vars(args).get("data")], "--out": [out],
+                        "--summary": [summary_path]})
     space = _build_space(args, Constraints(args.max_params, args.max_flops, args.max_depth))
     smallest = min_descriptor(space)
     if not satisfies_constraints(smallest, space):
@@ -500,11 +516,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's OpenBLAS on one thread: the last bits of a matrix product depend on its thread count."""
+    import ctypes
+    import numpy as np
+
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for lib in sorted(libs.glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        for setter in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(dll, setter):
+                getattr(dll, setter)(1)
+                return
+    raise RuntimeError(f"cannot run numpy's BLAS on one thread: no OpenBLAS thread setter in {libs},"
+                       " and without it output bytes depend on the BLAS thread count")
+
+
 def main(argv=None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
+        _one_blas_thread()
         return args.func(args, args.parser)
     except Exception as e:  # argparse SystemExit passes through untouched
         print(f"error: {e}", file=sys.stderr)

@@ -4,9 +4,10 @@ A (descriptor, space) pair compiles to a plan: one flat tuple of op records
 over numbered activation slots. Slot 0 holds the input images, at the
 space's input size, and every op writes a new slot; its record carries
 that slot's spatial size and channel count. A skip edge compiles to no op
-at all; its readers use its input slot. The same plan drives the forward
-pass, the prefix cache's sizes, count_params and count_flops, so they can
-never drift apart.
+at all; its readers use its input slot. _compile returns a Plan: the ops
+and every fact derived from them (frees, stage ends, relu_units, params,
+flops). So the forward pass, the prefix cache's sizes, count_params and
+count_flops can never drift apart.
 
 Op kinds:
 
@@ -175,20 +176,31 @@ class _PlanBuilder:
         return nodes[3]
 
 
-def _last_reads(plan: tuple[_Op, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per op, the slots it reads for the last time."""
-    last_reader: dict[int, int] = {}
-    for i, op in enumerate(plan):
-        for slot in op.ins:
-            last_reader[slot] = i
-    frees: list[list[int]] = [[] for _ in plan]
-    for slot, i in last_reader.items():
-        frees[i].append(slot)
-    return tuple(tuple(f) for f in frees)
+@dataclass(frozen=True)
+class Plan:
+    """A compiled network: its op records for inputs of space.input_hw, and every fact derived from them.
+
+    frees[i] holds the slots that op i reads last. one_live lists, deepest
+    first, the ops after which their output is the one live slot: a block or
+    cell boundary, or an op of the stem. stage_ends maps each one-live point
+    followed by the plan's end or by a conv that changes the spatial size or
+    the channel count to the bytes per sample of its float64 output and of
+    the ReLU codes recorded up to it, ceil(units / 8) per ReLU. relu_units
+    counts ReLU units per sample; count_params and count_flops return params
+    and flops.
+    """
+
+    ops: tuple[_Op, ...]
+    frees: tuple[tuple[int, ...], ...]
+    one_live: tuple[int, ...]
+    stage_ends: dict[int, tuple[int, int]]
+    relu_units: int
+    params: int
+    flops: int
 
 
-def _compile(desc: ArchDescriptor, space: SearchSpace) -> tuple[_Op, ...]:
-    """Return the plan for inputs of space.input_hw; its last op's channels are the feature width."""
+def _compile(desc: ArchDescriptor, space: SearchSpace) -> Plan:
+    """The Plan of desc in space; its last op's channels are the feature width."""
     b = _PlanBuilder((space.input_hw, space.input_hw))
     if isinstance(desc, S0Depths):
         x = b.relu(b.conv_bn(0, space.stem_channels, 3, 1))
@@ -211,35 +223,31 @@ def _compile(desc: ArchDescriptor, space: SearchSpace) -> tuple[_Op, ...]:
                 x = b.block(x, st.channels, st.stride if i == 0 else 1, st.kernel, st.block == "bottleneck")
     else:
         raise TypeError(f"not an architecture descriptor: {desc!r}")
-    return tuple(b.ops)
-
-
-def _boundaries(plan: tuple[_Op, ...], frees: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, int]], int]:
-    """Return one-live points (deepest first) and stage ends over op indices, and ReLU units per sample.
-
-    A one-live point is an op after which its output is the one live slot:
-    a block or cell boundary, or an op of the stem. A stage end is a
-    one-live point followed by the end of the plan or by a conv that changes
-    the spatial size or the channel count. Each stage end maps to the bytes
-    per sample of its float64 output and of the ReLU codes recorded up to it,
-    ceil(units / 8) per ReLU.
-    """
-    one_live, ends = [], {}
-    live = {0}
-    codes = units = 0
-    for i, op in enumerate(plan):
+    ops = tuple(b.ops)
+    frees = [[] for _ in ops]
+    for slot, i in {slot: i for i, op in enumerate(ops) for slot in op.ins}.items():
+        frees[i].append(slot)
+    one_live, ends, live = [], {}, 1  # live counts the slots held, at first slot 0
+    codes = units = params = flops = 0
+    for i, op in enumerate(ops):
         size = op.channels * op.hw[0] * op.hw[1]
         if op.kind == "relu":
             codes += -(-size // 8)
             units += size
-        live.difference_update(frees[i])
-        live.add(op.out)
-        if len(live) == 1:
+        elif op.kind == "conv":
+            params += math.prod(op.shape)
+            flops += 2 * math.prod(op.shape) * op.hw[0] * op.hw[1]
+        elif op.kind == "bn":
+            params += 2 * op.channels  # the affine pair
+        live += 1 - len(frees[i])  # op i writes one slot and drops those it reads last
+        if live == 1:
             one_live.append(i)
-            nxt = plan[i + 1] if i + 1 < len(plan) else None
+            nxt = ops[i + 1] if i + 1 < len(ops) else None
             if nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.channels != op.channels):
                 ends[i] = (8 * size, codes)
-    return tuple(reversed(one_live)), ends, units
+    fc = ops[-1].channels * space.num_classes  # the classifier's weights; params adds its bias
+    return Plan(ops, tuple(map(tuple, frees)), tuple(reversed(one_live)), ends, units,
+                params + fc + space.num_classes, flops + 2 * fc)
 
 
 class _Checkpoint(NamedTuple):
@@ -259,7 +267,7 @@ class PrefixCache:
     uint8 array per ReLU) when its forward recorded them,
     least recently used first. A forward through the cache starts from the
     deepest point of its own plan at which that plan has a single live slot
-    (see _boundaries) and whose prefix the cache holds, and runs only the
+    (see Plan) and whose prefix the cache holds, and runs only the
     rest. That point may lie inside one of its stages: 7-7-5 after 7-7-3
     resumes from the end of 7-7-3, its own third stage-3 block boundary,
     and runs two blocks. A forward records ReLU codes exactly when it is
@@ -273,7 +281,7 @@ class PrefixCache:
     other than its own stage ends until the held bytes plus the bytes it is
     about to store fit in max_bytes, or in the bytes of its own stage ends
     if that is more (ReLU codes included when it records them; the sizes
-    come from the plan's shapes, see _boundaries). So with max_bytes=0 the
+    come from the plan's shapes, see Plan). So with max_bytes=0 the
     cache holds exactly the stage ends of the last network, which serves
     score, where neighbours in prefix-trie order share their prefixes, and
     a random search, whose draws have no parents. An evolutionary search
@@ -296,9 +304,9 @@ class PrefixCache:
         """Return (first op to run, slots, codes list or None) and make room for net's stage ends."""
         if images is not self.images or net.init != self.init:
             raise ValueError("a PrefixCache serves only the image array and InitSpec it was made with")
-        plan, ends, store = net._plan, net._stage_ends, self._store
+        plan, ends, store = net.plan.ops, net.plan.stage_ends, self._store
         start, slots, codes = 0, {0: images}, [] if record else None
-        for i in net._one_live:
+        for i in net.plan.one_live:
             key = plan[:i + 1]
             cp = store.get(key)
             if cp is not None and (cp.codes is not None or not record):
@@ -336,16 +344,13 @@ class NetworkInstance:
 
     It holds no weight: a forward draws the weights of the ops it runs, and
     only activations draws the classifier's (see the module docstring).
-    relu_units is the number of ReLU units per sample, summed over the plan.
     """
 
     def __init__(self, descriptor: ArchDescriptor, space: SearchSpace, init: InitSpec):
         self.descriptor = descriptor
         self.space = space
         self.init = init
-        self._plan = _compile(descriptor, space)
-        self._frees = _last_reads(self._plan)
-        self._one_live, self._stage_ends, self.relu_units = _boundaries(self._plan, self._frees)
+        self.plan = _compile(descriptor, space)
 
     def _forward(self, images: Tensor, record: bool, cache: PrefixCache | None):
         """Return (pre-GAP map, packed ReLU codes in plan order or None)."""
@@ -353,8 +358,9 @@ class NetworkInstance:
             start, slots, codes = 0, {0: images}, [] if record else None
         else:
             start, slots, codes = cache._resume(self, images, record)
-        for index in range(start, len(self._plan)):
-            op = self._plan[index]
+        plan = self.plan
+        for index in range(start, len(plan.ops)):
+            op = plan.ops[index]
             x = slots[op.ins[0]]
             if op.kind == "conv":
                 y = conv2d(x, init_tensor(op.shape, self.init, op.stream), op.stride, op.shape[2] // 2)
@@ -370,17 +376,17 @@ class NetworkInstance:
                 y = avg_pool2d(x)
             else:
                 y = np.zeros_like(x)
-            for slot in self._frees[index]:
+            for slot in plan.frees[index]:
                 del slots[slot]
             slots[op.out] = y
-            if cache is not None and index in self._stage_ends:
-                cache._mark(self._plan[:index + 1], y, codes)
-        return slots[self._plan[-1].out], codes
+            if cache is not None and index in plan.stage_ends:
+                cache._mark(plan.ops[:index + 1], y, codes)
+        return slots[plan.ops[-1].out], codes
 
     def activations(self, images: Tensor, labels: np.ndarray, *, cache: PrefixCache | None = None) -> ActivationBundle:
         pre_gap = self._forward(images, False, cache)[0]
         features = global_avg_pool(pre_gap)
-        last = self._plan[-1]  # a bn follows every conv, so last.stream counts every conv
+        last = self.plan.ops[-1]  # a bn follows every conv, so last.stream counts every conv
         fc_weight = init_tensor((self.space.num_classes, last.channels), self.init, last.stream)
         logits = linear(features, fc_weight)
         grad = fc_weight_grad(features, logits, labels)
@@ -394,24 +400,19 @@ class NetworkInstance:
         in the most significant bit (np.packbits), zero-padded to a whole
         byte. The result is the (B, sum of ceil(units / 8)) uint8
         concatenation of those rows in plan order; the padding bits are 0 in
-        every row, and relu_units counts the units without them.
+        every row, and plan.relu_units counts the units without them.
         """
         return np.concatenate(self._forward(images, True, cache)[1], axis=1)
 
 
 def count_params(desc: ArchDescriptor, space: SearchSpace) -> int:
     """Exact trainable parameter count (convs, BN affine pairs, FC incl. bias)."""
-    plan = _compile(desc, space)
-    total = sum(math.prod(op.shape) for op in plan if op.kind == "conv")
-    total += sum(2 * op.channels for op in plan if op.kind == "bn")
-    return total + (plan[-1].channels + 1) * space.num_classes
+    return _compile(desc, space).params
 
 
 def count_flops(desc: ArchDescriptor, space: SearchSpace) -> int:
     """Multiply-accumulates times two, convs and FC only, for one sample at space.input_hw."""
-    plan = _compile(desc, space)
-    total = sum(2 * math.prod(op.shape) * op.hw[0] * op.hw[1] for op in plan if op.kind == "conv")
-    return total + 2 * space.num_classes * plan[-1].channels
+    return _compile(desc, space).flops
 
 
 def trie_order(descs: list[ArchDescriptor], space: SearchSpace) -> list[int]:
@@ -421,10 +422,10 @@ def trie_order(descs: list[ArchDescriptor], space: SearchSpace) -> list[int]:
     of the plans' prefixes: the longest prefix a network shares with any
     other it shares with a neighbour in this order.
     """
-    # One object per distinct op record: 64 s0 plans with their own records
-    # raise the peak RSS of score --all-s0 by about 0.6 MiB.
+    # One object per distinct op record: under tracemalloc the 64 s0 plans
+    # hold about 1.15 MiB with their own records and 0.11 MiB interned.
     records: dict[_Op, _Op] = {}
-    plans = [tuple(records.setdefault(op, op) for op in _compile(desc, space)) for desc in descs]
+    plans = [tuple(records.setdefault(op, op) for op in _compile(desc, space).ops) for desc in descs]
     return sorted(range(len(descs)), key=plans.__getitem__)
 
 
@@ -435,11 +436,10 @@ def satisfies_constraints(desc: ArchDescriptor, space: SearchSpace) -> bool:
     c = space.constraints
     if c.max_depth is not None and block_count(desc, space) > c.max_depth:
         return False
-    if c.max_params is not None and count_params(desc, space) > c.max_params:
-        return False
-    if c.max_flops is not None and count_flops(desc, space) > c.max_flops:
-        return False
-    return True
+    if c.max_params is None and c.max_flops is None:
+        return True
+    plan = _compile(desc, space)
+    return (c.max_params is None or plan.params <= c.max_params) and (c.max_flops is None or plan.flops <= c.max_flops)
 
 
 def sample_random(space: SearchSpace, rng: np.random.Generator) -> ArchDescriptor:

@@ -409,13 +409,13 @@ def named_weights(net):
     affine pairs, the classifier weight, drawn from the stream after the last
     conv's, and its bias: the parameter-count oracle for count_params.
     """
-    for op in net._plan:
+    for op in net.plan.ops:
         if op.kind == "conv":
             yield f"conv{op.stream}.weight", init_tensor(op.shape, net.init, op.stream)
-    bns = [op for op in net._plan if op.kind == "bn"]
+    bns = [op for op in net.plan.ops if op.kind == "bn"]
     for i, op in enumerate(bns):
         yield f"bn{i}.gamma", np.ones(op.channels)
         yield f"bn{i}.beta", np.zeros(op.channels)
-    last = net._plan[-1]
+    last = net.plan.ops[-1]
     yield "fc.weight", init_tensor((net.space.num_classes, last.channels), net.init, last.stream)
     yield "fc.bias", np.zeros(net.space.num_classes)

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -56,6 +59,34 @@ def test_score_jobs_do_not_change_output(tmp_path):
     for jobs in ("2", "4"):
         assert run(base + ["--jobs", jobs, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+_S2_ARCH = S2Config(16, tuple(S2Stage(*st) for st in (
+    ("bottleneck", 3, 16, 2, 1), ("basic", 5, 24, 1, 2), ("bottleneck", 3, 32, 1, 1),
+    ("bottleneck", 7, 48, 1, 2), ("basic", 3, 64, 2, 2), ("bottleneck", 5, 96, 1, 1))))
+
+
+@pytest.mark.parametrize("space,archs", [
+    ("s0", ["1-3-3", "3-1-5"]),
+    ("s2_cifar", [json.dumps(descriptor_to_json(_S2_ARCH, s2_cifar_space()))]),
+], ids=["s0", "s2_cifar"])
+def test_score_bytes_do_not_depend_on_blas_threads(tmp_path, space, archs):
+    # The last bits of a matmul depend on OpenBLAS's thread count: at two
+    # threads 1-3-3's diswot ended in ...878 where one thread gives ...882.
+    # main runs BLAS on one thread, so the environment changes no byte. Each
+    # run is its own process, since OpenBLAS reads the variable at load.
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        argv = ["score", "--space", space, *(f for a in archs for f in ("--arch", a)),
+                "--proxy", "diswot", "--proxy", "cc", "--batch-size", "8", "--out", str(out)]
+        child = subprocess.run([sys.executable, "-m", "diswot.cli", *argv], env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_score_arch_order_never_changes_a_value(tmp_path):
@@ -579,6 +610,15 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
       "--out", "same.json", "--summary", "same.json"], "--out and --summary both name same.json"),
     (["score", "--space", "s0", "--arch", "1-1-1", "--proxy", "nwot", "--data", "acc.csv", "--out", "acc.csv"],
      "--data and --out both name acc.csv"),
+    # An architecture or teacher read from a JSON file is an input file too.
+    (["score", "--space", "s0", "--arch", "a.json", "--proxy", "params", "--out", "a.json"],
+     "--arch and --out both name a.json"),
+    (["score", "--space", "s0", "--arch", "1-1-1", "--teacher", "./a.json", "--batch-size", "2", "--out", "a.json"],
+     "--teacher and --out both name a.json"),
+    (["search", "--space", "s0", "--teacher", "a.json", "--batch-size", "2", "--out", "a.json"],
+     "--teacher and --out both name a.json"),
+    (["search", "--space", "s0", "--teacher", "a.json", "--batch-size", "2", "--out", "s.jsonl", "--summary", "a.json"],
+     "--teacher and --summary both name a.json"),
 ], ids=["topk-s0", "topk-s2_cifar", "no-budget", "budget-0", "random-population", "random-topk", "evo-budget",
         "temperature-0", "gaussian-std-0", "temperature-negative", "gaussian-std-nan", "batch-size-1", "num-classes-0",
         "score-max-params", "jobs-0", "jobs-negative", "semantic-and-relation-only", "rank-seeds-0", "rank-sample-2", "nb201-all-s0",
@@ -587,16 +627,19 @@ def test_search_keeps_several_networks_only_for_evo(tmp_path, monkeypatch, strat
         "diswot-flags-without-diswot", "temperature-without-kd_kl", "repeated-seed",
         "repeated-proxy", "repeated-arch", "score-seed-2**64", "search-seed-negative", "rank-seed-negative",
         "rank-seed-without-sample", "rank-seeds-without-sample", "rank-repeated-scores", "rank-out-is-accuracy",
-        "rank-out-is-scores", "search-out-is-summary", "score-out-is-data"])
+        "rank-out-is-scores", "search-out-is-summary", "score-out-is-data", "score-out-is-arch",
+        "score-out-is-teacher", "search-out-is-teacher", "search-summary-is-teacher"])
 def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, argv, says):
     def no_network(*args):
         raise AssertionError("a usage error must be reported before any network is built")
 
     monkeypatch.setattr(cli, "NetworkInstance", no_network)
-    # rank reads well-formed tables from the working directory, so only the flag is at fault.
+    # rank reads well-formed tables from the working directory, and score and
+    # search a well-formed s0 architecture file, so only the flag is at fault.
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     write_rank_fixture(inputs, seeds=(0,))
+    (inputs / "a.json").write_text('{"space": "s0", "desc": [1, 3, 5]}')
     given = {path.name: path.read_bytes() for path in inputs.iterdir()}
     monkeypatch.chdir(inputs)
     with pytest.raises(SystemExit) as exc:
@@ -607,7 +650,7 @@ def test_usage_errors_exit_2_before_any_forward(tmp_path, monkeypatch, capsys, a
     # Cross-flag checks report on the subcommand's parser, as argparse's own checks do.
     assert err.splitlines()[0].startswith(f"usage: diswot {argv[0]} ")
     assert list(tmp_path.iterdir()) == [inputs]
-    assert sorted(p.name for p in inputs.iterdir()) == ["acc.csv", "scores0.csv"]
+    assert sorted(p.name for p in inputs.iterdir()) == ["a.json", "acc.csv", "scores0.csv"]
     assert {path.name: path.read_bytes() for path in inputs.iterdir()} == given
 
 

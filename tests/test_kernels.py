@@ -163,7 +163,7 @@ def _space_conv_shapes(kind):
     shapes = set()
     for desc in [max_descriptor(space), min_descriptor(space), *(sample_descriptor(space, rng) for _ in range(3))]:
         hw = {0: (space.input_hw, space.input_hw)}
-        for op in _compile(desc, space):
+        for op in _compile(desc, space).ops:
             hw[op.out] = op.hw
             if op.kind == "conv":
                 shapes.add((op.shape, op.stride, hw[op.ins[0]]))

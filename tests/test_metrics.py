@@ -349,13 +349,13 @@ def _network_codes(net, images):
     """(packed, units, bool codes) of a network; the bool codes unpack each ReLU's bytes by the plan's sizes."""
     packed = net.relu_codes(images)
     rows, o = [], 0
-    for op in net._plan:
+    for op in net.plan.ops:
         if op.kind == "relu":
             units = op.channels * op.hw[0] * op.hw[1]
             rows.append(np.unpackbits(packed[:, o:o + -(-units // 8)], axis=1, count=units).astype(bool))
             o += -(-units // 8)
     assert o == packed.shape[1]
-    return packed, net.relu_units, np.concatenate(rows, axis=1)
+    return packed, net.plan.relu_units, np.concatenate(rows, axis=1)
 
 
 def test_nwot_matches_naive_kernel():
@@ -450,10 +450,10 @@ def test_nwot_sample_order_invariance():
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 3, 1), space, InitSpec(seed=1))
     batch = synth_batch(5, 3, 32, 32, 100, seed=1)
-    base = nwot_from_codes(net.relu_codes(batch.images), net.relu_units)
+    base = nwot_from_codes(net.relu_codes(batch.images), net.plan.relu_units)
     perm = np.random.default_rng(2).permutation(5)
     codes = net.relu_codes(batch.images[perm])
-    assert nwot_from_codes(codes, net.relu_units) == pytest.approx(base, abs=1e-8)
+    assert nwot_from_codes(codes, net.plan.relu_units) == pytest.approx(base, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +534,7 @@ def proxy_inputs():
     teacher = NetworkInstance(max_descriptor(space), space, init)
     return {
         COST: {"space": space},
-        CODES: {"codes": student.relu_codes(batch.images), "units": student.relu_units},
+        CODES: {"codes": student.relu_codes(batch.images), "units": student.plan.relu_units},
         BUNDLES: {
             "teacher": teacher.activations(batch.images, batch.labels),
             "student": student.activations(batch.images, batch.labels),

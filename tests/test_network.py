@@ -137,6 +137,39 @@ def test_flops_monotone_in_depth():
     assert len(set(vals)) == 4
 
 
+def _flop_cases():
+    """The max, the min and three sampled members of each finite space, and the s2_imagenet min."""
+    cases = [pytest.param(s2_imagenet_space, min_descriptor(s2_imagenet_space()), id="s2_imagenet-min")]
+    for make_space in (s0_space, nb201_space, s2_cifar_space):
+        space, rng = make_space(), stream(23, 0)
+        descs = {"max": max_descriptor(space), "min": min_descriptor(space)}
+        descs.update((f"sample{i}", sample_random(space, rng)) for i in range(3))
+        cases += [pytest.param(make_space, desc, id=f"{space.kind}-{name}") for name, desc in descs.items()]
+    return cases
+
+
+@pytest.mark.parametrize("make_space,desc", _flop_cases())
+def test_count_flops_matches_the_forward(monkeypatch, make_space, desc):
+    # count_flops reads the compiled plan; the convs a real forward runs give
+    # the same count from their input, weight and output shapes, plus the
+    # classifier's multiply-adds from its weight.
+    space = make_space()
+    batch = synth_batch(2, 3, space.input_hw, space.input_hw, space.num_classes, seed=0)
+    flops = []
+    conv2d = network.conv2d
+
+    def counted(x, weight, *args):
+        y = conv2d(x, weight, *args)
+        cout, cin, k, _ = weight.shape
+        assert (x.shape[:2], y.shape[:2]) == ((2, cin), (2, cout))
+        flops.append(2 * cout * y.shape[2] * y.shape[3] * cin * k * k)
+        return y
+
+    monkeypatch.setattr(network, "conv2d", counted)
+    bundle = NetworkInstance(desc, space, InitSpec(seed=0)).activations(batch.images, batch.labels)
+    assert sum(flops) + 2 * bundle.fc_weight.size == count_flops(desc, space)
+
+
 # ---------------------------------------------------------------------------
 # builds and forwards
 
@@ -213,7 +246,7 @@ def test_s2_imagenet_stem_downsamples():
 
 def _packed_widths(net) -> list[int]:
     """Bytes per sample of each ReLU's packed codes, in plan order."""
-    return [-(-op.channels * op.hw[0] * op.hw[1] // 8) for op in net._plan if op.kind == "relu"]
+    return [-(-op.channels * op.hw[0] * op.hw[1] // 8) for op in net.plan.ops if op.kind == "relu"]
 
 
 def test_relu_codes_shape_and_dtype():
@@ -222,7 +255,7 @@ def test_relu_codes_shape_and_dtype():
     codes = net.relu_codes(batch.images)
     assert codes.dtype == np.uint8
     assert codes.shape == (4, sum(_packed_widths(net)))
-    assert net.relu_units == 73_728
+    assert net.plan.relu_units == 73_728
 
 
 def _traced(fn):
@@ -242,7 +275,7 @@ def test_relu_codes_assemble_one_copy():
     batch = synth_batch(8, 3, 32, 32, 100, seed=0)
     cache = PrefixCache(batch.images, net.init)
     first = net.relu_codes(batch.images, cache=cache)
-    per_relu = cache._store[net._plan].codes  # the plan's end is a stage end
+    per_relu = cache._store[net.plan.ops].codes  # the plan's end is a stage end
     assert [c.shape for c in per_relu] == [(8, w) for w in _packed_widths(net)]
     assert all(c.dtype == np.uint8 for c in per_relu)
     codes, peak = _traced(lambda: net.relu_codes(batch.images, cache=cache))  # resumes at the end: it only assembles
@@ -256,7 +289,7 @@ def test_relu_codes_assemble_one_copy():
     # activations forward and assembled them in 25.5 MiB; packed, 1.8 and
     # 3.2 MiB.
     batch = synth_batch(64, 3, 32, 32, 100, seed=0)
-    bool_bytes = 64 * net.relu_units
+    bool_bytes = 64 * net.plan.relu_units
     packed_bytes = 64 * sum(_packed_widths(net))
     cache = PrefixCache(batch.images, net.init)
     forward = _traced(lambda: net.relu_codes(batch.images, cache=cache))[1]
@@ -274,6 +307,24 @@ def test_satisfies_constraints_params():
     space = replace(s0_space(), constraints=Constraints(max_params=260_000))
     assert satisfies_constraints(S0Depths(7, 1, 3), space)      # 259.89 K
     assert not satisfies_constraints(S0Depths(3, 3, 3), space)  # 278.32 K
+
+
+def test_each_plan_is_compiled_once(monkeypatch):
+    # Both cost limits read one compiled plan, and a network compiles its own
+    # plan once; each limit still rejects a network one unit above it.
+    compiles = []
+    compile_plan = network._compile
+    monkeypatch.setattr(network, "_compile", lambda *a: compiles.append(a) or compile_plan(*a))
+    desc = S0Depths(3, 3, 3)  # 278 324 params, 81 637 888 FLOPs
+    for max_params, max_flops, fits in ((278_324, 81_637_888, True), (278_323, 81_637_888, False),
+                                        (278_324, 81_637_887, False)):
+        compiles.clear()
+        space = replace(s0_space(), constraints=Constraints(max_params=max_params, max_flops=max_flops))
+        assert satisfies_constraints(desc, space) is fits
+        assert len(compiles) == 1
+    compiles.clear()
+    NetworkInstance(desc, s0_space(), InitSpec(seed=0))
+    assert len(compiles) == 1
 
 
 def test_constrained_sampling_never_violates():
@@ -374,7 +425,7 @@ def _exact_values() -> list[list]:
         bundle = net.activations(batch.images, batch.labels)
         out.append([
             diswot_score_from_bundles(teachers[make_space], bundle),
-            nwot_from_codes(net.relu_codes(batch.images), net.relu_units),
+            nwot_from_codes(net.relu_codes(batch.images), net.plan.relu_units),
             kd_distance("cc", teachers[make_space], bundle),
             count_params(desc, space),
             4 * count_flops(desc, space),  # pinned at batch 4
@@ -455,7 +506,7 @@ def test_proxies_finite_for_sampled_descriptors(finite_teachers, name, seed):
     net = NetworkInstance(desc, space, InitSpec(seed=seed))
     bundle = net.activations(batch.images, batch.labels)
     assert np.isfinite(diswot_score_from_bundles(teacher_bundle, bundle))
-    assert np.isfinite(nwot_from_codes(net.relu_codes(batch.images), net.relu_units))
+    assert np.isfinite(nwot_from_codes(net.relu_codes(batch.images), net.plan.relu_units))
     assert np.isfinite(kd_distance("cc", teacher_bundle, bundle))
 
 
@@ -521,11 +572,11 @@ def _assert_checkpoints_bounded(cache, net, stage_ends: set):
     net's stage-end bytes from its plan's shapes alone exceed it. With
     max_bytes=0 the cache holds exactly net's stage ends.
     """
-    own = {net._plan[:i + 1] for i in net._stage_ends}
+    own = {net.plan.ops[:i + 1] for i in net.plan.stage_ends}
     stage_ends |= own
     assert set(cache._store) <= stage_ends
     held = sum(cp.tensor.nbytes + sum(c.nbytes for c in cp.codes or ()) for cp in cache._store.values())
-    own_bytes = cache.images.shape[0] * sum(t + c for t, c in net._stage_ends.values())
+    own_bytes = cache.images.shape[0] * sum(t + c for t, c in net.plan.stage_ends.values())
     assert held <= max(own_bytes, cache.max_bytes)
     if cache.max_bytes == 0:
         assert set(cache._store) == own
@@ -579,8 +630,8 @@ def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
 @pytest.mark.parametrize("batch_size", [2, 3])
 @pytest.mark.parametrize("name", sorted(FINITE_SPACES))
 def test_planned_stage_end_bytes_match_the_checkpoints(name, batch_size):
-    # The cache makes room before a forward from the sizes _boundaries
-    # plans from the op records; each checkpoint the forward then stores
+    # The cache makes room before a forward from the stage-end sizes that
+    # the Plan derives from the op records; each checkpoint the forward then stores
     # holds exactly that many bytes, ReLU codes included when recorded.
     space = FINITE_SPACES[name]()
     batch = synth_batch(batch_size, 3, space.input_hw, space.input_hw, space.num_classes, seed=0)
@@ -594,8 +645,8 @@ def test_planned_stage_end_bytes_match_the_checkpoints(name, batch_size):
                 net.relu_codes(batch.images, cache=cache)
             else:
                 net.activations(batch.images, batch.labels, cache=cache)
-            planned = {net._plan[:i + 1]: batch_size * (t + (c if record else 0))
-                       for i, (t, c) in net._stage_ends.items()}
+            planned = {net.plan.ops[:i + 1]: batch_size * (t + (c if record else 0))
+                       for i, (t, c) in net.plan.stage_ends.items()}
             assert {key: cp.nbytes for key, cp in cache._store.items()} == planned
 
 
