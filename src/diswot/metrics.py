@@ -127,29 +127,19 @@ def diswot_score_from_bundles(
     return -total
 
 
-def nwot_from_codes(codes: np.ndarray, units: int) -> float:
-    """Log-determinant of the sign-agreement kernel over packed binary codes.
+def nwot_from_codes(hamming: np.ndarray, units: int) -> float:
+    """Log-determinant of the sign-agreement kernel, from the Hamming count relu_codes returns.
 
-    codes is a (B, bytes) uint8 array of bits, as relu_codes returns it, and
-    units the number of real units among them; every other bit is padding
-    and 0 in every row. K[i, j] counts the units where samples i and j are
-    both active or both inactive: units minus the Hamming distance of the two
-    rows, counted exactly over the rows copied into zero-padded 64-bit words.
-    Padding bits agree, so they add no distance. _NWOT_EPS regularizes
-    rank-deficient kernels (duplicate codes).
+    hamming is the (B, B) int64 count whose entry (i, j), i < j, counts the ReLU
+    units where samples i and j differ in sign, with every other entry 0, and
+    units is the number of ReLU units per sample. K[i, j] counts the units where
+    samples i and j are both active or both inactive: units minus their Hamming
+    distance, an exact integer before the ridge. _NWOT_EPS regularizes
+    rank-deficient kernels, such as those of two samples with one sign pattern.
     """
-    b, nbytes = codes.shape
+    b = hamming.shape[0]
     if b < 2:
         raise ValueError("nwot needs a batch of at least 2 samples")
-    packed = np.zeros((b, -(-nbytes // 8)), np.uint64)
-    packed.view(np.uint8)[:, :nbytes] = codes
-    # Each row against all later rows at once, into buffers reused across rows.
-    diff = np.empty_like(packed[1:])
-    count = np.empty(diff.shape, np.uint8)
-    hamming = np.zeros((b, b), np.int64)
-    for i in range(1, b):
-        np.bitwise_count(np.bitwise_xor(packed[i:], packed[i - 1], out=diff[i - 1:]), out=count[i - 1:])
-        hamming[i - 1, i:] = count[i - 1:].sum(axis=1)
     kernel = units - (hamming + hamming.T) + _NWOT_EPS * np.eye(b)
     _, logdet = np.linalg.slogdet(kernel)
     return float(logdet)
@@ -290,8 +280,8 @@ def kd_distance(
     return -_KD_DISTANCES[kind](teacher, student, temperature)
 
 
-# What a proxy reads: the descriptor's cost, the student's ReLU codes, or
-# the teacher and student activation bundles.
+# What a proxy reads: the descriptor's cost, the student's ReLU Hamming
+# count, or the teacher and student activation bundles.
 COST = "cost"
 CODES = "codes"
 BUNDLES = "bundles"
@@ -320,10 +310,10 @@ def proxy_value(name: str, desc, space=None, codes: np.ndarray | None = None, un
                 options: ProxyOptions = ProxyOptions()) -> float:
     """The value of proxy name for the student desc, from the inputs PROXIES[name] names.
 
-    A cost proxy reads space, nwot the student's packed codes and its
-    relu_units, and the bundle proxies teacher and student; the other inputs
-    may be None. A non-finite value raises ValueError naming the proxy and
-    the architecture.
+    A cost proxy reads space, nwot the student's Hamming count (codes) and
+    its relu_units, and the bundle proxies teacher and student; the other
+    inputs may be None. A non-finite value raises ValueError naming the
+    proxy and the architecture.
     """
     if name in COST_PROXIES:
         value = float(COST_PROXIES[name](desc, space))

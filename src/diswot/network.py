@@ -13,8 +13,8 @@ Op kinds:
 
 * conv: no bias, zero padding kernel // 2;
 * bn: batch statistics, no affine;
-* relu: relu_codes records its input's sign pattern for nwot, in plan order,
-  packed to bits as the ReLU runs;
+* relu: in a relu_codes forward, adds the Hamming distances between its
+  input's per-sample sign patterns to nwot's (B, B) count;
 * add: residual sums and cell-node sums, left to right;
 * pool: 3x3 average pooling at stride 1, padding 1;
 * zero: the NB201 "none" edge, an explicit zero array that is still added
@@ -42,8 +42,8 @@ one resumes at the deepest block or cell boundary of its plan whose prefix
 the cache holds, and runs only the ops after it. Every weight is drawn
 where it is used and dropped afterwards, so a forward never draws the
 weights of the ops it skips, and relu_codes draws no classifier weight.
-Only relu_codes records ReLU codes, so a student that needs both takes
-relu_codes first: its activations then run no op. trie_order sorts
+Only relu_codes counts, so a student that needs both takes relu_codes
+first: its activations then run no op. trie_order sorts
 networks so that those sharing the longest prefixes run one after another.
 """
 
@@ -184,16 +184,15 @@ class Plan:
     first, the ops after which their output is the one live slot: a block or
     cell boundary, or an op of the stem. stage_ends maps each one-live point
     followed by the plan's end or by a conv that changes the spatial size or
-    the channel count to the bytes per sample of its float64 output and of
-    the ReLU codes recorded up to it, ceil(units / 8) per ReLU. relu_units
-    counts ReLU units per sample; count_params and count_flops return params
-    and flops.
+    the channel count to the bytes per sample of its float64 output.
+    relu_units counts ReLU units per sample; count_params and count_flops
+    return params and flops.
     """
 
     ops: tuple[_Op, ...]
     frees: tuple[tuple[int, ...], ...]
     one_live: tuple[int, ...]
-    stage_ends: dict[int, tuple[int, int]]
+    stage_ends: dict[int, int]
     relu_units: int
     params: int
     flops: int
@@ -228,11 +227,10 @@ def _compile(desc: ArchDescriptor, space: SearchSpace) -> Plan:
     for slot, i in {slot: i for i, op in enumerate(ops) for slot in op.ins}.items():
         frees[i].append(slot)
     one_live, ends, live = [], {}, 1  # live counts the slots held, at first slot 0
-    codes = units = params = flops = 0
+    units = params = flops = 0
     for i, op in enumerate(ops):
         size = op.channels * op.hw[0] * op.hw[1]
         if op.kind == "relu":
-            codes += -(-size // 8)
             units += size
         elif op.kind == "conv":
             params += math.prod(op.shape)
@@ -244,16 +242,32 @@ def _compile(desc: ArchDescriptor, space: SearchSpace) -> Plan:
             one_live.append(i)
             nxt = ops[i + 1] if i + 1 < len(ops) else None
             if nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.channels != op.channels):
-                ends[i] = (8 * size, codes)
+                ends[i] = 8 * size
     fc = ops[-1].channels * space.num_classes  # the classifier's weights; params adds its bias
     return Plan(ops, tuple(map(tuple, frees)), tuple(reversed(one_live)), ends, units,
                 params + fc + space.num_classes, flops + 2 * fc)
 
 
+def _sign_hamming(active: np.ndarray) -> np.ndarray:
+    """(B, B) int64: entry (i, j), i < j, counts the units where rows i and j of the bool array active differ; 0 elsewhere."""
+    b = active.shape[0]
+    nbytes = -(-active[0].size // 8)
+    packed = np.zeros((b, -(-nbytes // 8)), np.uint64)  # zero padding agrees in every row
+    packed.view(np.uint8)[:, :nbytes] = np.packbits(active.reshape(b, -1), axis=1)
+    # Each row against all later rows at once, into buffers reused across rows.
+    diff = np.empty_like(packed[1:])
+    count = np.empty(diff.shape, np.uint8)
+    hamming = np.zeros((b, b), np.int64)
+    for i in range(1, b):
+        np.bitwise_count(np.bitwise_xor(packed[i:], packed[i - 1], out=diff[i - 1:]), out=count[i - 1:])
+        hamming[i - 1, i:] = count[i - 1:].sum(axis=1)
+    return hamming
+
+
 class _Checkpoint(NamedTuple):
-    tensor: Tensor                 # the one live tensor after the prefix
-    codes: tuple[np.ndarray, ...] | None  # packed ReLU codes recorded up to here; None if they were not
-    nbytes: int                    # of the tensor and the codes
+    tensor: Tensor              # the one live tensor after the prefix
+    hamming: np.ndarray | None  # the (B, B) Hamming count of the ReLUs up to here; None if it was not counted
+    nbytes: int                 # of the tensor and the count
 
 
 class PrefixCache:
@@ -263,28 +277,27 @@ class PrefixCache:
     tensors after op n: conv i draws its weights from the stream
     (init.seed, i) and batch norm reads only the current batch. The cache
     maps a plan prefix that ends at a stage end to the one live tensor
-    there, plus the packed ReLU codes up to there (one (B, ceil(units / 8))
-    uint8 array per ReLU) when its forward recorded them,
-    least recently used first. A forward through the cache starts from the
-    deepest point of its own plan at which that plan has a single live slot
-    (see Plan) and whose prefix the cache holds, and runs only the
-    rest. That point may lie inside one of its stages: 7-7-5 after 7-7-3
+    there, plus the (B, B) Hamming count of the ReLUs up to there when its
+    forward counted them, least recently used first. A forward through the
+    cache starts from the deepest point of its own plan at which that plan
+    has a single live slot (see Plan) and whose prefix the cache holds, and
+    runs only the rest. That point may lie inside one of its stages: 7-7-5 after 7-7-3
     resumes from the end of 7-7-3, its own third stage-3 block boundary,
-    and runs two blocks. A forward records ReLU codes exactly when it is
-    relu_codes, and relu_codes resumes only from checkpoints whose codes
-    were recorded. So activations right after relu_codes on the same
-    network runs no op, while relu_codes right after activations resumes
-    only from a checkpoint an earlier relu_codes forward took.
+    and runs two blocks. A forward counts exactly when it is relu_codes, and
+    relu_codes resumes only from checkpoints that hold a count. So
+    activations right after relu_codes on the same network runs no op,
+    while relu_codes right after activations resumes only from a checkpoint
+    an earlier relu_codes forward took.
 
     Each forward then stores the tensor at each of its stage ends. Before it
     runs any op it makes room: it evicts the least recently used checkpoints
     other than its own stage ends until the held bytes plus the bytes it is
     about to store fit in max_bytes, or in the bytes of its own stage ends
-    if that is more (ReLU codes included when it records them; the sizes
-    come from the plan's shapes, see Plan). So with max_bytes=0 the
-    cache holds exactly the stage ends of the last network, which serves
-    score, where neighbours in prefix-trie order share their prefixes, and
-    a random search, whose draws have no parents. An evolutionary search
+    if that is more (the tensors' sizes come from the plan's shapes, see
+    Plan, plus B * B * 8 bytes of count each when it counts). So with
+    max_bytes=0 the cache holds exactly the stage ends of the last network,
+    which serves score, where neighbours in prefix-trie order share their
+    prefixes, and a random search, whose draws have no parents. An evolutionary search
     gives it a budget of several networks, since a child is a mutant of a
     population member and resumes from its parent's checkpoints. It holds
     no weights.
@@ -300,19 +313,18 @@ class PrefixCache:
         self.max_bytes = max_bytes
         self._store: dict[tuple[_Op, ...], _Checkpoint] = {}  # least recently used first
 
-    def _resume(self, net: NetworkInstance, images: Tensor, record: bool):
-        """Return (first op to run, slots, codes list or None) and make room for net's stage ends."""
+    def _resume(self, net: NetworkInstance, images: Tensor, hamming: np.ndarray | None):
+        """Make room for net's stage ends; return (first op to run, slots, count) given the count to start from or None."""
         if images is not self.images or net.init != self.init:
             raise ValueError("a PrefixCache serves only the image array and InitSpec it was made with")
         plan, ends, store = net.plan.ops, net.plan.stage_ends, self._store
-        start, slots, codes = 0, {0: images}, [] if record else None
+        record = hamming is not None
+        start, slots = 0, {0: images}
         for i in net.plan.one_live:
             key = plan[:i + 1]
             cp = store.get(key)
-            if cp is not None and (cp.codes is not None or not record):
-                start, slots = i + 1, {plan[i].out: cp.tensor}
-                if record:
-                    codes = list(cp.codes)
+            if cp is not None and (cp.hamming is not None or not record):
+                start, slots, hamming = i + 1, {plan[i].out: cp.tensor}, cp.hamming if record else None
                 store[key] = store.pop(key)  # now the most recently used
                 break
         # Take this plan's own stage ends out: those before start stay, the
@@ -324,7 +336,7 @@ class PrefixCache:
             if cp is not None and i < start:
                 own[key] = cp
         batch = images.shape[0]
-        size = {i: batch * (t + (c if record else 0)) for i, (t, c) in ends.items()}
+        size = {i: batch * t + (batch * batch * 8 if record else 0) for i, t in ends.items()}
         room = max(sum(size.values()), self.max_bytes)
         room -= sum(size[i] for i in ends if i >= start)
         room -= sum(cp.nbytes for cp in own.values())
@@ -332,11 +344,10 @@ class PrefixCache:
         while store and held > room:
             held -= store.pop(next(iter(store))).nbytes
         store.update(own)
-        return start, slots, codes
+        return start, slots, hamming
 
-    def _mark(self, prefix: tuple[_Op, ...], tensor: Tensor, codes: list | None) -> None:
-        codes = None if codes is None else tuple(codes)
-        self._store[prefix] = _Checkpoint(tensor, codes, tensor.nbytes + sum(c.nbytes for c in codes or ()))
+    def _mark(self, prefix: tuple[_Op, ...], tensor: Tensor, hamming: np.ndarray | None) -> None:
+        self._store[prefix] = _Checkpoint(tensor, hamming, tensor.nbytes + (0 if hamming is None else hamming.nbytes))
 
 
 class NetworkInstance:
@@ -353,11 +364,11 @@ class NetworkInstance:
         self.plan = _compile(descriptor, space)
 
     def _forward(self, images: Tensor, record: bool, cache: PrefixCache | None):
-        """Return (pre-GAP map, packed ReLU codes in plan order or None)."""
-        if cache is None:
-            start, slots, codes = 0, {0: images}, [] if record else None
-        else:
-            start, slots, codes = cache._resume(self, images, record)
+        """Return (pre-GAP map, the ReLUs' (B, B) Hamming count if record, else None)."""
+        batch = images.shape[0]
+        start, slots, hamming = 0, {0: images}, np.zeros((batch, batch), np.int64) if record else None
+        if cache is not None:
+            start, slots, hamming = cache._resume(self, images, hamming)
         plan = self.plan
         for index in range(start, len(plan.ops)):
             op = plan.ops[index]
@@ -368,8 +379,8 @@ class NetworkInstance:
                 y = batchnorm_batchstats(x)
             elif op.kind == "relu":
                 y = relu(x)
-                if codes is not None:
-                    codes.append(np.packbits((x > 0).reshape(x.shape[0], -1), axis=1))
+                if hamming is not None:
+                    hamming = hamming + _sign_hamming(x > 0)
             elif op.kind == "add":
                 y = residual_add(x, slots[op.ins[1]])
             elif op.kind == "pool":
@@ -380,8 +391,8 @@ class NetworkInstance:
                 del slots[slot]
             slots[op.out] = y
             if cache is not None and index in plan.stage_ends:
-                cache._mark(plan.ops[:index + 1], y, codes)
-        return slots[plan.ops[-1].out], codes
+                cache._mark(plan.ops[:index + 1], y, hamming)
+        return slots[plan.ops[-1].out], hamming
 
     def activations(self, images: Tensor, labels: np.ndarray, *, cache: PrefixCache | None = None) -> ActivationBundle:
         pre_gap = self._forward(images, False, cache)[0]
@@ -393,16 +404,14 @@ class NetworkInstance:
         return ActivationBundle(features, pre_gap, logits, fc_weight, grad)
 
     def relu_codes(self, images: Tensor, *, cache: PrefixCache | None = None) -> np.ndarray:
-        """Binary activation pattern per sample, packed to bits, concatenated over every ReLU.
+        """nwot's (B, B) int64 Hamming count over every ReLU unit of the network.
 
-        Each ReLU packs its input's sign pattern as it runs: row i holds
-        sample i's signs in [C,H,W] order, eight to a byte with the first
-        in the most significant bit (np.packbits), zero-padded to a whole
-        byte. The result is the (B, sum of ceil(units / 8)) uint8
-        concatenation of those rows in plan order; the padding bits are 0 in
-        every row, and plan.relu_units counts the units without them.
+        Entry (i, j), i < j, counts the ReLU units whose input is positive
+        for exactly one of samples i and j; entries on and below the
+        diagonal are 0, and plan.relu_units counts the units. Each ReLU adds
+        its own count as it runs, so no ReLU's sign pattern outlives it.
         """
-        return np.concatenate(self._forward(images, True, cache)[1], axis=1)
+        return self._forward(images, True, cache)[1]
 
 
 def count_params(desc: ArchDescriptor, space: SearchSpace) -> int:

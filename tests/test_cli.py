@@ -89,6 +89,23 @@ def test_score_bytes_do_not_depend_on_blas_threads(tmp_path, space, archs):
     assert outs[0] == outs[1]
 
 
+def test_score_pins_nwot_at_batch_64_through_the_cache(tmp_path):
+    # Students run in trie order, 1-1-1, 7-7-5, 7-7-7, and 7-7-7 resumes
+    # from the end of 7-7-5 with the Hamming count that checkpoint holds.
+    # At batch 64 each ReLU's count sums 63 rows against the later ones.
+    # Run in a child with BLAS on one thread, as exact_values is.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    out = tmp_path / "s.csv"
+    argv = ["score", "--space", "s0", "--arch", "7-7-5", "--arch", "7-7-7", "--arch", "1-1-1", "--proxy", "nwot",
+            "--batch-size", "64", "--out", str(out)]
+    child = subprocess.run([sys.executable, "-m", "diswot.cli", *argv], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert {r.arch_id: r.value for r in read_scores_csv(out)} == {
+        "7-7-5": 774.5994945839458, "7-7-7": 776.733042821542, "1-1-1": 674.6944284605436}
+
+
 def test_score_arch_order_never_changes_a_value(tmp_path):
     # The order of --arch sets where each student resumes in the prefix
     # cache, and --jobs splits the list into runs; neither may change a value.

@@ -25,6 +25,7 @@ from diswot.metrics import (
     similarity_matrix,
 )
 from diswot.metrics import _fitnets_projection
+from diswot import network
 from diswot.network import ActivationBundle, NetworkInstance
 from diswot.rng import InitSpec
 
@@ -339,31 +340,27 @@ def test_fitnets_projection_deterministic():
 # NWOT
 
 
-def _packed(codes, cuts=()):
-    """(packed, units) of bool codes [B, U] as relu_codes packs them, one ReLU per segment between cuts."""
-    segments = np.split(codes, cuts, axis=1)
-    return np.concatenate([np.packbits(s, axis=1) for s in segments], axis=1), codes.shape[1]
+def _hamming(codes, cuts=()):
+    """(count, units) of bool codes [B, U] as relu_codes sums them, one ReLU per segment between cuts."""
+    return sum(network._sign_hamming(s) for s in np.split(codes, cuts, axis=1)), codes.shape[1]
 
 
-def _network_codes(net, images):
-    """(packed, units, bool codes) of a network; the bool codes unpack each ReLU's bytes by the plan's sizes."""
-    packed = net.relu_codes(images)
-    rows, o = [], 0
-    for op in net.plan.ops:
-        if op.kind == "relu":
-            units = op.channels * op.hw[0] * op.hw[1]
-            rows.append(np.unpackbits(packed[:, o:o + -(-units // 8)], axis=1, count=units).astype(bool))
-            o += -(-units // 8)
-    assert o == packed.shape[1]
-    return packed, net.plan.relu_units, np.concatenate(rows, axis=1)
+def _network_codes(net, images, monkeypatch):
+    """(count, units, bool codes) of a network; the bool codes are the signs of each ReLU's input, in plan order."""
+    rows = []
+    relu = network.relu
+    monkeypatch.setattr(network, "relu", lambda x: rows.append((x > 0).reshape(len(x), -1)) or relu(x))
+    hamming = net.relu_codes(images)
+    assert sum(r.shape[1] for r in rows) == net.plan.relu_units
+    return hamming, net.plan.relu_units, np.concatenate(rows, axis=1)
 
 
-def test_nwot_matches_naive_kernel():
+def test_nwot_matches_naive_kernel(monkeypatch):
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 1, 1), space, InitSpec(seed=0))
     batch = synth_batch(4, 3, 32, 32, 100, seed=0)
-    packed, units, codes = _network_codes(net, batch.images)
-    got = nwot_from_codes(packed, units)
+    hamming, units, codes = _network_codes(net, batch.images, monkeypatch)
+    got = nwot_from_codes(hamming, units)
     assert got == pytest.approx(oracles.nwot_naive(codes), abs=1e-8)
 
 
@@ -371,7 +368,7 @@ def test_nwot_complementary_codes_closed_form():
     u = 10
     codes = np.zeros((2, u), dtype=bool)
     codes[0, :] = True
-    score = nwot_from_codes(*_packed(codes))
+    score = nwot_from_codes(*_hamming(codes))
     assert score == pytest.approx(2.0 * np.log(u + 1e-6), abs=1e-9)
 
 
@@ -381,8 +378,8 @@ def test_nwot_duplicate_samples_score_below_distinct():
     dup[:, :6] = True  # identical codes: singular kernel
     comp = np.zeros((2, u), dtype=bool)
     comp[0, :] = True
-    s_dup = nwot_from_codes(*_packed(dup))
-    s_comp = nwot_from_codes(*_packed(comp))
+    s_dup = nwot_from_codes(*_hamming(dup))
+    s_comp = nwot_from_codes(*_hamming(comp))
     assert np.isfinite(s_dup)
     assert s_dup < s_comp
 
@@ -392,11 +389,12 @@ def _nwot_two_product(codes, eps=1e-6):
     return float(np.linalg.slogdet(kernel)[1])
 
 
-def test_nwot_kernel_exact_against_two_product_formula():
-    # Each matrix is split into ReLUs of random lengths and each is packed to
-    # whole bytes with zero padding, as relu_codes packs them. Most lengths
-    # are not a multiple of 8, like the 86 x 7 x 7 ReLU of the smallest
-    # s2_imagenet network: the padding bits must add no Hamming distance.
+def test_nwot_kernel_exact_against_two_product_formula(monkeypatch):
+    # Each matrix is split into ReLUs of random lengths, and the Hamming
+    # counts of the segments are summed, as relu_codes sums them; each
+    # segment is packed to whole bytes and words with zero padding. Most
+    # lengths are not a multiple of 8, like the 86 x 7 x 7 ReLU of the
+    # smallest s2_imagenet network: the padding bits must add no distance.
     rng = np.random.default_rng(13)
     lengths = []
     for trial in range(60):
@@ -410,22 +408,22 @@ def test_nwot_kernel_exact_against_two_product_formula():
         cuts = np.unique(rng.integers(0, u, size=int(rng.integers(0, 12))))
         cuts = cuts[cuts > 0]
         lengths += np.diff(cuts, prepend=0, append=u).tolist()
-        assert nwot_from_codes(*_packed(codes, cuts)) == _nwot_two_product(codes)
+        assert nwot_from_codes(*_hamming(codes, cuts)) == _nwot_two_product(codes)
     assert sum(n % 8 != 0 for n in lengths) > len(lengths) // 2
     net = NetworkInstance(S0Depths(1, 1, 1), s0_space(), InitSpec(seed=3))
-    packed, units, codes = _network_codes(net, synth_batch(4, 3, 32, 32, 100, seed=3).images)
-    assert nwot_from_codes(packed, units) == _nwot_two_product(codes)
+    hamming, units, codes = _network_codes(net, synth_batch(4, 3, 32, 32, 100, seed=3).images, monkeypatch)
+    assert nwot_from_codes(hamming, units) == _nwot_two_product(codes)
 
 
 def test_nwot_float_copy_is_bounded():
-    # A (64, 303 104) code matrix is s0 5-5-5 at batch 64; one float64 copy
-    # of it, as a single product needs, would take 148 MiB. Its packed codes
-    # take one eighth of the bool bytes.
+    # A (64, 303 104) code matrix is s0 5-5-5 at batch 64, here as one ReLU;
+    # one float64 copy of it, as a single product needs, would take 148 MiB.
+    # Its packed codes take one eighth of the bool bytes.
     units = 303_104
-    packed, _ = _packed(np.random.default_rng(0).random((64, units)) < 0.5)
+    codes = np.random.default_rng(0).random((64, units)) < 0.5
     tracemalloc.start()
     try:
-        nwot_from_codes(packed, units)
+        nwot_from_codes(network._sign_hamming(codes), units)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,13 +431,14 @@ def test_nwot_float_copy_is_bounded():
 
 
 def test_nwot_small_batch_peak_is_bounded():
-    # 2**21 units at batch 4, 8 MiB as bool codes, pack into 1 MiB of words,
-    # and the XOR of one row against the other three takes 0.75 MiB more.
+    # 2**21 units at batch 4, 8 MiB as bool codes, pack into 1 MiB of bytes,
+    # copied into 1 MiB of words, and the XOR of one row against the other
+    # three takes 0.75 MiB more.
     units = 2**21
-    packed, _ = _packed(np.random.default_rng(0).random((4, units)) < 0.5)
+    codes = np.random.default_rng(0).random((4, units)) < 0.5
     tracemalloc.start()
     try:
-        nwot_from_codes(packed, units)
+        nwot_from_codes(network._sign_hamming(codes), units)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -244,17 +244,14 @@ def test_s2_imagenet_stem_downsamples():
     assert bundle.logits.shape == (2, 1000)
 
 
-def _packed_widths(net) -> list[int]:
-    """Bytes per sample of each ReLU's packed codes, in plan order."""
-    return [-(-op.channels * op.hw[0] * op.hw[1] // 8) for op in net.plan.ops if op.kind == "relu"]
-
-
 def test_relu_codes_shape_and_dtype():
     net = NetworkInstance(S0Depths(1, 1, 1), s0_space(), InitSpec(seed=1))
     batch = synth_batch(4, 3, 32, 32, 100, seed=6)
     codes = net.relu_codes(batch.images)
-    assert codes.dtype == np.uint8
-    assert codes.shape == (4, sum(_packed_widths(net)))
+    assert codes.dtype == np.int64
+    assert codes.shape == (4, 4)
+    assert np.array_equal(codes, np.triu(codes, 1))  # 0 on and below the diagonal
+    assert ((0 <= codes) & (codes <= 73_728)).all()
     assert net.plan.relu_units == 73_728
 
 
@@ -267,36 +264,24 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def test_relu_codes_assemble_one_copy():
-    # Each ReLU packs its codes to bits as it runs, and relu_codes copies
-    # them once into the (B, sum of ceil(units / 8)) uint8 array it returns,
-    # so assembling them holds a single copy beyond the per-ReLU codes.
+def test_relu_codes_hold_only_the_count():
+    # Each ReLU adds the Hamming count of its input's sign patterns to the
+    # forward's (B, B) count as it runs, and each checkpoint holds that
+    # count, so no ReLU's codes outlive it. At batch 64 the packed codes of
+    # 7-7-7 would take 3.2 MiB; the counting forward peaks 35 KiB above an
+    # activations forward, and a full hit allocates one zero count.
     net = NetworkInstance(S0Depths(7, 7, 7), s0_space(), InitSpec(seed=0))
-    batch = synth_batch(8, 3, 32, 32, 100, seed=0)
-    cache = PrefixCache(batch.images, net.init)
-    first = net.relu_codes(batch.images, cache=cache)
-    per_relu = cache._store[net.plan.ops].codes  # the plan's end is a stage end
-    assert [c.shape for c in per_relu] == [(8, w) for w in _packed_widths(net)]
-    assert all(c.dtype == np.uint8 for c in per_relu)
-    codes, peak = _traced(lambda: net.relu_codes(batch.images, cache=cache))  # resumes at the end: it only assembles
-    assert codes.dtype == np.uint8 and codes.shape == (8, sum(_packed_widths(net)))
-    assert codes.tobytes() == first.tobytes()
-    assert codes.tobytes() == np.concatenate(per_relu, axis=1).tobytes()
-    assert peak < 1.5 * codes.nbytes
-
-    # At batch 64 the codes of 7-7-7 take 25.5 MiB as bool bytes and 3.2 MiB
-    # packed. A forward that held bool codes peaked 15.6 MiB above an
-    # activations forward and assembled them in 25.5 MiB; packed, 1.8 and
-    # 3.2 MiB.
     batch = synth_batch(64, 3, 32, 32, 100, seed=0)
-    bool_bytes = 64 * net.plan.relu_units
-    packed_bytes = 64 * sum(_packed_widths(net))
+    packed_bytes = 64 * net.plan.relu_units // 8
     cache = PrefixCache(batch.images, net.init)
-    forward = _traced(lambda: net.relu_codes(batch.images, cache=cache))[1]
-    assembly = _traced(lambda: net.relu_codes(batch.images, cache=cache))[1]
+    first, forward = _traced(lambda: net.relu_codes(batch.images, cache=cache))
+    assert [(cp.hamming.dtype, cp.hamming.shape) for cp in cache._store.values()] == [(np.int64, (64, 64))] * 3
+    assert cache._store[net.plan.ops].hamming is first  # the plan's end is a stage end
+    codes, peak = _traced(lambda: net.relu_codes(batch.images, cache=cache))  # resumes at the end: it runs no op
+    assert codes.tobytes() == first.tobytes()
+    assert peak < 1.5 * codes.nbytes
     activations = _traced(lambda: net.activations(batch.images, batch.labels))[1]
-    assert assembly < bool_bytes
-    assert forward - activations < 2 * packed_bytes < bool_bytes
+    assert forward - activations < packed_bytes // 8
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +498,8 @@ def test_proxies_finite_for_sampled_descriptors(finite_teachers, name, seed):
 # ---------------------------------------------------------------------------
 # prefix cache
 
-# The stage ends of any s0 network at batch 2, without ReLU codes: 16 x 32^2,
-# 32 x 16^2 and 64 x 8^2 floats per sample.
+# The stage ends of any s0 network at batch 2, without Hamming counts:
+# 16 x 32^2, 32 x 16^2 and 64 x 8^2 floats per sample.
 S0_STAGE_END_BYTES = 2 * 8 * (16 * 32**2 + 32 * 16**2 + 64 * 8**2)
 
 
@@ -568,15 +553,16 @@ def _assert_checkpoints_bounded(cache, net, stage_ends: set):
 
     stage_ends collects the stage-end prefixes of every plan run through
     the cache so far; each key the cache holds is one of them. The bytes the
-    checkpoints hold, ReLU codes counted, are at most cache.max_bytes unless
-    net's stage-end bytes from its plan's shapes alone exceed it. With
-    max_bytes=0 the cache holds exactly net's stage ends.
+    checkpoints hold, Hamming counts included, are at most cache.max_bytes
+    unless net's stage-end bytes from its plan's shapes and a count at each
+    exceed it. With max_bytes=0 the cache holds exactly net's stage ends.
     """
     own = {net.plan.ops[:i + 1] for i in net.plan.stage_ends}
     stage_ends |= own
     assert set(cache._store) <= stage_ends
-    held = sum(cp.tensor.nbytes + sum(c.nbytes for c in cp.codes or ()) for cp in cache._store.values())
-    own_bytes = cache.images.shape[0] * sum(t + c for t, c in net.plan.stage_ends.values())
+    held = sum(cp.tensor.nbytes + (0 if cp.hamming is None else cp.hamming.nbytes) for cp in cache._store.values())
+    b = cache.images.shape[0]
+    own_bytes = sum(b * t + b * b * 8 for t in net.plan.stage_ends.values())
     assert held <= max(own_bytes, cache.max_bytes)
     if cache.max_bytes == 0:
         assert set(cache._store) == own
@@ -631,8 +617,9 @@ def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
 @pytest.mark.parametrize("name", sorted(FINITE_SPACES))
 def test_planned_stage_end_bytes_match_the_checkpoints(name, batch_size):
     # The cache makes room before a forward from the stage-end sizes that
-    # the Plan derives from the op records; each checkpoint the forward then stores
-    # holds exactly that many bytes, ReLU codes included when recorded.
+    # the Plan derives from the op records; each checkpoint the forward then
+    # stores holds exactly that many bytes, plus B * B * 8 bytes of Hamming
+    # count when it counts.
     space = FINITE_SPACES[name]()
     batch = synth_batch(batch_size, 3, space.input_hw, space.input_hw, space.num_classes, seed=0)
     init = InitSpec(seed=0)
@@ -645,8 +632,8 @@ def test_planned_stage_end_bytes_match_the_checkpoints(name, batch_size):
                 net.relu_codes(batch.images, cache=cache)
             else:
                 net.activations(batch.images, batch.labels, cache=cache)
-            planned = {net.plan.ops[:i + 1]: batch_size * (t + (c if record else 0))
-                       for i, (t, c) in net.plan.stage_ends.items()}
+            planned = {net.plan.ops[:i + 1]: batch_size * t + (batch_size**2 * 8 if record else 0)
+                       for i, t in net.plan.stage_ends.items()}
             assert {key: cp.nbytes for key, cp in cache._store.items()} == planned
 
 
@@ -727,7 +714,7 @@ def test_prefix_cache_runs_only_unshared_ops(conv_count, s0_batch):
     # ends; 5-3-1 resumes where 3-3-1's stage 1 ends.
     assert conv_count(S0Depths(3, 3, 1), "activations", cache) == 14
     assert conv_count(S0Depths(5, 3, 1), "activations", cache) == 14
-    # activations records no codes, so relu_codes after it runs again.
+    # activations counts nothing, so relu_codes after it runs again.
     plain = PrefixCache(s0_batch.images, init)
     assert conv_count(S0Depths(3, 1, 1), "activations", plain) == 13
     assert conv_count(S0Depths(3, 1, 1), "relu_codes", plain) == 13
