@@ -42,7 +42,7 @@ from .arch import (
     parse_nb201,
 )
 from .data import load_accuracy_csv, load_cifar_batch, synth_batch, ScoreRow, write_report_csv, write_scores_csv
-from .metrics import BUNDLES, CODES, COST, DISWOT, FC_WEIGHT_GRADS, FC_WEIGHTS, MATRIX_L2, PROXIES, ROW_L2
+from .metrics import BUNDLES, COST, DISWOT, FC_WEIGHT_GRADS, FC_WEIGHTS, KERNEL, MATRIX_L2, PROXIES, ROW_L2
 from .metrics import ProxyOptions, proxy_value
 from .network import NetworkInstance, PrefixCache, count_flops, count_params, satisfies_constraints, trie_order
 from .rankstats import MIN_ROWS, MissingArchError, evaluate_proxy, format_report_table, report_rows
@@ -246,14 +246,14 @@ def _make_scorer(args, space, seed: int, proxies, teacher):
         cache = None if batch is None else PrefixCache(batch.images, init, max_bytes)
 
         def scorer(desc) -> dict[str, float]:
-            codes = units = bundle = None
+            kernel = bundle = None
             if batch is not None:
                 student = NetworkInstance(desc, space, init)
-                if CODES in reads:
-                    codes, units = student.relu_codes(batch.images, cache=cache), student.plan.relu_units
+                if KERNEL in reads:
+                    kernel = student.relu_codes(batch.images, cache=cache)
                 if BUNDLES in reads:
                     bundle = student.activations(batch.images, batch.labels, cache=cache)
-            return {p: proxy_value(p, desc, space, codes, units, teacher_bundle, bundle, options) for p in proxies}
+            return {p: proxy_value(p, desc, space, kernel, teacher_bundle, bundle, options) for p in proxies}
 
         return scorer
 

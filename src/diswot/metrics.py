@@ -127,21 +127,19 @@ def diswot_score_from_bundles(
     return -total
 
 
-def nwot_from_codes(hamming: np.ndarray, units: int) -> float:
-    """Log-determinant of the sign-agreement kernel, from the Hamming count relu_codes returns.
+def nwot_from_codes(kernel: np.ndarray) -> float:
+    """Log-determinant of nwot's sign-agreement kernel K_H, as relu_codes returns it.
 
-    hamming is the (B, B) int64 count whose entry (i, j), i < j, counts the ReLU
-    units where samples i and j differ in sign, with every other entry 0, and
-    units is the number of ReLU units per sample. K[i, j] counts the units where
-    samples i and j are both active or both inactive: units minus their Hamming
-    distance, an exact integer before the ridge. _NWOT_EPS regularizes
-    rank-deficient kernels, such as those of two samples with one sign pattern.
+    kernel is the symmetric (B, B) int64 matrix whose entry (i, j) counts the
+    ReLU units where samples i and j are both active or both inactive; its
+    diagonal is the network's ReLU unit count. It is exact before the ridge:
+    _NWOT_EPS regularizes rank-deficient kernels, such as those of two samples
+    with one sign pattern, and slogdet takes the log-determinant.
     """
-    b = hamming.shape[0]
+    b = kernel.shape[0]
     if b < 2:
         raise ValueError("nwot needs a batch of at least 2 samples")
-    kernel = units - (hamming + hamming.T) + _NWOT_EPS * np.eye(b)
-    _, logdet = np.linalg.slogdet(kernel)
+    _, logdet = np.linalg.slogdet(kernel + _NWOT_EPS * np.eye(b))
     return float(logdet)
 
 
@@ -280,15 +278,15 @@ def kd_distance(
     return -_KD_DISTANCES[kind](teacher, student, temperature)
 
 
-# What a proxy reads: the descriptor's cost, the student's ReLU Hamming
-# count, or the teacher and student activation bundles.
+# What a proxy reads: the descriptor's cost, the student's ReLU agreement
+# kernel, or the teacher and student activation bundles.
 COST = "cost"
-CODES = "codes"
+KERNEL = "kernel"
 BUNDLES = "bundles"
 
 PROXIES = {
     DISWOT: BUNDLES,
-    NWOT: CODES,
+    NWOT: KERNEL,
     **dict.fromkeys(COST_PROXIES, COST),
     **dict.fromkeys(_KD_DISTANCES, BUNDLES),
 }
@@ -305,20 +303,20 @@ class ProxyOptions:
     temperature: float = 1.0
 
 
-def proxy_value(name: str, desc, space=None, codes: np.ndarray | None = None, units: int | None = None,
+def proxy_value(name: str, desc, space=None, kernel: np.ndarray | None = None,
                 teacher: ActivationBundle | None = None, student: ActivationBundle | None = None,
                 options: ProxyOptions = ProxyOptions()) -> float:
     """The value of proxy name for the student desc, from the inputs PROXIES[name] names.
 
-    A cost proxy reads space, nwot the student's Hamming count (codes) and
-    its relu_units, and the bundle proxies teacher and student; the other
+    A cost proxy reads space, nwot the student's agreement kernel (see
+    nwot_from_codes), and the bundle proxies teacher and student; the other
     inputs may be None. A non-finite value raises ValueError naming the
     proxy and the architecture.
     """
     if name in COST_PROXIES:
         value = float(COST_PROXIES[name](desc, space))
     elif name == NWOT:
-        value = nwot_from_codes(codes, units)
+        value = nwot_from_codes(kernel)
     elif name == DISWOT:
         value = diswot_score_from_bundles(teacher, student, options.use_semantic, options.use_relation,
                                           options.weight_source, options.normalization)

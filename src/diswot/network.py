@@ -5,16 +5,16 @@ over numbered activation slots. Slot 0 holds the input images, at the
 space's input size, and every op writes a new slot; its record carries
 that slot's spatial size and channel count. A skip edge compiles to no op
 at all; its readers use its input slot. _compile returns a Plan: the ops
-and every fact derived from them (frees, stage ends, relu_units, params,
-flops). So the forward pass, the prefix cache's sizes, count_params and
-count_flops can never drift apart.
+and every fact derived from them (frees, stage ends, params, flops). So
+the forward pass, the prefix cache's sizes, count_params and count_flops
+can never drift apart.
 
 Op kinds:
 
 * conv: no bias, zero padding kernel // 2;
 * bn: batch statistics, no affine;
-* relu: in a relu_codes forward, adds the Hamming distances between its
-  input's per-sample sign patterns to nwot's (B, B) count;
+* relu: in a relu_codes forward, adds to nwot's (B, B) kernel the number
+  of its units on which each pair of samples agrees in sign;
 * add: residual sums and cell-node sums, left to right;
 * pool: 3x3 average pooling at stride 1, padding 1;
 * zero: the NB201 "none" edge, an explicit zero array that is still added
@@ -185,15 +185,13 @@ class Plan:
     cell boundary, or an op of the stem. stage_ends maps each one-live point
     followed by the plan's end or by a conv that changes the spatial size or
     the channel count to the bytes per sample of its float64 output.
-    relu_units counts ReLU units per sample; count_params and count_flops
-    return params and flops.
+    count_params and count_flops return params and flops.
     """
 
     ops: tuple[_Op, ...]
     frees: tuple[tuple[int, ...], ...]
     one_live: tuple[int, ...]
     stage_ends: dict[int, int]
-    relu_units: int
     params: int
     flops: int
 
@@ -227,12 +225,9 @@ def _compile(desc: ArchDescriptor, space: SearchSpace) -> Plan:
     for slot, i in {slot: i for i, op in enumerate(ops) for slot in op.ins}.items():
         frees[i].append(slot)
     one_live, ends, live = [], {}, 1  # live counts the slots held, at first slot 0
-    units = params = flops = 0
+    params = flops = 0
     for i, op in enumerate(ops):
-        size = op.channels * op.hw[0] * op.hw[1]
-        if op.kind == "relu":
-            units += size
-        elif op.kind == "conv":
+        if op.kind == "conv":
             params += math.prod(op.shape)
             flops += 2 * math.prod(op.shape) * op.hw[0] * op.hw[1]
         elif op.kind == "bn":
@@ -242,59 +237,59 @@ def _compile(desc: ArchDescriptor, space: SearchSpace) -> Plan:
             one_live.append(i)
             nxt = ops[i + 1] if i + 1 < len(ops) else None
             if nxt is None or nxt.kind == "conv" and (nxt.hw != op.hw or nxt.channels != op.channels):
-                ends[i] = 8 * size
+                ends[i] = 8 * op.channels * op.hw[0] * op.hw[1]
     fc = ops[-1].channels * space.num_classes  # the classifier's weights; params adds its bias
-    return Plan(ops, tuple(map(tuple, frees)), tuple(reversed(one_live)), ends, units,
+    return Plan(ops, tuple(map(tuple, frees)), tuple(reversed(one_live)), ends,
                 params + fc + space.num_classes, flops + 2 * fc)
 
 
-def _sign_hamming(active: np.ndarray) -> np.ndarray:
-    """(B, B) int64: entry (i, j), i < j, counts the units where rows i and j of the bool array active differ; 0 elsewhere."""
-    b = active.shape[0]
-    nbytes = -(-active[0].size // 8)
+def _sign_agreement(active: np.ndarray) -> np.ndarray:
+    """(B, B) int64, symmetric: entry (i, j) counts the units where rows i and j of the bool array active agree."""
+    b, units = active.shape[0], active[0].size
+    nbytes = -(-units // 8)
     packed = np.zeros((b, -(-nbytes // 8)), np.uint64)  # zero padding agrees in every row
     packed.view(np.uint8)[:, :nbytes] = np.packbits(active.reshape(b, -1), axis=1)
     # Each row against all later rows at once, into buffers reused across rows.
     diff = np.empty_like(packed[1:])
     count = np.empty(diff.shape, np.uint8)
-    hamming = np.zeros((b, b), np.int64)
+    agree = np.full((b, b), units, np.int64)
     for i in range(1, b):
         np.bitwise_count(np.bitwise_xor(packed[i:], packed[i - 1], out=diff[i - 1:]), out=count[i - 1:])
-        hamming[i - 1, i:] = count[i - 1:].sum(axis=1)
-    return hamming
+        agree[i - 1, i:] = agree[i:, i - 1] = units - count[i - 1:].sum(axis=1)
+    return agree
 
 
 class _Checkpoint(NamedTuple):
-    tensor: Tensor              # the one live tensor after the prefix
-    hamming: np.ndarray | None  # the (B, B) Hamming count of the ReLUs up to here; None if it was not counted
-    nbytes: int                 # of the tensor and the count
+    tensor: Tensor             # the one live tensor after the prefix
+    kernel: np.ndarray | None  # nwot's (B, B) kernel of the ReLUs up to here; None if it was not counted
+    nbytes: int                # of the tensor and the kernel
 
 
 class PrefixCache:
     """Stage-end activations of recent forwards, keyed by plan prefix, for later forwards to resume from.
 
     Two plans that agree on their first n op records hold bit-identical
-    tensors after op n: conv i draws its weights from the stream
-    (init.seed, i) and batch norm reads only the current batch. The cache
-    maps a plan prefix that ends at a stage end to the one live tensor
-    there, plus the (B, B) Hamming count of the ReLUs up to there when its
-    forward counted them, least recently used first. A forward through the
-    cache starts from the deepest point of its own plan at which that plan
-    has a single live slot (see Plan) and whose prefix the cache holds, and
-    runs only the rest. That point may lie inside one of its stages: 7-7-5 after 7-7-3
-    resumes from the end of 7-7-3, its own third stage-3 block boundary,
-    and runs two blocks. A forward counts exactly when it is relu_codes, and
-    relu_codes resumes only from checkpoints that hold a count. So
-    activations right after relu_codes on the same network runs no op,
-    while relu_codes right after activations resumes only from a checkpoint
-    an earlier relu_codes forward took.
+    tensors after op n: conv i draws its weights from the stream (init.seed,
+    i) and batch norm reads only the current batch. The cache maps a plan
+    prefix that ends at a stage end to the one live tensor there, plus
+    nwot's (B, B) agreement kernel of the ReLUs up to there when its forward
+    counted them, least recently used first. A forward through the cache
+    starts from the deepest point of its own plan at which that plan has a
+    single live slot (see Plan) and whose prefix the cache holds, and runs
+    only the rest. That point may lie inside one of its stages: 7-7-5 after
+    7-7-3 resumes from the end of 7-7-3, its own third stage-3 block
+    boundary, and runs two blocks. A forward counts exactly when it is
+    relu_codes, and relu_codes resumes only from checkpoints that hold a
+    kernel. So activations right after relu_codes on the same network runs
+    no op, while relu_codes right after activations resumes only from a
+    checkpoint an earlier relu_codes forward took.
 
     Each forward then stores the tensor at each of its stage ends. Before it
     runs any op it makes room: it evicts the least recently used checkpoints
     other than its own stage ends until the held bytes plus the bytes it is
     about to store fit in max_bytes, or in the bytes of its own stage ends
     if that is more (the tensors' sizes come from the plan's shapes, see
-    Plan, plus B * B * 8 bytes of count each when it counts). So with
+    Plan, plus B * B * 8 bytes of kernel each when it counts). So with
     max_bytes=0 the cache holds exactly the stage ends of the last network,
     which serves score, where neighbours in prefix-trie order share their
     prefixes, and a random search, whose draws have no parents. An evolutionary search
@@ -313,18 +308,18 @@ class PrefixCache:
         self.max_bytes = max_bytes
         self._store: dict[tuple[_Op, ...], _Checkpoint] = {}  # least recently used first
 
-    def _resume(self, net: NetworkInstance, images: Tensor, hamming: np.ndarray | None):
-        """Make room for net's stage ends; return (first op to run, slots, count) given the count to start from or None."""
+    def _resume(self, net: NetworkInstance, images: Tensor, kernel: np.ndarray | None):
+        """Make room for net's stage ends; return (first op to run, slots, kernel) given the kernel to start from or None."""
         if images is not self.images or net.init != self.init:
             raise ValueError("a PrefixCache serves only the image array and InitSpec it was made with")
         plan, ends, store = net.plan.ops, net.plan.stage_ends, self._store
-        record = hamming is not None
+        record = kernel is not None
         start, slots = 0, {0: images}
         for i in net.plan.one_live:
             key = plan[:i + 1]
             cp = store.get(key)
-            if cp is not None and (cp.hamming is not None or not record):
-                start, slots, hamming = i + 1, {plan[i].out: cp.tensor}, cp.hamming if record else None
+            if cp is not None and (cp.kernel is not None or not record):
+                start, slots, kernel = i + 1, {plan[i].out: cp.tensor}, cp.kernel if record else None
                 store[key] = store.pop(key)  # now the most recently used
                 break
         # Take this plan's own stage ends out: those before start stay, the
@@ -344,10 +339,10 @@ class PrefixCache:
         while store and held > room:
             held -= store.pop(next(iter(store))).nbytes
         store.update(own)
-        return start, slots, hamming
+        return start, slots, kernel
 
-    def _mark(self, prefix: tuple[_Op, ...], tensor: Tensor, hamming: np.ndarray | None) -> None:
-        self._store[prefix] = _Checkpoint(tensor, hamming, tensor.nbytes + (0 if hamming is None else hamming.nbytes))
+    def _mark(self, prefix: tuple[_Op, ...], tensor: Tensor, kernel: np.ndarray | None) -> None:
+        self._store[prefix] = _Checkpoint(tensor, kernel, tensor.nbytes + (0 if kernel is None else kernel.nbytes))
 
 
 class NetworkInstance:
@@ -364,11 +359,11 @@ class NetworkInstance:
         self.plan = _compile(descriptor, space)
 
     def _forward(self, images: Tensor, record: bool, cache: PrefixCache | None):
-        """Return (pre-GAP map, the ReLUs' (B, B) Hamming count if record, else None)."""
+        """Return (pre-GAP map, nwot's (B, B) kernel if record, else None)."""
         batch = images.shape[0]
-        start, slots, hamming = 0, {0: images}, np.zeros((batch, batch), np.int64) if record else None
+        start, slots, kernel = 0, {0: images}, np.zeros((batch, batch), np.int64) if record else None
         if cache is not None:
-            start, slots, hamming = cache._resume(self, images, hamming)
+            start, slots, kernel = cache._resume(self, images, kernel)
         plan = self.plan
         for index in range(start, len(plan.ops)):
             op = plan.ops[index]
@@ -379,8 +374,8 @@ class NetworkInstance:
                 y = batchnorm_batchstats(x)
             elif op.kind == "relu":
                 y = relu(x)
-                if hamming is not None:
-                    hamming = hamming + _sign_hamming(x > 0)
+                if kernel is not None:
+                    kernel = kernel + _sign_agreement(x > 0)
             elif op.kind == "add":
                 y = residual_add(x, slots[op.ins[1]])
             elif op.kind == "pool":
@@ -391,8 +386,8 @@ class NetworkInstance:
                 del slots[slot]
             slots[op.out] = y
             if cache is not None and index in plan.stage_ends:
-                cache._mark(plan.ops[:index + 1], y, hamming)
-        return slots[plan.ops[-1].out], hamming
+                cache._mark(plan.ops[:index + 1], y, kernel)
+        return slots[plan.ops[-1].out], kernel
 
     def activations(self, images: Tensor, labels: np.ndarray, *, cache: PrefixCache | None = None) -> ActivationBundle:
         pre_gap = self._forward(images, False, cache)[0]
@@ -404,12 +399,12 @@ class NetworkInstance:
         return ActivationBundle(features, pre_gap, logits, fc_weight, grad)
 
     def relu_codes(self, images: Tensor, *, cache: PrefixCache | None = None) -> np.ndarray:
-        """nwot's (B, B) int64 Hamming count over every ReLU unit of the network.
+        """nwot's (B, B) int64 kernel K_H over every ReLU unit of the network.
 
-        Entry (i, j), i < j, counts the ReLU units whose input is positive
-        for exactly one of samples i and j; entries on and below the
-        diagonal are 0, and plan.relu_units counts the units. Each ReLU adds
-        its own count as it runs, so no ReLU's sign pattern outlives it.
+        Entry (i, j) counts the ReLU units whose input is positive for both
+        or for neither of samples i and j. So K_H is symmetric, and its
+        diagonal holds the network's ReLU unit count per sample. Each ReLU
+        adds its own counts as it runs, so no ReLU's sign pattern outlives it.
         """
         return self._forward(images, True, cache)[1]
 

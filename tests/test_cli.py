@@ -91,8 +91,8 @@ def test_score_bytes_do_not_depend_on_blas_threads(tmp_path, space, archs):
 
 def test_score_pins_nwot_at_batch_64_through_the_cache(tmp_path):
     # Students run in trie order, 1-1-1, 7-7-5, 7-7-7, and 7-7-7 resumes
-    # from the end of 7-7-5 with the Hamming count that checkpoint holds.
-    # At batch 64 each ReLU's count sums 63 rows against the later ones.
+    # from the end of 7-7-5 with the agreement kernel that checkpoint holds.
+    # At batch 64 each ReLU's kernel sums 63 rows against the later ones.
     # Run in a child with BLAS on one thread, as exact_values is.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -428,7 +428,7 @@ def test_config_echoes_every_flag(tmp_path, monkeypatch):
 
 
 def test_score_rejects_non_finite_value(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(metrics, "nwot_from_codes", lambda codes, units: float("nan"))
+    monkeypatch.setattr(metrics, "nwot_from_codes", lambda kernel: float("nan"))
     out = tmp_path / "x.csv"
     code = run(["score", "--space", "s0", "--arch", "1-3-5", "--proxy", "nwot",
                 "--batch-size", "2", "--out", str(out)])

@@ -2,18 +2,19 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diswot.arch import S0Depths, max_descriptor, s0_space
+from diswot.arch import S0Depths, max_descriptor, nb201_space, parse_nb201, s0_space, s2_cifar_space
 from diswot.data import synth_batch
 from diswot.kernels import fc_weight_grad, global_avg_pool
 from diswot.metrics import (
     BUNDLES,
-    CODES,
     COST,
     KD_KINDS,
+    KERNEL,
     PROXIES,
     diswot_score_from_bundles,
     gradcam_maps,
@@ -26,7 +27,7 @@ from diswot.metrics import (
 )
 from diswot.metrics import _fitnets_projection
 from diswot import network
-from diswot.network import ActivationBundle, NetworkInstance
+from diswot.network import ActivationBundle, NetworkInstance, PrefixCache, sample_random
 from diswot.rng import InitSpec
 
 import oracles
@@ -340,27 +341,27 @@ def test_fitnets_projection_deterministic():
 # NWOT
 
 
-def _hamming(codes, cuts=()):
-    """(count, units) of bool codes [B, U] as relu_codes sums them, one ReLU per segment between cuts."""
-    return sum(network._sign_hamming(s) for s in np.split(codes, cuts, axis=1)), codes.shape[1]
+def _kernel(codes, cuts=()):
+    """The kernel of bool codes [B, U] as relu_codes sums it, one ReLU per segment between cuts."""
+    return sum(network._sign_agreement(s) for s in np.split(codes, cuts, axis=1))
 
 
-def _network_codes(net, images, monkeypatch):
-    """(count, units, bool codes) of a network; the bool codes are the signs of each ReLU's input, in plan order."""
+def _network_codes(net, images, monkeypatch, cache=None):
+    """(kernel, bool codes) of a network; the bool codes are the signs of the input of each ReLU that runs, in plan order."""
     rows = []
     relu = network.relu
     monkeypatch.setattr(network, "relu", lambda x: rows.append((x > 0).reshape(len(x), -1)) or relu(x))
-    hamming = net.relu_codes(images)
-    assert sum(r.shape[1] for r in rows) == net.plan.relu_units
-    return hamming, net.plan.relu_units, np.concatenate(rows, axis=1)
+    kernel = net.relu_codes(images, cache=cache)
+    monkeypatch.setattr(network, "relu", relu)
+    return kernel, np.concatenate(rows, axis=1) if rows else np.zeros((len(images), 0), bool)
 
 
 def test_nwot_matches_naive_kernel(monkeypatch):
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 1, 1), space, InitSpec(seed=0))
     batch = synth_batch(4, 3, 32, 32, 100, seed=0)
-    hamming, units, codes = _network_codes(net, batch.images, monkeypatch)
-    got = nwot_from_codes(hamming, units)
+    kernel, codes = _network_codes(net, batch.images, monkeypatch)
+    got = nwot_from_codes(kernel)
     assert got == pytest.approx(oracles.nwot_naive(codes), abs=1e-8)
 
 
@@ -368,7 +369,7 @@ def test_nwot_complementary_codes_closed_form():
     u = 10
     codes = np.zeros((2, u), dtype=bool)
     codes[0, :] = True
-    score = nwot_from_codes(*_hamming(codes))
+    score = nwot_from_codes(_kernel(codes))
     assert score == pytest.approx(2.0 * np.log(u + 1e-6), abs=1e-9)
 
 
@@ -378,8 +379,8 @@ def test_nwot_duplicate_samples_score_below_distinct():
     dup[:, :6] = True  # identical codes: singular kernel
     comp = np.zeros((2, u), dtype=bool)
     comp[0, :] = True
-    s_dup = nwot_from_codes(*_hamming(dup))
-    s_comp = nwot_from_codes(*_hamming(comp))
+    s_dup = nwot_from_codes(_kernel(dup))
+    s_comp = nwot_from_codes(_kernel(comp))
     assert np.isfinite(s_dup)
     assert s_dup < s_comp
 
@@ -390,11 +391,11 @@ def _nwot_two_product(codes, eps=1e-6):
 
 
 def test_nwot_kernel_exact_against_two_product_formula(monkeypatch):
-    # Each matrix is split into ReLUs of random lengths, and the Hamming
+    # Each matrix is split into ReLUs of random lengths, and the agreement
     # counts of the segments are summed, as relu_codes sums them; each
     # segment is packed to whole bytes and words with zero padding. Most
     # lengths are not a multiple of 8, like the 86 x 7 x 7 ReLU of the
-    # smallest s2_imagenet network: the padding bits must add no distance.
+    # smallest s2_imagenet network: the padding bits must add no agreement.
     rng = np.random.default_rng(13)
     lengths = []
     for trial in range(60):
@@ -408,11 +409,53 @@ def test_nwot_kernel_exact_against_two_product_formula(monkeypatch):
         cuts = np.unique(rng.integers(0, u, size=int(rng.integers(0, 12))))
         cuts = cuts[cuts > 0]
         lengths += np.diff(cuts, prepend=0, append=u).tolist()
-        assert nwot_from_codes(*_hamming(codes, cuts)) == _nwot_two_product(codes)
+        assert nwot_from_codes(_kernel(codes, cuts)) == _nwot_two_product(codes)
     assert sum(n % 8 != 0 for n in lengths) > len(lengths) // 2
     net = NetworkInstance(S0Depths(1, 1, 1), s0_space(), InitSpec(seed=3))
-    hamming, units, codes = _network_codes(net, synth_batch(4, 3, 32, 32, 100, seed=3).images, monkeypatch)
-    assert nwot_from_codes(hamming, units) == _nwot_two_product(codes)
+    kernel, codes = _network_codes(net, synth_batch(4, 3, 32, 32, 100, seed=3).images, monkeypatch)
+    assert nwot_from_codes(kernel) == _nwot_two_product(codes)
+
+
+def _member_and_sibling(kind):
+    """A member of the space kind and a sibling network that a prefix cache can hold checkpoints of first."""
+    if kind == "s0":
+        return s0_space(), S0Depths(1, 1, 2), S0Depths(1, 1, 1)  # 1-1-2 resumes from 1-1-1's end
+    if kind == "nb201":  # cells share no stage end: the member resumes only from its own checkpoints
+        return nb201_space(), *map(parse_nb201, (
+            "|nor_conv_3x3~0|+|none~0|avg_pool_3x3~1|+|skip_connect~0|nor_conv_1x1~1|nor_conv_3x3~2|",
+            "|nor_conv_1x1~0|+|skip_connect~0|nor_conv_3x3~1|+|none~0|avg_pool_3x3~1|nor_conv_1x1~2|"))
+    space = s2_cifar_space()
+    desc = sample_random(space, np.random.default_rng(3))
+    last = desc.stages[-1]  # depth 2: the sibling of depth 1 ends where the member's last block starts
+    return space, desc, replace(desc, stages=desc.stages[:-1] + (replace(last, depth=last.depth - 1),))
+
+
+@pytest.mark.parametrize("kind", ["s0", "nb201", "s2_cifar"])
+def test_relu_codes_is_the_agreement_kernel(kind, monkeypatch):
+    # relu_codes returns K_H itself: A A^T + (1 - A)(1 - A)^T in int64 over
+    # the sign patterns A of every ReLU input, fresh and through a cache.
+    space, desc, sibling = _member_and_sibling(kind)
+    init = InitSpec(seed=0)
+    images = synth_batch(3, 3, 32, 32, space.num_classes, seed=0).images
+    net = NetworkInstance(desc, space, init)
+    kernel, codes = _network_codes(net, images, monkeypatch)
+    a = codes.astype(np.int64)
+    want = a @ a.T + (1 - a) @ (1 - a).T
+    assert kernel.dtype == np.int64 and kernel.shape == (3, 3)
+    np.testing.assert_array_equal(kernel, want)
+    np.testing.assert_array_equal(kernel, kernel.T)
+    units = sum(op.channels * op.hw[0] * op.hw[1] for op in net.plan.ops if op.kind == "relu")
+    assert codes.shape[1] == units and (kernel.diagonal() == units).all()
+    cache = PrefixCache(images, init)
+    held = NetworkInstance(sibling, space, init).relu_codes(images, cache=cache)  # also its end's checkpoint
+    before = held.copy()
+    resumed, ran = _network_codes(net, images, monkeypatch, cache)
+    np.testing.assert_array_equal(resumed, want)
+    assert ran.shape[1] < units or kind == "nb201"
+    np.testing.assert_array_equal(held, before)  # resuming adds to a new array, never in place
+    hit, ran = _network_codes(net, images, monkeypatch, cache)  # resumes at its own end and runs no ReLU
+    assert ran.shape[1] == 0
+    np.testing.assert_array_equal(hit, want)
 
 
 def test_nwot_float_copy_is_bounded():
@@ -423,7 +466,7 @@ def test_nwot_float_copy_is_bounded():
     codes = np.random.default_rng(0).random((64, units)) < 0.5
     tracemalloc.start()
     try:
-        nwot_from_codes(network._sign_hamming(codes), units)
+        nwot_from_codes(network._sign_agreement(codes))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -438,7 +481,7 @@ def test_nwot_small_batch_peak_is_bounded():
     codes = np.random.default_rng(0).random((4, units)) < 0.5
     tracemalloc.start()
     try:
-        nwot_from_codes(network._sign_hamming(codes), units)
+        nwot_from_codes(network._sign_agreement(codes))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -449,10 +492,10 @@ def test_nwot_sample_order_invariance():
     space = s0_space()
     net = NetworkInstance(S0Depths(1, 3, 1), space, InitSpec(seed=1))
     batch = synth_batch(5, 3, 32, 32, 100, seed=1)
-    base = nwot_from_codes(net.relu_codes(batch.images), net.plan.relu_units)
+    base = nwot_from_codes(net.relu_codes(batch.images))
     perm = np.random.default_rng(2).permutation(5)
-    codes = net.relu_codes(batch.images[perm])
-    assert nwot_from_codes(codes, net.plan.relu_units) == pytest.approx(base, abs=1e-8)
+    kernel = net.relu_codes(batch.images[perm])
+    assert nwot_from_codes(kernel) == pytest.approx(base, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +576,7 @@ def proxy_inputs():
     teacher = NetworkInstance(max_descriptor(space), space, init)
     return {
         COST: {"space": space},
-        CODES: {"codes": student.relu_codes(batch.images), "units": student.plan.relu_units},
+        KERNEL: {"kernel": student.relu_codes(batch.images)},
         BUNDLES: {
             "teacher": teacher.activations(batch.images, batch.labels),
             "student": student.activations(batch.images, batch.labels),

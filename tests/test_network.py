@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from diswot.arch import (
@@ -247,12 +247,12 @@ def test_s2_imagenet_stem_downsamples():
 def test_relu_codes_shape_and_dtype():
     net = NetworkInstance(S0Depths(1, 1, 1), s0_space(), InitSpec(seed=1))
     batch = synth_batch(4, 3, 32, 32, 100, seed=6)
-    codes = net.relu_codes(batch.images)
-    assert codes.dtype == np.int64
-    assert codes.shape == (4, 4)
-    assert np.array_equal(codes, np.triu(codes, 1))  # 0 on and below the diagonal
-    assert ((0 <= codes) & (codes <= 73_728)).all()
-    assert net.plan.relu_units == 73_728
+    kernel = net.relu_codes(batch.images)
+    assert kernel.dtype == np.int64
+    assert kernel.shape == (4, 4)
+    assert np.array_equal(kernel, kernel.T)
+    assert (kernel.diagonal() == 73_728).all()  # the network's ReLU units
+    assert ((0 <= kernel) & (kernel <= 73_728)).all()
 
 
 def _traced(fn):
@@ -265,21 +265,21 @@ def _traced(fn):
 
 
 def test_relu_codes_hold_only_the_count():
-    # Each ReLU adds the Hamming count of its input's sign patterns to the
-    # forward's (B, B) count as it runs, and each checkpoint holds that
-    # count, so no ReLU's codes outlive it. At batch 64 the packed codes of
+    # Each ReLU adds the agreement counts of its input's sign patterns to
+    # the forward's (B, B) kernel as it runs, and each checkpoint holds that
+    # kernel, so no ReLU's codes outlive it. At batch 64 the packed codes of
     # 7-7-7 would take 3.2 MiB; the counting forward peaks 35 KiB above an
-    # activations forward, and a full hit allocates one zero count.
+    # activations forward, and a full hit allocates one zero kernel.
     net = NetworkInstance(S0Depths(7, 7, 7), s0_space(), InitSpec(seed=0))
     batch = synth_batch(64, 3, 32, 32, 100, seed=0)
-    packed_bytes = 64 * net.plan.relu_units // 8
     cache = PrefixCache(batch.images, net.init)
     first, forward = _traced(lambda: net.relu_codes(batch.images, cache=cache))
-    assert [(cp.hamming.dtype, cp.hamming.shape) for cp in cache._store.values()] == [(np.int64, (64, 64))] * 3
-    assert cache._store[net.plan.ops].hamming is first  # the plan's end is a stage end
-    codes, peak = _traced(lambda: net.relu_codes(batch.images, cache=cache))  # resumes at the end: it runs no op
-    assert codes.tobytes() == first.tobytes()
-    assert peak < 1.5 * codes.nbytes
+    packed_bytes = 64 * int(first[0, 0]) // 8  # the diagonal holds the ReLU units
+    assert [(cp.kernel.dtype, cp.kernel.shape) for cp in cache._store.values()] == [(np.int64, (64, 64))] * 3
+    assert cache._store[net.plan.ops].kernel is first  # the plan's end is a stage end
+    kernel, peak = _traced(lambda: net.relu_codes(batch.images, cache=cache))  # resumes at the end: it runs no op
+    assert kernel.tobytes() == first.tobytes()
+    assert peak < 1.5 * kernel.nbytes
     activations = _traced(lambda: net.activations(batch.images, batch.labels))[1]
     assert forward - activations < packed_bytes // 8
 
@@ -410,7 +410,7 @@ def _exact_values() -> list[list]:
         bundle = net.activations(batch.images, batch.labels)
         out.append([
             diswot_score_from_bundles(teachers[make_space], bundle),
-            nwot_from_codes(net.relu_codes(batch.images), net.plan.relu_units),
+            nwot_from_codes(net.relu_codes(batch.images)),
             kd_distance("cc", teachers[make_space], bundle),
             count_params(desc, space),
             4 * count_flops(desc, space),  # pinned at batch 4
@@ -491,14 +491,14 @@ def test_proxies_finite_for_sampled_descriptors(finite_teachers, name, seed):
     net = NetworkInstance(desc, space, InitSpec(seed=seed))
     bundle = net.activations(batch.images, batch.labels)
     assert np.isfinite(diswot_score_from_bundles(teacher_bundle, bundle))
-    assert np.isfinite(nwot_from_codes(net.relu_codes(batch.images), net.plan.relu_units))
+    assert np.isfinite(nwot_from_codes(net.relu_codes(batch.images)))
     assert np.isfinite(kd_distance("cc", teacher_bundle, bundle))
 
 
 # ---------------------------------------------------------------------------
 # prefix cache
 
-# The stage ends of any s0 network at batch 2, without Hamming counts:
+# The stage ends of any s0 network at batch 2, without kernels:
 # 16 x 32^2, 32 x 16^2 and 64 x 8^2 floats per sample.
 S0_STAGE_END_BYTES = 2 * 8 * (16 * 32**2 + 32 * 16**2 + 64 * 8**2)
 
@@ -553,14 +553,14 @@ def _assert_checkpoints_bounded(cache, net, stage_ends: set):
 
     stage_ends collects the stage-end prefixes of every plan run through
     the cache so far; each key the cache holds is one of them. The bytes the
-    checkpoints hold, Hamming counts included, are at most cache.max_bytes
-    unless net's stage-end bytes from its plan's shapes and a count at each
-    exceed it. With max_bytes=0 the cache holds exactly net's stage ends.
+    checkpoints hold, kernels included, are at most cache.max_bytes unless
+    net's stage-end bytes from its plan's shapes and a kernel at each exceed
+    it. With max_bytes=0 the cache holds exactly net's stage ends.
     """
     own = {net.plan.ops[:i + 1] for i in net.plan.stage_ends}
     stage_ends |= own
     assert set(cache._store) <= stage_ends
-    held = sum(cp.tensor.nbytes + (0 if cp.hamming is None else cp.hamming.nbytes) for cp in cache._store.values())
+    held = sum(cp.tensor.nbytes + (0 if cp.kernel is None else cp.kernel.nbytes) for cp in cache._store.values())
     b = cache.images.shape[0]
     own_bytes = sum(b * t + b * b * 8 for t in net.plan.stage_ends.values())
     assert held <= max(own_bytes, cache.max_bytes)
@@ -568,7 +568,10 @@ def _assert_checkpoints_bounded(cache, net, stage_ends: set):
         assert set(cache._store) == own
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+# The seed is the one derandomize=True drew from this test's source before
+# it was pinned, so editing the body no longer redraws the 25 examples.
+@seed(14398902006772374371268460888374381327864804436131146947144166871105461728813194230652728245118651275617996930846339)
+@settings(max_examples=25, deadline=None)
 @given(
     names=st.lists(st.sampled_from(sorted(FINITE_SPACES)), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
@@ -618,8 +621,8 @@ def test_prefix_cache_matches_fresh_networks(names, seed, size, calls):
 def test_planned_stage_end_bytes_match_the_checkpoints(name, batch_size):
     # The cache makes room before a forward from the stage-end sizes that
     # the Plan derives from the op records; each checkpoint the forward then
-    # stores holds exactly that many bytes, plus B * B * 8 bytes of Hamming
-    # count when it counts.
+    # stores holds exactly that many bytes, plus B * B * 8 bytes of kernel
+    # when it counts.
     space = FINITE_SPACES[name]()
     batch = synth_batch(batch_size, 3, space.input_hw, space.input_hw, space.num_classes, seed=0)
     init = InitSpec(seed=0)

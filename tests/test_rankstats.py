@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from diswot.data import ScoreRow, write_scores_csv
@@ -348,7 +348,10 @@ def tied_rank_tables(draw):
     return tables, accuracy, sample, repeats
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# The seed is the one derandomize=True drew from this test's source before
+# it was pinned, so editing the body no longer redraws the 60 examples.
+@seed(27662025963314747513011947000461303282258693189367927717912858807911339274250038729753630698537391692451968219164571)
+@settings(max_examples=60, deadline=None)
 @given(case=tied_rank_tables(), seed=st.integers(0, 2**32 - 1))
 def test_evaluate_proxy_matches_per_repetition_join(case, seed):
     # Joining each series once gives the reports that joining it afresh in
